@@ -42,14 +42,12 @@ from .market import (
     BreakResult,
     ConstancyResult,
     CoverageResult,
-    LossFigures,
-    MarketDay,
+    MarketData,
     UVariant,
     break_analysis,
     constancy_check,
     coverage_ratios,
     daily_loss_limit,
-    loss_figures,
     mean_loss_per_stock,
     u_series,
 )
@@ -115,15 +113,13 @@ __all__ = [
     "CointVerdict",
     "dm_critical_values",
     "engle_granger",
-    "MarketDay",
+    "MarketData",
     "UVariant",
-    "LossFigures",
     "ConstancyResult",
     "BreakResult",
     "CoverageResult",
     "daily_loss_limit",
     "mean_loss_per_stock",
-    "loss_figures",
     "u_series",
     "constancy_check",
     "break_analysis",

@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands expose the pipeline stages: ``analyze`` runs the full
-six-variable stationarity/cointegration report, ``adf``/``ols``/``coint``
+six-variable stationarity/cointegration report
+(:func:`specloss.pipeline.build_analysis`), ``adf``/``ols``/``coint``
 run one stage on CSV columns, and ``synth`` writes a generated dataset.
 Every flag can also come from a ``--config`` key=value file; flags win.
 
@@ -14,31 +15,19 @@ from __future__ import annotations
 import argparse
 import datetime
 import sys
-from dataclasses import replace
 from typing import Callable, Sequence, TypeVar
-
-import numpy as np
 
 from .cointegration import engle_granger
 from .dataio import (
     RunConfig,
-    load_market_csv,
     load_series_csv,
     parse_config_file,
     write_market_csv,
 )
 from .errors import InvalidArgumentError, SingularMatrixError, SpeclossError
-from .market import (
-    MarketDay,
-    UVariant,
-    break_analysis,
-    constancy_check,
-    coverage_ratios,
-    u_series,
-)
 from .ols import RegressionSpec, fit
+from .pipeline import build_analysis
 from .report import (
-    AnalysisReport,
     render_adf_block,
     render_analysis_csv,
     render_analysis_text,
@@ -46,9 +35,9 @@ from .report import (
 )
 from .series import TimeSeries
 from .synth import SynthConfig, gen_market_days
-from .unit_root import AdfSpec, adf_test, stationarity_ladder
+from .unit_root import AdfSpec, adf_test
 
-__all__ = ["main", "build_analysis"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -94,93 +83,6 @@ def _resolve(
     return default
 
 
-def series_from_days(days: Sequence[MarketDay]) -> dict[str, TimeSeries]:
-    """The four raw regression variables as named series."""
-    dates = tuple(day.date for day in days)
-    return {
-        "I": TimeSeries(dates, np.array([d.invest_i for d in days]),
-                        unit_label="m. rubles", name="I"),
-        "R": TimeSeries(dates, np.array([d.rate_r for d in days]),
-                        unit_label="% p.a.", name="R"),
-        "U_BIG_VOL": TimeSeries(dates, np.array([d.u_big_vol for d in days]),
-                                unit_label="pieces", name="U_BIG_VOL"),
-        "U_BIG_DEP": TimeSeries(dates, np.array([d.u_big_dep for d in days]),
-                                unit_label="pieces", name="U_BIG_DEP"),
-    }
-
-
-def build_analysis(config: RunConfig) -> AnalysisReport:
-    """Run the full pipeline for a RunConfig and assemble the report."""
-    if (config.input_path is None) == (config.synth_seed is None):
-        raise InvalidArgumentError(
-            "exactly one of input_path and synth_seed must be set"
-        )
-    if config.input_path is not None:
-        days = load_market_csv(config.input_path)
-    else:
-        days = gen_market_days(SynthConfig(seed=config.synth_seed))
-    if config.i_scale != 1.0 or config.r_scale != 1.0:
-        days = [
-            replace(
-                day,
-                invest_i=day.invest_i * config.i_scale,
-                rate_r=day.rate_r * config.r_scale,
-            )
-            for day in days
-        ]
-    u_vol = u_series(days, UVariant.BY_VOLUME)
-    u_dep = u_series(days, UVariant.BY_DEPOSIT)
-    raw = series_from_days(days)
-    variables = {
-        "U_SMALL_VOL": u_vol,
-        "U_SMALL_DEP": u_dep,
-        "I": raw["I"],
-        "R": raw["R"],
-        "U_BIG_VOL": raw["U_BIG_VOL"],
-        "U_BIG_DEP": raw["U_BIG_DEP"],
-    }
-    adf_spec = AdfSpec(max_lag=config.max_lag)
-    ladders = {
-        name: stationarity_ladder(series, adf_spec)
-        for name, series in variables.items()
-    }
-    coint_vol = engle_granger(
-        RegressionSpec(dependent=u_vol, regressors=(raw["U_BIG_VOL"], raw["R"], raw["I"])),
-        adf_spec=adf_spec,
-        resid_name="RESID1",
-    )
-    coint_dep = engle_granger(
-        RegressionSpec(dependent=u_dep, regressors=(raw["U_BIG_DEP"], raw["R"], raw["I"])),
-        adf_spec=adf_spec,
-        resid_name="RESID2",
-    )
-    have_prices = all(day.mean_price is not None for day in days)
-    mean_price = (
-        float(np.mean([day.mean_price for day in days])) if have_prices else None
-    )
-    constancy_vol = constancy_check(u_vol, mean_price) if have_prices else None
-    constancy_dep = constancy_check(u_dep, mean_price) if have_prices else None
-    coverage = coverage_ratios(list(days)) if have_prices else None
-    return AnalysisReport(
-        n_days=len(days),
-        max_lag=config.max_lag,
-        break_date=config.break_date,
-        ladders=ladders,
-        coint_by_volume=coint_vol,
-        coint_by_deposit=coint_dep,
-        constancy_vol=constancy_vol,
-        constancy_dep=constancy_dep,
-        break_vol=break_analysis(u_vol, config.break_date),
-        break_dep=break_analysis(u_dep, config.break_date),
-        coverage=coverage,
-        mean_price=mean_price,
-    )
-
-
-def _load_config_map(args: argparse.Namespace) -> None:
-    args.config_map = parse_config_file(args.config) if args.config else {}
-
-
 def _require_series(series: Sequence[TimeSeries], name: str) -> TimeSeries:
     for s in series:
         if s.name == name:
@@ -190,7 +92,6 @@ def _require_series(series: Sequence[TimeSeries], name: str) -> TimeSeries:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _load_config_map(args)
     input_path = _resolve(args, "input", str, None)
     synth_seed = _resolve(args, "synth-seed", int, None)
     if (input_path is None) == (synth_seed is None):
@@ -215,7 +116,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_adf(args: argparse.Namespace) -> int:
-    _load_config_map(args)
     input_path = _resolve(args, "input", str, None)
     if input_path is None:
         raise _UsageError("--input is required")
@@ -249,14 +149,12 @@ def _regression_spec_from_args(args: argparse.Namespace) -> RegressionSpec:
 
 
 def cmd_ols(args: argparse.Namespace) -> int:
-    _load_config_map(args)
     result = fit(_regression_spec_from_args(args))
     sys.stdout.write("\n".join(render_regression(result)) + "\n")
     return EXIT_OK
 
 
 def cmd_coint(args: argparse.Namespace) -> int:
-    _load_config_map(args)
     spec = _regression_spec_from_args(args)
     adf_spec = AdfSpec(max_lag=_resolve(args, "maxlag", int, 5))
     result = engle_granger(spec, adf_spec=adf_spec)
@@ -270,7 +168,6 @@ def cmd_coint(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _load_config_map(args)
     out_path = _resolve(args, "out", str, None)
     if out_path is None:
         raise _UsageError("--out is required")
@@ -348,6 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.config_map = parse_config_file(args.config) if args.config else {}
         return args.func(args)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

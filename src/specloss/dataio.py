@@ -1,18 +1,20 @@
 """CSV ingestion and emission, plus run configuration.
 
-Two file shapes exist.  Market files carry one validated MarketDay per
-row under the fixed header ``date,i_mrub,r_pct,u_big_vol,u_big_dep`` with
-an optional trailing ``mean_price_rub``.  Series files are generic: a
-``date`` column plus one named column per series, written in shortest
-round-trip decimal form so load(write(x)) is bit-exact.  All numbers use
-"." as the decimal separator regardless of locale; normalization of
-locale-specific source data belongs outside, at this boundary's callers.
+Two file shapes exist.  Market files hold one validated MarketData, a
+trading day per row, under the fixed header
+``date,i_mrub,r_pct,u_big_vol,u_big_dep`` with an optional trailing
+``mean_price_rub``.  Series files are generic: a ``date`` column plus one
+named column per series, written in shortest round-trip decimal form so
+load(write(x)) is bit-exact.  All numbers use "." as the decimal separator
+regardless of locale; normalization of locale-specific source data belongs
+outside, at this boundary's callers.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +24,10 @@ from .errors import (
     CsvSchemaError,
     CsvValidationError,
     InvalidArgumentError,
+    InvalidDayError,
     UnsupportedConfigError,
 )
-from .market import MarketDay
+from .market import MarketData
 from .series import TimeSeries
 
 __all__ = [
@@ -74,7 +77,10 @@ class RunConfig:
 
 def _parse_float(text: str, column: str, line_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
+        if math.isnan(value):  # NaN marks an empty price cell, never a value
+            raise ValueError(text)
+        return value
     except ValueError:
         raise CsvParseError(
             f"column {column!r} has non-numeric value {text!r}", line=line_no
@@ -90,7 +96,7 @@ def _parse_date(text: str, line_no: int) -> datetime.date:
         ) from None
 
 
-def load_market_csv(path: str) -> list[MarketDay]:
+def load_market_csv(path: str) -> MarketData:
     """Read and validate a market data file; rows come back date-sorted."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -114,7 +120,8 @@ def load_market_csv(path: str) -> list[MarketDay]:
             )
         has_price = len(header) == len(MARKET_COLUMNS) + 1
 
-        days: list[MarketDay] = []
+        dates: list[datetime.date] = []
+        rows: list[list[float]] = []
         seen: dict[datetime.date, int] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -134,48 +141,39 @@ def load_market_csv(path: str) -> list[MarketDay]:
                 _parse_float(row[i].strip(), header[i], line_no)
                 for i in range(1, len(MARKET_COLUMNS))
             ]
-            price: float | None = None
             if has_price:
                 cell = row[len(MARKET_COLUMNS)].strip()
-                if cell:
-                    price = _parse_float(cell, MARKET_PRICE_COLUMN, line_no)
-            try:
-                days.append(
-                    MarketDay(
-                        date=day_date,
-                        invest_i=numbers[0],
-                        rate_r=numbers[1],
-                        u_big_vol=numbers[2],
-                        u_big_dep=numbers[3],
-                        mean_price=price,
-                    )
+                numbers.append(
+                    _parse_float(cell, MARKET_PRICE_COLUMN, line_no) if cell else math.nan
                 )
-            except InvalidArgumentError as exc:
-                raise CsvValidationError(str(exc), date=day_date) from None
-    days.sort(key=lambda day: day.date)
-    return days
+            dates.append(day_date)
+            rows.append(numbers)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)[order]
+    try:
+        # The file's value columns are MarketData's fields, in order.
+        return MarketData(tuple(dates[i] for i in order), *table.T)
+    except InvalidDayError as exc:
+        raise CsvValidationError(str(exc), date=exc.date) from None
 
 
-def write_market_csv(days: list[MarketDay], path: str) -> None:
-    """Write MarketDay rows in the market schema (price column if any)."""
+def write_market_csv(days: MarketData, path: str) -> None:
+    """Write market data in the market schema (price column if any)."""
     if not days:
         raise InvalidArgumentError("no days to write")
-    has_price = any(day.mean_price is not None for day in days)
+    has_price = days.mean_price is not None
     header = list(MARKET_COLUMNS) + ([MARKET_PRICE_COLUMN] if has_price else [])
+    columns = [days.invest_i, days.rate_r, days.u_big_vol, days.u_big_dep, days.mean_price]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for day in sorted(days, key=lambda d: d.date):
-            row = [
-                day.date.isoformat(),
-                repr(day.invest_i),
-                repr(day.rate_r),
-                repr(day.u_big_vol),
-                repr(day.u_big_dep),
-            ]
-            if has_price:
-                row.append("" if day.mean_price is None else repr(day.mean_price))
-            writer.writerow(row)
+        # tolist() yields Python floats, whose repr is the shortest
+        # round-trip form (a numpy scalar would repr as np.float64(...)).
+        for day_date, *values in zip(days.dates, *(c.tolist() for c in columns if c is not None)):
+            writer.writerow(
+                [day_date.isoformat()]
+                + ["" if math.isnan(v) else repr(v) for v in values]
+            )
 
 
 def write_series_csv(series: list[TimeSeries], path: str) -> None:

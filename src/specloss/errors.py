@@ -14,6 +14,14 @@ class InvalidArgumentError(SpeclossError):
     """An argument violates a documented precondition."""
 
 
+class InvalidDayError(InvalidArgumentError):
+    """Market data fails a check; ``date`` names the first offending day."""
+
+    def __init__(self, message: str, date):
+        super().__init__(message)
+        self.date = date
+
+
 class InsufficientDataError(SpeclossError):
     """Too few observations for the requested operation."""
 
@@ -33,10 +41,10 @@ class UnsupportedConfigError(SpeclossError):
 class SingularMatrixError(SpeclossError):
     """Regressor matrix is rank deficient.
 
-    ``column`` names the offending regressor.
+    ``column`` is the index of the offending regressor in the design.
     """
 
-    def __init__(self, message: str, column: str | None = None):
+    def __init__(self, message: str, column: int | None = None):
         super().__init__(message)
         self.column = column
 

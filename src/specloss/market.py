@@ -7,31 +7,30 @@ system (by_deposit).  Unit conventions are fixed here and nowhere else:
 I arrives in million rubles, R in percent per annum (the central bank's
 published form), and u is reported in kopecks per stock.  The formula
 layer itself (:func:`daily_loss_limit`, :func:`mean_loss_per_stock`) is
-unit-agnostic; the conversions live in :func:`u_series` and
-:func:`loss_figures` only.
+unit-agnostic and takes scalars or arrays; the conversions live in
+:func:`u_series` only.
 """
 
 from __future__ import annotations
 
 import datetime
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from .errors import DivisionDomainError, InvalidArgumentError
-from .series import TimeSeries, mean, stddev
+from .errors import DivisionDomainError, InvalidArgumentError, InvalidDayError
+from .series import TimeSeries, check_dates, mean, stddev
 
 __all__ = [
-    "MarketDay",
+    "MarketData",
     "UVariant",
-    "LossFigures",
     "ConstancyResult",
     "BreakResult",
     "CoverageResult",
     "daily_loss_limit",
     "mean_loss_per_stock",
-    "loss_figures",
     "u_series",
     "constancy_check",
     "break_analysis",
@@ -45,6 +44,22 @@ MRUB_TO_KOPECKS = MRUB_TO_RUB * RUB_TO_KOPECKS
 PCT_TO_FRACTION = 1.0 / 100.0
 DAYS_PER_YEAR = 365.0
 
+FloatOrArray = float | np.ndarray
+
+# Raw regression variables: column, series name, unit label.
+_RAW_SERIES = (
+    ("invest_i", "I", "m. rubles"),
+    ("rate_r", "R", "% p.a."),
+    ("u_big_vol", "U_BIG_VOL", "pieces"),
+    ("u_big_dep", "U_BIG_DEP", "pieces"),
+)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry of ``mask``, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
 
 class UVariant(enum.Enum):
     """Which stock count serves as U in u = I·R/(365·U)."""
@@ -53,64 +68,87 @@ class UVariant(enum.Enum):
     BY_DEPOSIT = "by_deposit"
 
 
-@dataclass(frozen=True)
-class MarketDay:
-    """One trading day of exchange data.
+@dataclass(frozen=True, eq=False)
+class MarketData:
+    """Daily exchange data, one read-only float64 column per variable.
 
-    ``invest_i`` is the money deposited within the exchange system in
-    million rubles; ``rate_r`` the one-day interbank rate in percent per
-    annum; ``u_big_vol`` and ``u_big_dep`` count stocks (pieces) involved
-    in deals and deposited in the clearing system; ``mean_price`` is the
-    optional mean stock price in rubles used by the coverage ratios.
+    ``dates`` are strictly increasing trading days.  ``invest_i`` is the
+    money deposited within the exchange system in million rubles;
+    ``rate_r`` the one-day interbank rate in percent per annum;
+    ``u_big_vol`` and ``u_big_dep`` count stocks (pieces) involved in
+    deals and deposited in the clearing system; ``mean_price`` is the
+    optional mean stock price in rubles used by the coverage ratios, NaN
+    on a day without one, or ``None`` when no day has a price column.
     """
 
-    date: datetime.date
-    invest_i: float
-    rate_r: float
-    u_big_vol: float
-    u_big_dep: float
-    mean_price: float | None = None
+    dates: tuple[datetime.date, ...]
+    invest_i: np.ndarray
+    rate_r: np.ndarray
+    u_big_vol: np.ndarray
+    u_big_dep: np.ndarray
+    mean_price: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.date, datetime.date) or isinstance(
-            self.date, datetime.datetime
-        ):
-            raise InvalidArgumentError(f"date must be datetime.date, got {self.date!r}")
-        for label, value in (
-            ("invest_i", self.invest_i),
-            ("rate_r", self.rate_r),
-            ("u_big_vol", self.u_big_vol),
-            ("u_big_dep", self.u_big_dep),
-        ):
-            if not np.isfinite(value) or value < 0:
+        dates = tuple(self.dates)
+        check_dates(dates)
+        object.__setattr__(self, "dates", dates)
+        for f in fields(self)[1:]:
+            if f.name == "mean_price" and self.mean_price is None:
+                continue
+            column = np.array(getattr(self, f.name), dtype=np.float64)
+            if column.shape != (len(dates),):
                 raise InvalidArgumentError(
-                    f"{label} must be finite and >= 0 on {self.date}, got {value}"
+                    f"{f.name} must hold one value per date ({len(dates)}), "
+                    f"got shape {column.shape}"
                 )
-        if self.u_big_vol > self.u_big_dep:
-            raise InvalidArgumentError(
-                f"u_big_vol ({self.u_big_vol}) exceeds u_big_dep "
-                f"({self.u_big_dep}) on {self.date}; traded stocks must be "
-                f"a subset of deposited stocks"
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+        for label, _, _ in _RAW_SERIES:
+            column = getattr(self, label)
+            self._reject(
+                ~(np.isfinite(column) & (column >= 0)),
+                lambda i: f"{label} must be finite and >= 0 on {dates[i]}, "
+                          f"got {column[i]}",
             )
-        if self.mean_price is not None and not (
-            np.isfinite(self.mean_price) and self.mean_price > 0
-        ):
-            raise InvalidArgumentError(
-                f"mean_price must be positive when given on {self.date}, "
-                f"got {self.mean_price}"
+        self._reject(
+            self.u_big_vol > self.u_big_dep,
+            lambda i: f"u_big_vol ({self.u_big_vol[i]}) exceeds u_big_dep "
+                      f"({self.u_big_dep[i]}) on {dates[i]}; traded stocks must "
+                      f"be a subset of deposited stocks",
+        )
+        price = self.mean_price
+        if price is not None:
+            self._reject(
+                np.isinf(price) | (price <= 0),
+                lambda i: f"mean_price must be positive when given on "
+                          f"{dates[i]}, got {price[i]}",
             )
 
-    def u_big(self, variant: UVariant) -> float:
-        return self.u_big_vol if variant is UVariant.BY_VOLUME else self.u_big_dep
+    def _reject(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """Raise for the first day flagged in ``bad``, if any."""
+        i = _first(bad)
+        if i is not None:
+            raise InvalidDayError(message(i), date=self.dates[i])
 
+    def __len__(self) -> int:
+        return len(self.dates)
 
-@dataclass(frozen=True)
-class LossFigures:
-    """L and u for one day: rubles for L, kopecks per stock for u."""
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MarketData):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self)[1:]]
+        return self.dates == other.dates and all(
+            a is b or np.array_equal(a, b, equal_nan=True) for a, b in pairs
+        )
 
-    l_daily: float
-    u_small: float
-    variant: UVariant
+    def series(self) -> dict[str, TimeSeries]:
+        """The four raw regression variables as named series."""
+        return {
+            name: TimeSeries(self.dates, getattr(self, column),
+                             unit_label=unit, name=name)
+            for column, name, unit in _RAW_SERIES
+        }
 
 
 @dataclass(frozen=True)
@@ -134,9 +172,9 @@ class CoverageResult:
     money_coverage: float
 
 
-def daily_loss_limit(invest_i: float, rate_r_fraction: float) -> float:
+def daily_loss_limit(invest_i: FloatOrArray, rate_r_fraction: FloatOrArray) -> FloatOrArray:
     """L = I·R/365 with the rate as a fraction; L shares I's money unit."""
-    if invest_i < 0 or rate_r_fraction < 0:
+    if np.any(invest_i < 0) or np.any(rate_r_fraction < 0):
         raise InvalidArgumentError(
             f"inputs must be >= 0, got I={invest_i}, R={rate_r_fraction}"
         )
@@ -144,29 +182,17 @@ def daily_loss_limit(invest_i: float, rate_r_fraction: float) -> float:
 
 
 def mean_loss_per_stock(
-    invest_i: float, rate_r_fraction: float, u_big: float
-) -> float:
-    """u = I·R/(365·U), exactly daily_loss_limit(I, R)/U."""
-    if u_big < 0:
+    invest_i: FloatOrArray, rate_r_fraction: FloatOrArray, u_big: FloatOrArray
+) -> FloatOrArray:
+    """u = I·R/(365·U), exactly daily_loss_limit(I, R)/U, for scalars or arrays."""
+    if np.any(u_big < 0):
         raise InvalidArgumentError(f"u_big must be >= 0, got {u_big}")
-    if u_big == 0:
+    if np.any(u_big == 0):
         raise DivisionDomainError("u_big is zero; mean loss per stock is undefined")
     return daily_loss_limit(invest_i, rate_r_fraction) / u_big
 
 
-def loss_figures(day: MarketDay, variant: UVariant) -> LossFigures:
-    """A single day's L (rubles) and u (kopecks per stock)."""
-    rate_fraction = day.rate_r * PCT_TO_FRACTION
-    invest_rub = day.invest_i * MRUB_TO_RUB
-    l_daily = daily_loss_limit(invest_rub, rate_fraction)
-    u_big = day.u_big(variant)
-    if u_big == 0:
-        raise DivisionDomainError(f"zero U ({variant.value}) on {day.date}")
-    u_small = l_daily * RUB_TO_KOPECKS / u_big
-    return LossFigures(l_daily=l_daily, u_small=u_small, variant=variant)
-
-
-def u_series(days: list[MarketDay], variant: UVariant) -> TimeSeries:
+def u_series(days: MarketData, variant: UVariant) -> TimeSeries:
     """Daily u in kopecks per stock for the chosen U variant.
 
     The unit chain: I in million rubles times the million-rubles-to-
@@ -174,23 +200,15 @@ def u_series(days: list[MarketDay], variant: UVariant) -> TimeSeries:
     """
     if not days:
         raise InvalidArgumentError("u_series needs at least one day")
-    values = []
-    for day in days:
-        u_big = day.u_big(variant)
-        if u_big == 0:
-            raise DivisionDomainError(f"zero U ({variant.value}) on {day.date}")
-        values.append(
-            mean_loss_per_stock(
-                day.invest_i * MRUB_TO_KOPECKS, day.rate_r * PCT_TO_FRACTION, u_big
-            )
-        )
-    name = "U_SMALL_VOL" if variant is UVariant.BY_VOLUME else "U_SMALL_DEP"
-    return TimeSeries(
-        dates=tuple(day.date for day in days),
-        values=np.array(values),
-        unit_label="kopecks",
-        name=name,
+    u_big = days.u_big_vol if variant is UVariant.BY_VOLUME else days.u_big_dep
+    zero = _first(u_big == 0)
+    if zero is not None:
+        raise DivisionDomainError(f"zero U ({variant.value}) on {days.dates[zero]}")
+    values = mean_loss_per_stock(
+        days.invest_i * MRUB_TO_KOPECKS, days.rate_r * PCT_TO_FRACTION, u_big
     )
+    name = "U_SMALL_VOL" if variant is UVariant.BY_VOLUME else "U_SMALL_DEP"
+    return TimeSeries(days.dates, values, unit_label="kopecks", name=name)
 
 
 def constancy_check(u: TimeSeries, mean_price: float) -> ConstancyResult:
@@ -231,7 +249,7 @@ def break_analysis(u: TimeSeries, break_date: datetime.date) -> BreakResult:
     )
 
 
-def coverage_ratios(days: list[MarketDay]) -> CoverageResult:
+def coverage_ratios(days: MarketData) -> CoverageResult:
     """Average stock utilization and money coverage across days.
 
     stock_utilization averages u_big_vol/u_big_dep; money_coverage
@@ -240,18 +258,16 @@ def coverage_ratios(days: list[MarketDay]) -> CoverageResult:
     """
     if not days:
         raise InvalidArgumentError("coverage_ratios needs at least one day")
-    util = []
-    cover = []
-    for day in days:
-        if day.u_big_dep == 0:
-            raise DivisionDomainError(f"zero u_big_dep on {day.date}")
-        if day.mean_price is None:
-            raise InvalidArgumentError(f"mean_price missing on {day.date}")
-        util.append(day.u_big_vol / day.u_big_dep)
-        cover.append(
-            day.invest_i * MRUB_TO_RUB / (day.u_big_dep * day.mean_price)
-        )
+    zero = _first(days.u_big_dep == 0)
+    if zero is not None:
+        raise DivisionDomainError(f"zero u_big_dep on {days.dates[zero]}")
+    price = days.mean_price
+    missing = 0 if price is None else _first(np.isnan(price))
+    if missing is not None:
+        raise InvalidArgumentError(f"mean_price missing on {days.dates[missing]}")
     return CoverageResult(
-        stock_utilization=float(np.mean(util)),
-        money_coverage=float(np.mean(cover)),
+        stock_utilization=float(np.mean(days.u_big_vol / days.u_big_dep)),
+        money_coverage=float(
+            np.mean(days.invest_i * MRUB_TO_RUB / (days.u_big_dep * price))
+        ),
     )

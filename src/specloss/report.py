@@ -40,7 +40,10 @@ VARIABLE_ORDER = ("U_SMALL_VOL", "U_SMALL_DEP", "I", "R", "U_BIG_VOL", "U_BIG_DE
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything one full pipeline run produced, ready to render."""
+    """Everything one full pipeline run produced, ready to render.
+
+    A first-approach result is None when its check was skipped.
+    """
 
     n_days: int
     max_lag: int
@@ -50,8 +53,9 @@ class AnalysisReport:
     coint_by_deposit: CointResult
     constancy_vol: ConstancyResult | None
     constancy_dep: ConstancyResult | None
-    break_vol: BreakResult
-    break_dep: BreakResult
+    break_vol: BreakResult | None
+    break_dep: BreakResult | None
+    break_skipped: str | None  # why break_vol and break_dep are None
     coverage: CoverageResult | None
     mean_price: float | None
 
@@ -248,9 +252,12 @@ def render_analysis_text(report: AnalysisReport) -> str:
         ("by volume", report.break_vol),
         ("by deposit", report.break_dep),
     ):
+        head = f"Break at {report.break_date.isoformat()} ({label})"
+        if brk is None:
+            out.append(f"{head} skipped: {report.break_skipped}")
+            continue
         out.append(
-            f"Break at {report.break_date.isoformat()} ({label}): "
-            f"mean before {fmt_stat(brk.mean_before)}, "
+            f"{head}: mean before {fmt_stat(brk.mean_before)}, "
             f"after {fmt_stat(brk.mean_after)}, ratio {fmt_stat(brk.ratio)}"
         )
     if report.coverage is None:
@@ -361,11 +368,12 @@ def render_analysis_csv(report: AnalysisReport) -> str:
         ("by_volume", report.break_vol),
         ("by_deposit", report.break_dep),
     ):
-        rows += [
-            (f"break.{key}", "mean_before", _csv_value(brk.mean_before)),
-            (f"break.{key}", "mean_after", _csv_value(brk.mean_after)),
-            (f"break.{key}", "ratio", _csv_value(brk.ratio)),
-        ]
+        if brk is not None:
+            rows += [
+                (f"break.{key}", "mean_before", _csv_value(brk.mean_before)),
+                (f"break.{key}", "mean_after", _csv_value(brk.mean_after)),
+                (f"break.{key}", "ratio", _csv_value(brk.ratio)),
+            ]
     if report.coverage is not None:
         rows += [
             ("coverage", "stock_utilization",

@@ -11,13 +11,25 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AlignmentError, InvalidArgumentError
 
 __all__ = ["TimeSeries", "diff", "lag", "mean", "stddev", "align", "trading_dates"]
+
+
+def check_dates(dates: Sequence[datetime.date]) -> None:
+    """Require plain ``datetime.date`` values in strictly increasing order."""
+    for d in dates:
+        if not isinstance(d, datetime.date) or isinstance(d, datetime.datetime):
+            raise InvalidArgumentError(f"dates must be datetime.date, got {d!r}")
+    for prev, cur in zip(dates, dates[1:]):
+        if cur <= prev:
+            raise InvalidArgumentError(
+                f"dates must be strictly increasing: {prev} followed by {cur}"
+            )
 
 
 @dataclass(frozen=True)
@@ -49,14 +61,7 @@ class TimeSeries:
             raise InvalidArgumentError(
                 f"dates ({len(dates)}) and values ({values.shape[0]}) differ in length"
             )
-        for d in dates:
-            if not isinstance(d, datetime.date) or isinstance(d, datetime.datetime):
-                raise InvalidArgumentError(f"dates must be datetime.date, got {d!r}")
-        for prev, cur in zip(dates, dates[1:]):
-            if cur <= prev:
-                raise InvalidArgumentError(
-                    f"dates must be strictly increasing: {prev} followed by {cur}"
-                )
+        check_dates(dates)
         if values.size and not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise InvalidArgumentError(

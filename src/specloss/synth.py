@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .market import MarketDay
+from .market import MarketData
 from .ols import RegressionSpec
 from .series import TimeSeries, trading_dates
 
@@ -237,8 +237,8 @@ def gen_ar1(
     return TimeSeries(trading_dates(n), values, name=label)
 
 
-def gen_market_days(config: SynthConfig) -> list[MarketDay]:
-    """Generate one MarketDay per trading date under the config's DGP."""
+def gen_market_days(config: SynthConfig) -> MarketData:
+    """Generate market data for ``n_days`` trading dates under the config's DGP."""
     n = config.n_days
     ns = config.noise_scale
     invest = _reflected_walk(
@@ -266,18 +266,14 @@ def gen_market_days(config: SynthConfig) -> list[MarketDay]:
         NormalStream(config.seed, "price"), n, config.price0, config.price_phi,
         ns * config.price_scale,
     )
-    dates = trading_dates(n, config.start_date)
-    return [
-        MarketDay(
-            date=dates[t],
-            invest_i=float(invest[t]),
-            rate_r=float(rate[t]),
-            u_big_vol=float(u_vol[t]),
-            u_big_dep=float(u_vol[t] + dep_extra[t]),
-            mean_price=float(price[t]),
-        )
-        for t in range(n)
-    ]
+    return MarketData(
+        dates=trading_dates(n, config.start_date),
+        invest_i=invest,
+        rate_r=rate,
+        u_big_vol=u_vol,
+        u_big_dep=u_vol + dep_extra,
+        mean_price=price,
+    )
 
 
 def gen_cointegrated(seed: int, n: int = 255) -> RegressionSpec:

@@ -5,8 +5,8 @@ the t-statistic on γ compared against MacKinnon finite-sample critical
 values.  Lag length is picked automatically by the Schwarz criterion over
 0..max_lag, with every candidate fitted on the common sample implied by
 max_lag so the criteria are comparable; the winning lag is then refitted
-on its own longest sample.  Only the constant-deterministics case is
-implemented.
+on its own longest sample.  The regression always carries a constant
+and no trend, the only case the shipped tables cover.
 
 Critical values use the MacKinnon (2010) response surface evaluated at
 the regression's included observations, T_eff = N − 1 − lag.  P-values
@@ -82,20 +82,13 @@ class AdfSpec:
     """Configuration of an ADF run.
 
     ``fixed_lag=None`` selects the lag automatically by the Schwarz
-    criterion; an integer pins it.  Only constant deterministics ("c")
-    are supported.
+    criterion; an integer pins it.
     """
 
-    deterministics: str = "c"
     max_lag: int = 5
     fixed_lag: int | None = None
 
     def __post_init__(self) -> None:
-        if self.deterministics != "c":
-            raise UnsupportedConfigError(
-                f"only constant deterministics ('c') are supported, "
-                f"got {self.deterministics!r}"
-            )
         if self.max_lag < 0:
             raise InvalidArgumentError(f"max_lag must be >= 0, got {self.max_lag}")
         if self.fixed_lag is not None and not 0 <= self.fixed_lag <= self.max_lag:
@@ -175,31 +168,13 @@ def _pval_table() -> dict[int, _PvalRow]:
     return rows
 
 
-def _check_config(n_variables: int, deterministics: str, n_max: int) -> None:
-    if deterministics != "c":
-        raise UnsupportedConfigError(
-            f"only constant deterministics ('c') are supported, got {deterministics!r}"
-        )
-    if not 1 <= n_variables <= n_max:
-        raise UnsupportedConfigError(
-            f"n_variables must be in 1..{n_max}, got {n_variables}"
-        )
-
-
-def mackinnon_critical_values(
-    level: int,
-    t_eff: int,
-    *,
-    n_variables: int = 1,
-    deterministics: str = "c",
-) -> float:
+def mackinnon_critical_values(level: int, t_eff: int) -> float:
     """Finite-sample Dickey-Fuller critical value at ``t_eff`` observations.
 
     Evaluates the MacKinnon (2010) response surface
-    cv = b_inf + b1/T + b2/T^2 + b3/T^3.  Only the one-variable,
-    constant-only table is shipped; other configurations raise.
+    cv = b_inf + b1/T + b2/T^2 + b3/T^3 of the one-variable,
+    constant-only table.
     """
-    _check_config(n_variables, deterministics, n_max=1)
     if level not in LEVELS:
         raise InvalidArgumentError(f"level must be one of {LEVELS}, got {level}")
     if t_eff <= 0:
@@ -213,20 +188,21 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def mackinnon_pvalue(
-    t_stat: float,
-    *,
-    n_variables: int = 1,
-    deterministics: str = "c",
-) -> float:
+def mackinnon_pvalue(t_stat: float, *, n_variables: int = 1) -> float:
     """One-sided asymptotic p-value for a Dickey-Fuller tau statistic.
 
     Uses the MacKinnon p-value response surface: a quadratic in the
     statistic below tau_star (small-p branch), a cubic above it.  Outside
     the surface's fitted range the value is clamped to [1e-6, 0.9999].
+    ``n_variables`` counts the variables of a residual-based test, one for
+    a plain unit-root test; the constant-only table covers 1..6.
     """
-    _check_config(n_variables, deterministics, n_max=max(_pval_table()))
-    row = _pval_table()[n_variables]
+    table = _pval_table()
+    if n_variables not in table:
+        raise UnsupportedConfigError(
+            f"n_variables must be in 1..{max(table)}, got {n_variables}"
+        )
+    row = table[n_variables]
     if math.isnan(t_stat):
         return math.nan
     if t_stat < row.tau_min:
@@ -327,13 +303,12 @@ def adf_test(y: TimeSeries, spec: AdfSpec = AdfSpec()) -> AdfResult:
     t_stat = reg.coef_rows[1].t_stat
     t_eff = reg.nobs
     cvs = {
-        level: mackinnon_critical_values(level, t_eff, deterministics=spec.deterministics)
-        for level in LEVELS
+        level: mackinnon_critical_values(level, t_eff) for level in LEVELS
     }
     return AdfResult(
         series_name=y.name,
         t_statistic=t_stat,
-        p_value=mackinnon_pvalue(t_stat, deterministics=spec.deterministics),
+        p_value=mackinnon_pvalue(t_stat),
         chosen_lag=lag,
         auto_lag=spec.fixed_lag is None,
         max_lag=spec.max_lag,

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import acceptance_results
 from oracles import ols_oracle, random_instance
-from specloss.cli import main, series_from_days
+from specloss.cli import main
 from specloss.cointegration import CointVerdict, dm_critical_values, engle_granger
 from specloss.market import (
     UVariant,
@@ -215,7 +215,7 @@ def test_c09_end_to_end_pipeline():
     for seed in range(100):
         days = gen_market_days(SynthConfig(seed=seed))
         u = u_series(days, UVariant.BY_VOLUME)
-        raw = series_from_days(days)
+        raw = days.series()
         result = engle_granger(RegressionSpec(
             dependent=u,
             regressors=(raw["U_BIG_VOL"], raw["R"], raw["I"]),
@@ -229,7 +229,7 @@ def test_c09_end_to_end_pipeline():
     for seed in range(100):
         days = gen_market_days(SynthConfig(seed=seed, break_factor=2.0))
         u = u_series(days, UVariant.BY_VOLUME)
-        ratio = break_analysis(u, days[127].date).ratio
+        ratio = break_analysis(u, days.dates[127]).ratio
         assert 1.6 <= ratio <= 2.4, (seed, ratio)
 
 
@@ -259,9 +259,9 @@ def test_c11_loss_identity_and_homogeneity():
 
     days = gen_market_days(SynthConfig(seed=5, n_days=40))
     base = u_series(days, UVariant.BY_VOLUME)
-    scaled_i = [dataclasses.replace(d, invest_i=d.invest_i * 3.0) for d in days]
-    scaled_r = [dataclasses.replace(d, rate_r=d.rate_r * 2.0) for d in days]
-    scaled_u = [dataclasses.replace(d, u_big_vol=d.u_big_vol * 4.0) for d in days]
+    scaled_i = dataclasses.replace(days, invest_i=days.invest_i * 3.0)
+    scaled_r = dataclasses.replace(days, rate_r=days.rate_r * 2.0)
+    scaled_u = dataclasses.replace(days, u_big_vol=days.u_big_vol * 4.0)
     assert np.allclose(u_series(scaled_i, UVariant.BY_VOLUME).values,
                        3.0 * base.values, rtol=1e-12)
     assert np.allclose(u_series(scaled_r, UVariant.BY_VOLUME).values,

@@ -78,6 +78,27 @@ def test_analyze_file_matches_seed(tmp_path, capsys):
     assert from_file == from_seed
 
 
+def test_analyze_skips_break_outside_sample(tmp_path, capsys):
+    # 60 synthetic days end in March 2012, all before the default break
+    # date 2012-05-10: the break means are skipped, the rest still runs.
+    data = tmp_path / "short.csv"
+    code, _, _ = run_cli(
+        ["synth", "--seed", "3", "--days", "60", "--out", str(data)], capsys)
+    assert code == 0
+    code, text, err = run_cli(["analyze", "--input", str(data)], capsys)
+    assert code == 0 and err == ""
+    reason = ("break date 2012-05-10 leaves 60 observations before and 0 after; "
+              "need at least 2 on each side")
+    for label in ("by volume", "by deposit"):
+        assert f"Break at 2012-05-10 ({label}) skipped: {reason}\n" in text
+    assert "Coverage: stock utilization" in text
+    code, csv_out, _ = run_cli(
+        ["analyze", "--input", str(data), "--format", "csv"], capsys)
+    assert code == 0
+    assert "\nbreak." not in csv_out
+    assert "\ncoverage,stock_utilization," in csv_out
+
+
 def test_synth_reruns_identical(tmp_path, capsys):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, writing, and config files."""
 
 import datetime
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from specloss.errors import (
     InvalidArgumentError,
     UnsupportedConfigError,
 )
-from specloss.market import MarketDay
+from specloss.market import MarketData
 from specloss.series import TimeSeries, trading_dates
 from specloss.synth import SynthConfig, gen_market_days, gen_random_walk
 
@@ -41,11 +42,10 @@ def test_market_round_trip_is_exact(tmp_path):
 
 
 def test_market_round_trip_without_price(tmp_path):
-    days = [
-        MarketDay(date=d, invest_i=float(i + 1), rate_r=5.5,
-                  u_big_vol=1e5, u_big_dep=1e6)
-        for i, d in enumerate(trading_dates(5))
-    ]
+    days = MarketData(
+        dates=trading_dates(5), invest_i=np.arange(1.0, 6.0), rate_r=np.full(5, 5.5),
+        u_big_vol=np.full(5, 1e5), u_big_dep=np.full(5, 1e6),
+    )
     path = str(tmp_path / "noprice.csv")
     write_market_csv(days, path)
     first_line = open(path, encoding="utf-8").readline().strip()
@@ -54,16 +54,16 @@ def test_market_round_trip_without_price(tmp_path):
 
 
 def test_market_round_trip_with_gaps_in_price(tmp_path):
-    dates = trading_dates(4)
-    days = [
-        MarketDay(date=dates[i], invest_i=1.0, rate_r=1.0, u_big_vol=1.0,
-                  u_big_dep=2.0, mean_price=100.0 if i % 2 else None)
-        for i in range(4)
-    ]
+    days = MarketData(
+        dates=trading_dates(4), invest_i=np.ones(4), rate_r=np.ones(4),
+        u_big_vol=np.ones(4), u_big_dep=np.full(4, 2.0),
+        mean_price=np.array([math.nan, 100.0, math.nan, 100.0]),
+    )
     path = str(tmp_path / "gaps.csv")
     write_market_csv(days, path)
     loaded = load_market_csv(path)
-    assert [day.mean_price for day in loaded] == [None, 100.0, None, 100.0]
+    prices = [None if math.isnan(p) else p for p in loaded.mean_price.tolist()]
+    assert prices == [None, 100.0, None, 100.0]
 
 
 def test_market_rows_sorted_on_load(tmp_path):
@@ -119,6 +119,13 @@ def test_market_parse_errors_carry_line_numbers(tmp_path):
     short_row = write_text(tmp_path / "r.csv", HEADER + "\n2012-01-03,1,1,1\n")
     with pytest.raises(CsvParseError, match="fields"):
         load_market_csv(short_row)
+    # Only an empty price cell means "no price"; the text nan is no number.
+    nan_price = write_text(
+        tmp_path / "p.csv", HEADER + ",mean_price_rub\n2012-01-03,1,1,1,2,nan\n"
+    )
+    with pytest.raises(CsvParseError, match="'nan'") as exc_info:
+        load_market_csv(nan_price)
+    assert exc_info.value.line == 2
 
 
 def test_market_validation_errors_carry_dates(tmp_path):

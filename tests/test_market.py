@@ -8,13 +8,12 @@ import pytest
 
 from specloss.errors import DivisionDomainError, InvalidArgumentError
 from specloss.market import (
-    MarketDay,
+    MarketData,
     UVariant,
     break_analysis,
     constancy_check,
     coverage_ratios,
     daily_loss_limit,
-    loss_figures,
     mean_loss_per_stock,
     u_series,
 )
@@ -22,13 +21,16 @@ from specloss.series import TimeSeries, stddev, trading_dates
 
 
 def make_days(rows, start=datetime.date(2012, 1, 3), price=None):
-    """Build MarketDay objects from (i, r, vol, dep) tuples."""
-    dates = trading_dates(len(rows), start)
-    return [
-        MarketDay(date=d, invest_i=i, rate_r=r, u_big_vol=vol, u_big_dep=dep,
-                  mean_price=price)
-        for d, (i, r, vol, dep) in zip(dates, rows)
-    ]
+    """Build MarketData from (i, r, vol, dep) tuples, one per day."""
+    i, r, vol, dep = np.array(rows, dtype=float).reshape(len(rows), 4).T
+    return MarketData(
+        dates=trading_dates(len(rows), start) if rows else (),
+        invest_i=i,
+        rate_r=r,
+        u_big_vol=vol,
+        u_big_dep=dep,
+        mean_price=None if price is None else np.full(len(rows), price),
+    )
 
 
 def test_daily_loss_limit_hand_values():
@@ -65,43 +67,6 @@ def test_mean_loss_per_stock_domain_errors():
         mean_loss_per_stock(1.0, 0.1, -1.0)
 
 
-def test_loss_figures_one_kopeck_day():
-    # I = 3.65 m. rubles at 10% over 100,000 stocks is 0.01 ruble per
-    # stock, exactly one kopeck.
-    day = MarketDay(
-        date=datetime.date(2012, 1, 3),
-        invest_i=3.65,
-        rate_r=10.0,
-        u_big_vol=100_000.0,
-        u_big_dep=200_000.0,
-    )
-    fig = loss_figures(day, UVariant.BY_VOLUME)
-    assert math.isclose(fig.u_small, 1.0, rel_tol=1e-12)
-    assert math.isclose(fig.l_daily, 1000.0, rel_tol=1e-12)
-    assert fig.variant is UVariant.BY_VOLUME
-    # The deposit variant has twice the stocks, so half the loss each.
-    fig_dep = loss_figures(day, UVariant.BY_DEPOSIT)
-    assert math.isclose(fig_dep.u_small, 0.5, rel_tol=1e-12)
-
-
-def test_loss_figures_identity_l_equals_u_times_big_u():
-    rng = np.random.default_rng(22)
-    dates = trading_dates(50)
-    for k in range(50):
-        day = MarketDay(
-            date=dates[k],
-            invest_i=float(rng.uniform(1.0, 1e5)),
-            rate_r=float(rng.uniform(0.1, 20.0)),
-            u_big_vol=float(rng.uniform(1e3, 1e7)),
-            u_big_dep=float(rng.uniform(1e7, 1e9)),
-        )
-        for variant in UVariant:
-            fig = loss_figures(day, variant)
-            # u is in kopecks and L in rubles: u*U = 100*L.
-            lhs = fig.u_small * day.u_big(variant)
-            assert math.isclose(lhs, 100.0 * fig.l_daily, rel_tol=1e-9)
-
-
 def test_u_series_values_names_units():
     days = make_days([(3.65, 10.0, 1e5, 2e5), (7.30, 10.0, 1e5, 2e5)])
     u_vol = u_series(days, UVariant.BY_VOLUME)
@@ -110,7 +75,7 @@ def test_u_series_values_names_units():
     assert u_vol.unit_label == "kopecks"
     assert np.allclose(u_vol.values, [1.0, 2.0], rtol=1e-12)
     assert np.allclose(u_dep.values, [0.5, 1.0], rtol=1e-12)
-    assert u_vol.dates == tuple(day.date for day in days)
+    assert u_vol.dates == days.dates
 
 
 def test_u_series_constant_days_have_zero_stddev():
@@ -121,12 +86,12 @@ def test_u_series_constant_days_have_zero_stddev():
 
 def test_u_series_zero_u_names_date():
     days = make_days([(1.0, 5.0, 1e6, 2e6), (1.0, 5.0, 0.0, 2e6)])
-    with pytest.raises(DivisionDomainError, match=str(days[1].date)):
+    with pytest.raises(DivisionDomainError, match=str(days.dates[1])):
         u_series(days, UVariant.BY_VOLUME)
     # The deposit variant is still fine on those days.
     u_series(days, UVariant.BY_DEPOSIT)
     with pytest.raises(InvalidArgumentError):
-        u_series([], UVariant.BY_VOLUME)
+        u_series(make_days([]), UVariant.BY_VOLUME)
 
 
 def test_u_series_homogeneity():
@@ -237,9 +202,9 @@ def test_coverage_ratios_errors():
     with pytest.raises(InvalidArgumentError, match="mean_price"):
         coverage_ratios(days)
     with pytest.raises(InvalidArgumentError):
-        coverage_ratios([])
+        coverage_ratios(make_days([]))
     zero_dep = make_days([(1.0, 1.0, 0.0, 0.0)], price=5.0)
-    with pytest.raises(DivisionDomainError, match=str(zero_dep[0].date)):
+    with pytest.raises(DivisionDomainError, match=str(zero_dep.dates[0])):
         coverage_ratios(zero_dep)
 
 
@@ -261,18 +226,32 @@ def test_analyses_invariant_under_date_relabeling():
 
 
 def test_market_day_validation():
-    d = datetime.date(2012, 1, 3)
+    def one_day(**columns):
+        values = dict(dates=(datetime.date(2012, 1, 3),), invest_i=[1.0],
+                      rate_r=[1.0], u_big_vol=[1.0], u_big_dep=[1.0])
+        values.update(columns)
+        return MarketData(**values)
+
     with pytest.raises(InvalidArgumentError, match="subset"):
-        MarketDay(date=d, invest_i=1.0, rate_r=1.0, u_big_vol=2e6, u_big_dep=1e6)
+        one_day(u_big_vol=[2e6], u_big_dep=[1e6])
     with pytest.raises(InvalidArgumentError):
-        MarketDay(date=d, invest_i=-1.0, rate_r=1.0, u_big_vol=1.0, u_big_dep=1.0)
+        one_day(invest_i=[-1.0])
     with pytest.raises(InvalidArgumentError):
-        MarketDay(date=d, invest_i=1.0, rate_r=math.nan, u_big_vol=1.0, u_big_dep=1.0)
+        one_day(rate_r=[math.nan])
     with pytest.raises(InvalidArgumentError):
-        MarketDay(date="2012-01-03", invest_i=1.0, rate_r=1.0, u_big_vol=1.0,
-                  u_big_dep=1.0)
+        one_day(dates=("2012-01-03",))
     with pytest.raises(InvalidArgumentError, match="mean_price"):
-        MarketDay(date=d, invest_i=1.0, rate_r=1.0, u_big_vol=1.0, u_big_dep=1.0,
-                  mean_price=0.0)
-    # Optional price may be absent.
-    MarketDay(date=d, invest_i=1.0, rate_r=1.0, u_big_vol=1.0, u_big_dep=1.0)
+        one_day(mean_price=[0.0])
+    # Optional price may be absent, for all days or for one.
+    one_day()
+    one_day(mean_price=[math.nan])
+    # The error names the first offending day.
+    dates = trading_dates(3)
+    with pytest.raises(InvalidArgumentError, match=str(dates[1])) as exc_info:
+        one_day(dates=dates, invest_i=[1.0, -1.0, -2.0], rate_r=[1.0] * 3,
+                u_big_vol=[1.0] * 3, u_big_dep=[1.0] * 3)
+    assert exc_info.value.date == dates[1]
+    with pytest.raises(InvalidArgumentError, match="one value per date"):
+        one_day(rate_r=[1.0, 2.0])
+    with pytest.raises(ValueError):
+        one_day().invest_i[0] = 2.0

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from specloss.cli import build_analysis
 from specloss.dataio import RunConfig
 from specloss.ols import fit_arrays
+from specloss.pipeline import build_analysis
 from specloss.report import (
     VARIABLE_ORDER,
     fmt_prob,

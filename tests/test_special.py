@@ -91,6 +91,29 @@ def test_t_sf_matches_scipy():
         assert math.isclose(ours, ref, rel_tol=1e-10, abs_tol=1e-300)
 
 
+def test_tails_match_scipy_at_large_degrees_of_freedom():
+    # log-spaced degrees of freedom up to 100,000, where lgamma
+    # differences in the incomplete-beta front factor used to cancel to
+    # relative errors near 5e-10; the bound is the worst case reached.
+    dfs = sorted(set(np.round(np.logspace(0, 5, 60)).astype(int).tolist())
+                 | {25496, 100000})
+    worst_t = 0.0
+    for df in dfs:
+        for t in (0.1, 0.5, 1.0, 1.6, 2.0, 3.0, 5.0, 8.0):
+            for signed in (t, -t):
+                ref = float(stats.t.sf(signed, df))
+                worst_t = max(worst_t, abs(student_t_sf(signed, df) - ref) / ref)
+    worst_f = 0.0
+    for df1 in (1, 2, 3, 5, 8, 20, 100, 1000):
+        for df2 in dfs:
+            for f in (0.2, 0.8, 1.0, 1.5, 3.0, 6.0, 20.0):
+                ref = float(stats.f.sf(f, df1, df2))
+                if ref > 1e-280:
+                    worst_f = max(worst_f, abs(f_sf(f, df1, df2) - ref) / ref)
+    assert worst_t < 3e-11, worst_t
+    assert worst_f < 3e-11, worst_f
+
+
 def test_t_sf_special_inputs():
     assert math.isnan(student_t_sf(math.nan, 5))
     assert student_t_sf(math.inf, 5) == 0.0

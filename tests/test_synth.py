@@ -107,12 +107,11 @@ def test_market_days_shape_and_invariants():
     config = SynthConfig(seed=13, n_days=120)
     days = gen_market_days(config)
     assert len(days) == 120
-    assert tuple(d.date for d in days) == trading_dates(120, config.start_date)
-    for day in days:
-        assert day.invest_i >= 0.0
-        assert day.rate_r >= 0.0
-        assert 0.0 <= day.u_big_vol <= day.u_big_dep
-        assert day.mean_price is not None and day.mean_price > 0.0
+    assert days.dates == trading_dates(120, config.start_date)
+    assert np.all(days.invest_i >= 0.0)
+    assert np.all(days.rate_r >= 0.0)
+    assert np.all((0.0 <= days.u_big_vol) & (days.u_big_vol <= days.u_big_dep))
+    assert days.mean_price is not None and np.all(days.mean_price > 0.0)
     assert gen_market_days(config) == days
 
 
@@ -122,33 +121,32 @@ def test_market_days_break_multiplies_invest_exactly():
                                          break_index=40))
     for t in range(60):
         if t < 40:
-            assert broken[t].invest_i == base[t].invest_i
+            assert broken.invest_i[t] == base.invest_i[t]
         else:
-            assert broken[t].invest_i == 2.0 * base[t].invest_i
+            assert broken.invest_i[t] == 2.0 * base.invest_i[t]
         # The break leaves every other variable untouched.
-        assert broken[t].rate_r == base[t].rate_r
-        assert broken[t].u_big_vol == base[t].u_big_vol
-        assert broken[t].u_big_dep == base[t].u_big_dep
+        assert broken.rate_r[t] == base.rate_r[t]
+        assert broken.u_big_vol[t] == base.u_big_vol[t]
+        assert broken.u_big_dep[t] == base.u_big_dep[t]
 
 
 def test_market_days_break_defaults_to_midpoint():
     base = gen_market_days(SynthConfig(seed=4, n_days=50))
     broken = gen_market_days(SynthConfig(seed=4, n_days=50, break_factor=3.0))
-    changed = [t for t in range(50) if broken[t].invest_i != base[t].invest_i]
+    changed = [t for t in range(50) if broken.invest_i[t] != base.invest_i[t]]
     assert changed == list(range(25, 50))
 
 
 def test_zero_noise_scale_makes_u_linear_in_invest():
     config = SynthConfig(seed=6, n_days=40, noise_scale=0.0)
     days = gen_market_days(config)
-    assert all(day.rate_r == config.r0 for day in days)
-    assert all(day.u_big_vol == config.uvol0 for day in days)
-    assert all(day.u_big_dep == config.uvol0 + config.dep0 for day in days)
-    assert all(day.mean_price == config.price0 for day in days)
+    assert np.all(days.rate_r == config.r0)
+    assert np.all(days.u_big_vol == config.uvol0)
+    assert np.all(days.u_big_dep == config.uvol0 + config.dep0)
+    assert np.all(days.mean_price == config.price0)
     u = u_series(days, UVariant.BY_VOLUME)
     slope = 1e8 * (config.r0 / 100.0) / (365.0 * config.uvol0)
-    invest = np.array([day.invest_i for day in days])
-    assert np.allclose(u.values, slope * invest, rtol=1e-12)
+    assert np.allclose(u.values, slope * days.invest_i, rtol=1e-12)
 
 
 def test_synth_config_validation():
@@ -185,10 +183,9 @@ def test_default_config_produces_plausible_magnitudes():
     # Around 20 billion rubles at around 5.5% over around six million
     # stocks is tens of kopecks per stock per day.
     assert 10.0 < float(np.mean(u.values)) < 200.0
-    rates = [day.rate_r for day in days]
-    assert 3.0 < float(np.mean(rates)) < 8.0
+    assert 3.0 < float(np.mean(days.rate_r)) < 8.0
     assert math.isclose(
-        float(np.mean([day.u_big_vol / day.u_big_dep for day in days])),
+        float(np.mean(days.u_big_vol / days.u_big_dep)),
         0.1,
         abs_tol=0.05,
     )

@@ -62,10 +62,6 @@ def test_critical_values_reject_unsupported_configs():
         mackinnon_critical_values(2, 100)
     with pytest.raises(InvalidArgumentError):
         mackinnon_critical_values(5, 0)
-    with pytest.raises(UnsupportedConfigError):
-        mackinnon_critical_values(5, 100, n_variables=2)
-    with pytest.raises(UnsupportedConfigError):
-        mackinnon_critical_values(5, 100, deterministics="ct")
 
 
 def test_pvalue_anchors_from_printed_output():
@@ -112,8 +108,6 @@ def test_pvalue_monotone_for_every_table_row():
 def test_pvalue_rejects_unsupported_configs():
     with pytest.raises(UnsupportedConfigError):
         mackinnon_pvalue(-2.0, n_variables=9)
-    with pytest.raises(UnsupportedConfigError):
-        mackinnon_pvalue(-2.0, deterministics="ctt")
 
 
 def test_adf_regression_shape_and_labels():
@@ -206,8 +200,6 @@ def test_adf_test_fixed_lag():
 
 
 def test_adf_spec_validation():
-    with pytest.raises(UnsupportedConfigError):
-        AdfSpec(deterministics="ct")
     with pytest.raises(InvalidArgumentError):
         AdfSpec(max_lag=-1)
     with pytest.raises(InvalidArgumentError):
