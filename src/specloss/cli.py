@@ -4,7 +4,8 @@ Subcommands expose the pipeline stages: ``analyze`` runs the full
 six-variable stationarity/cointegration report
 (:func:`specloss.pipeline.build_analysis`), ``adf``/``ols``/``coint``
 run one stage on CSV columns, and ``synth`` writes a generated dataset.
-Every flag can also come from a ``--config`` key=value file; flags win.
+Every flag can also come from a ``--config`` key=value file; flags win,
+and a key that is not a long flag of the subcommand is a usage error.
 
 Exit codes: 0 success, 1 data or validation error, 2 numerical failure
 (singular design matrix), 3 usage error.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import sys
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from .cointegration import engle_granger
 from .dataio import (
@@ -64,13 +65,19 @@ def _parse_date(text: str) -> datetime.date:
         raise ValueError(f"not an ISO date: {text!r}") from None
 
 
+_REQUIRED = object()
+
+
 def _resolve(
     args: argparse.Namespace,
     key: str,
     convert: Callable[[str], _T],
-    default: _T,
+    default: Any = _REQUIRED,
 ) -> _T:
-    """Flag value if given, else config-file value, else the default."""
+    """Flag value if given, else config-file value, else the default.
+
+    Without a default the flag is required: a usage error if missing.
+    """
     value = getattr(args, key.replace("-", "_"))
     if value is not None:
         return value
@@ -80,6 +87,8 @@ def _resolve(
             return convert(config_map[key])
         except ValueError as exc:
             raise InvalidArgumentError(f"config key {key!r}: {exc}") from None
+    if default is _REQUIRED:
+        raise _UsageError(f"--{key} is required")
     return default
 
 
@@ -104,7 +113,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         break_date=_resolve(args, "break-date", _parse_date,
                             datetime.date(2012, 5, 10)),
         max_lag=_resolve(args, "maxlag", int, 5),
-        lag_criterion=_resolve(args, "lag-criterion", str, "schwarz"),
         output_format=_resolve(args, "format", str, "text"),
     )
     report = build_analysis(config)
@@ -116,12 +124,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_adf(args: argparse.Namespace) -> int:
-    input_path = _resolve(args, "input", str, None)
-    if input_path is None:
-        raise _UsageError("--input is required")
-    column = _resolve(args, "column", str, None)
-    if column is None:
-        raise _UsageError("--column is required")
+    input_path = _resolve(args, "input", str)
+    column = _resolve(args, "column", str)
     series = _require_series(load_series_csv(input_path), column)
     result = adf_test(series, AdfSpec(max_lag=_resolve(args, "maxlag", int, 5)))
     lines = render_adf_block(result)
@@ -131,13 +135,9 @@ def cmd_adf(args: argparse.Namespace) -> int:
 
 
 def _regression_spec_from_args(args: argparse.Namespace) -> RegressionSpec:
-    input_path = _resolve(args, "input", str, None)
-    if input_path is None:
-        raise _UsageError("--input is required")
-    dep_name = _resolve(args, "dep", str, None)
-    regs_text = _resolve(args, "regressors", str, None)
-    if dep_name is None or regs_text is None:
-        raise _UsageError("--dep and --regressors are required")
+    input_path = _resolve(args, "input", str)
+    dep_name = _resolve(args, "dep", str)
+    regs_text = _resolve(args, "regressors", str)
     names = [name.strip() for name in regs_text.split(",") if name.strip()]
     if not names:
         raise _UsageError("--regressors must list at least one column")
@@ -168,9 +168,7 @@ def cmd_coint(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out_path = _resolve(args, "out", str, None)
-    if out_path is None:
-        raise _UsageError("--out is required")
+    out_path = _resolve(args, "out", str)
     config = SynthConfig(
         seed=_resolve(args, "seed", int, 0),
         n_days=_resolve(args, "days", int, 255),
@@ -204,7 +202,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "csv"), help="output format (default text)")
     p.add_argument("--i-scale", type=float, help="unit multiplier applied to I on load")
     p.add_argument("--r-scale", type=float, help="unit multiplier applied to R on load")
-    p.add_argument("--lag-criterion", help="lag-selection criterion (only 'schwarz')")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("adf", help="ADF unit-root test on one CSV column")
@@ -238,6 +235,10 @@ def build_parser() -> _Parser:
     p.add_argument("--break-factor", type=float, help="multiply I from break-index on (default 1.0)")
     p.add_argument("--break-index", type=int, help="index of the I step change (default mid-sample)")
     p.set_defaults(func=cmd_synth)
+    for p in sub.choices.values():  # a config file may set any long flag but --config
+        p.set_defaults(config_keys={opt[2:] for action in p._actions
+                                    for opt in action.option_strings
+                                    if opt.startswith("--")} - {"config", "help"})
     return parser
 
 
@@ -246,6 +247,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.config_map = parse_config_file(args.config) if args.config else {}
+        unknown = sorted(set(args.config_map) - args.config_keys)
+        if unknown:
+            raise _UsageError(
+                f"unknown config key(s) for {args.command}: {', '.join(unknown)}"
+            )
         return args.func(args)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

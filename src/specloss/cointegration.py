@@ -15,14 +15,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InvalidArgumentError, UnsupportedConfigError
 from .ols import OlsFit, RegressionSpec, fit
-from .unit_root import LEVELS, AdfResult, AdfSpec, adf_test
+from .unit_root import (
+    LEVELS,
+    AdfResult,
+    AdfSpec,
+    _data_table,
+    adf_test,
+    verdict_from_t,
+)
 
 __all__ = [
     "CointVerdict",
@@ -65,35 +70,16 @@ class CointResult:
         )
 
 
-@lru_cache(maxsize=1)
-def _dm_table() -> dict[int, dict[int, float]]:
-    rows: dict[int, dict[int, float]] = {}
-    text = (
-        resources.files("specloss").joinpath("data/engle_granger_crit.txt").read_text()
-    )
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        rows[int(parts[0])] = {
-            1: float(parts[1]),
-            5: float(parts[2]),
-            10: float(parts[3]),
-        }
-    return rows
-
-
 def dm_critical_values(n_variables: int, level: int) -> float:
     """Asymptotic Engle-Granger critical value (constant-term case)."""
-    table = _dm_table()
+    table = _data_table("engle_granger_crit.txt")
     if n_variables not in table:
         raise UnsupportedConfigError(
             f"n_variables must be in {min(table)}..{max(table)}, got {n_variables}"
         )
     if level not in LEVELS:
         raise InvalidArgumentError(f"level must be one of {LEVELS}, got {level}")
-    return table[n_variables][level]
+    return table[n_variables][LEVELS.index(level)]
 
 
 _VERDICT_BY_LEVEL = {
@@ -117,7 +103,7 @@ def engle_granger(
     Davidson-MacKinnon table covers.
     """
     n_variables = 1 + len(spec.regressors)
-    table = _dm_table()
+    table = _data_table("engle_granger_crit.txt")
     if n_variables not in table:
         raise UnsupportedConfigError(
             f"cointegrating regression must have {min(table)}..{max(table)} "
@@ -126,13 +112,8 @@ def engle_granger(
     stage1 = fit(spec)
     assert stage1.residual_series is not None
     residual_test = adf_test(stage1.residual_series.with_name(resid_name), adf_spec)
-    dm_cvs = dict(table[n_variables])
-    t = residual_test.t_statistic
-    level = None
-    for lvl in LEVELS:
-        if t < dm_cvs[lvl]:
-            level = lvl
-            break
+    dm_cvs = dict(zip(LEVELS, table[n_variables]))
+    level = verdict_from_t(residual_test.t_statistic, dm_cvs).level
     return CointResult(
         stage1=stage1,
         residual_test=residual_test,

@@ -25,7 +25,6 @@ from .errors import (
     CsvValidationError,
     InvalidArgumentError,
     InvalidDayError,
-    UnsupportedConfigError,
 )
 from .market import MarketData
 from .series import TimeSeries
@@ -53,7 +52,6 @@ class RunConfig:
     r_scale: float = 1.0
     break_date: datetime.date = datetime.date(2012, 5, 10)
     max_lag: int = 5
-    lag_criterion: str = "schwarz"
     output_format: str = "text"
 
     def __post_init__(self) -> None:
@@ -64,11 +62,6 @@ class RunConfig:
             )
         if self.max_lag < 0:
             raise InvalidArgumentError(f"max_lag must be >= 0, got {self.max_lag}")
-        if self.lag_criterion != "schwarz":
-            raise UnsupportedConfigError(
-                f"only the 'schwarz' lag criterion is supported, "
-                f"got {self.lag_criterion!r}"
-            )
         if self.output_format not in ("text", "csv"):
             raise InvalidArgumentError(
                 f"output_format must be 'text' or 'csv', got {self.output_format!r}"

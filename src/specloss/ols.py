@@ -5,7 +5,8 @@ Equilibration (scaling every column to unit Euclidean norm) keeps the
 rank test meaningful when regressors differ by many orders of magnitude,
 which happens as soon as volumes in pieces meet rates in fractions.
 Reductions use ``np.sum`` on elementwise products rather than BLAS calls
-so results are bit-stable across runs on the same platform.
+so results are bit-stable across runs on the same platform.  Standard
+errors need only the diagonal of (X'X)^-1, so only that is formed.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -168,12 +169,24 @@ def durbin_watson(residuals: np.ndarray) -> float:
     return float(np.sum(steps * steps)) / denom
 
 
-def _householder_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve min ||y - Xb|| by Householder QR, returning (beta, (X'X)^-1).
+def _equilibrate(x: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Scale every column of ``x`` to unit Euclidean norm; (scaled x, norms)."""
+    norms = np.sqrt(np.sum(x * x, axis=0))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        j = int(zero[0])
+        raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
+    return x / norms, norms
 
-    ``x`` must already be column-equilibrated by the caller; the rank test
-    compares diagonal magnitudes of R, which is only fair at unit column
-    norms.
+
+def _householder_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of an equilibrated ``x``, returning (R, Q'y).
+
+    Reflection j only touches columns j and later, so the leading p
+    columns of R and the first p entries of Q'y are bit-identical to the
+    factorization of ``x[:, :p]`` alone, and ||(Q'y)[p:]||^2 is the SSR of
+    regressing y on those p columns.  The rank test compares diagonal
+    magnitudes of R, which is only fair at unit column norms.
     """
     n, k = x.shape
     r = x.copy()
@@ -206,22 +219,25 @@ def _householder_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
             f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
             column=bad,
         )
+    return r[:k], z
+
+
+def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Back-substitute R b = (Q'y)[:k]; returns (b, diag of (X'X)^-1).
+
+    (X'X)^-1 = R^-1 R^-T, so its diagonal is the row sums of R^-1 * R^-1;
+    the off-diagonal entries are never formed.
+    """
+    k = r.shape[0]
     beta = np.zeros(k)
     for j in range(k - 1, -1, -1):
         beta[j] = (z[j] - float(np.sum(r[j, j + 1 :] * beta[j + 1 :]))) / r[j, j]
-    # (X'X)^-1 = R^-1 R^-T from the triangular inverse.
     rinv = np.zeros((k, k))
     for j in range(k):
         rinv[j, j] = 1.0 / r[j, j]
         for i in range(j - 1, -1, -1):
             rinv[i, j] = -float(np.sum(r[i, i + 1 : j + 1] * rinv[i + 1 : j + 1, j])) / r[i, i]
-    xtx_inv = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            val = float(np.sum(rinv[i, :] * rinv[j, :]))
-            xtx_inv[i, j] = val
-            xtx_inv[j, i] = val
-    return beta, xtx_inv
+    return beta, np.array([float(np.sum(row * row)) for row in rinv])
 
 
 def fit_arrays(
@@ -264,15 +280,10 @@ def fit_arrays(
     if not (np.all(np.isfinite(yv)) and np.all(np.isfinite(xv))):
         raise InvalidArgumentError("regression inputs must be finite")
 
-    norms = np.sqrt(np.sum(xv * xv, axis=0))
-    for j in range(k):
-        if norms[j] == 0.0:
-            raise SingularMatrixError(
-                f"regressor '{reg_names[j]}' is identically zero", column=j
-            )
-    beta_s, xtx_inv_s = _householder_solve(xv / norms, yv)
+    xs, norms = _equilibrate(xv, reg_names)
+    beta_s, var_s = _solve_triangular(*_householder_qr(xs, yv))
     beta = beta_s / norms
-    xtx_inv = xtx_inv_s / np.outer(norms, norms)
+    var = var_s / (norms * norms)
 
     fitted = np.zeros(n)
     for j in range(k):
@@ -291,7 +302,7 @@ def fit_arrays(
 
     rows = []
     for j in range(k):
-        se = math.sqrt(s2 * xtx_inv[j, j])
+        se = math.sqrt(s2 * var[j])
         if se > 0.0:
             t = float(beta[j]) / se
             p = 2.0 * student_t_sf(abs(t), df)

@@ -3,10 +3,13 @@
 The test regression is Δy_t = c + γ·y_{t−1} + Σ φ_i·Δy_{t−i} + ε_t with
 the t-statistic on γ compared against MacKinnon finite-sample critical
 values.  Lag length is picked automatically by the Schwarz criterion over
-0..max_lag, with every candidate fitted on the common sample implied by
-max_lag so the criteria are comparable; the winning lag is then refitted
-on its own longest sample.  The regression always carries a constant
-and no trend, the only case the shipped tables cover.
+0..max_lag, with every candidate scored on the common sample implied by
+max_lag so the criteria are comparable.  On that sample each candidate's
+design is a column prefix of the max_lag design, so one Householder QR
+of the max_lag design yields every candidate's SSR and no candidate is
+fitted; only the winning lag is fitted, on its own longest sample.  The
+regression always carries a constant and no trend, the only case the
+shipped tables cover.
 
 Critical values use the MacKinnon (2010) response surface evaluated at
 the regression's included observations, T_eff = N − 1 − lag.  P-values
@@ -31,7 +34,14 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedConfigError,
 )
-from .ols import OlsFit, fit_arrays
+from .ols import (
+    OlsFit,
+    _equilibrate,
+    _householder_qr,
+    fit_arrays,
+    log_likelihood_from_ssr,
+    schwarz_from_loglik,
+)
 from .series import TimeSeries, diff
 
 __all__ = [
@@ -127,45 +137,13 @@ class LadderResult:
     classification: str
 
 
-@lru_cache(maxsize=1)
-def _crit_table() -> dict[int, tuple[float, ...]]:
-    rows: dict[int, tuple[float, ...]] = {}
-    text = resources.files("specloss").joinpath("data/mackinnon_crit.txt").read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        rows[int(parts[0])] = tuple(float(p) for p in parts[1:])
-    return rows
-
-
-@dataclass(frozen=True)
-class _PvalRow:
-    tau_min: float
-    tau_star: float
-    tau_max: float
-    small: tuple[float, float, float]
-    large: tuple[float, float, float, float]
-
-
-@lru_cache(maxsize=1)
-def _pval_table() -> dict[int, _PvalRow]:
-    rows: dict[int, _PvalRow] = {}
-    text = resources.files("specloss").joinpath("data/mackinnon_pval.txt").read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [float(p) for p in line.split()]
-        rows[int(parts[0])] = _PvalRow(
-            tau_min=parts[1],
-            tau_star=parts[2],
-            tau_max=parts[3],
-            small=(parts[4], parts[5], parts[6]),
-            large=(parts[7], parts[8], parts[9], parts[10]),
-        )
-    return rows
+@lru_cache(maxsize=None)
+def _data_table(filename: str) -> dict[int, tuple[float, ...]]:
+    """A shipped coefficient table: numeric rows keyed by their first field."""
+    text = resources.files("specloss").joinpath("data", filename).read_text()
+    rows = (line.split() for line in text.splitlines())
+    return {int(parts[0]): tuple(float(p) for p in parts[1:])
+            for parts in rows if parts and not parts[0].startswith("#")}
 
 
 def mackinnon_critical_values(level: int, t_eff: int) -> float:
@@ -179,7 +157,7 @@ def mackinnon_critical_values(level: int, t_eff: int) -> float:
         raise InvalidArgumentError(f"level must be one of {LEVELS}, got {level}")
     if t_eff <= 0:
         raise InvalidArgumentError(f"t_eff must be positive, got {t_eff}")
-    b_inf, b1, b2, b3 = _crit_table()[level]
+    b_inf, b1, b2, b3 = _data_table("mackinnon_crit.txt")[level]
     t = float(t_eff)
     return b_inf + b1 / t + b2 / t**2 + b3 / t**3
 
@@ -197,23 +175,21 @@ def mackinnon_pvalue(t_stat: float, *, n_variables: int = 1) -> float:
     ``n_variables`` counts the variables of a residual-based test, one for
     a plain unit-root test; the constant-only table covers 1..6.
     """
-    table = _pval_table()
+    table = _data_table("mackinnon_pval.txt")
     if n_variables not in table:
         raise UnsupportedConfigError(
             f"n_variables must be in 1..{max(table)}, got {n_variables}"
         )
-    row = table[n_variables]
+    tau_min, tau_star, tau_max, c0, c1, c2, d0, d1, d2, d3 = table[n_variables]
     if math.isnan(t_stat):
         return math.nan
-    if t_stat < row.tau_min:
+    if t_stat < tau_min:
         return _PVAL_CLAMP_LO
-    if t_stat > row.tau_max:
+    if t_stat > tau_max:
         return _PVAL_CLAMP_HI
-    if t_stat <= row.tau_star:
-        c0, c1, c2 = row.small
+    if t_stat <= tau_star:
         z = c0 + c1 * t_stat + c2 * t_stat**2
     else:
-        d0, d1, d2, d3 = row.large
         t = t_stat
         # The fitted cubic turns over just below tau_max for some rows;
         # freeze it at its local maximum so p stays monotone in t.
@@ -225,22 +201,23 @@ def mackinnon_pvalue(t_stat: float, *, n_variables: int = 1) -> float:
     return min(max(_norm_cdf(z), _PVAL_CLAMP_LO), _PVAL_CLAMP_HI)
 
 
-def _adf_fit(yv: np.ndarray, name: str, lag: int, start: int) -> OlsFit:
-    """Fit the ADF regression using observations t = start..N-1.
+def _adf_design(y: TimeSeries, lag: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """ADF regression at ``lag`` on its longest sample: (dep, x, names).
 
-    ``start`` must be at least lag+1 so every lagged difference exists.
+    Columns are [C, y(-1), Δy(-1), ..., Δy(-lag)], so the design of a
+    smaller lag on this sample is a column prefix of this one.
     """
-    n = yv.shape[0]
+    yv, n = y.values, len(y)
+    if n - 1 - lag <= lag + 2:
+        raise InsufficientDataError(
+            f"series of length {n} is too short for an ADF regression with lag {lag}"
+        )
     dy = yv[1:] - yv[:-1]
-    dep = dy[start - 1 :]
-    label = name or "Y"
-    names = ["C", f"{label}(-1)"]
-    cols = [np.ones(n - start), yv[start - 1 : n - 1]]
-    for i in range(1, lag + 1):
-        names.append(f"D({label}(-{i}))")
-        cols.append(dy[start - 1 - i : n - 1 - i])
-    x = np.column_stack(cols)
-    return fit_arrays(dep, x, dep_name=f"D({label})", reg_names=names)
+    label = y.name or "Y"
+    names = ["C", f"{label}(-1)"] + [f"D({label}(-{i}))" for i in range(1, lag + 1)]
+    cols = [np.ones(n - 1 - lag), yv[lag : n - 1]]
+    cols += [dy[lag - i : n - 1 - i] for i in range(1, lag + 1)]
+    return dy[lag:], np.column_stack(cols), names
 
 
 def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
@@ -251,35 +228,29 @@ def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
     """
     if lag < 0:
         raise InvalidArgumentError(f"lag must be >= 0, got {lag}")
-    n = len(y)
-    if n - 1 - lag <= lag + 2:
-        raise InsufficientDataError(
-            f"series of length {n} is too short for an ADF regression with lag {lag}"
-        )
-    return _adf_fit(y.values, y.name, lag, start=lag + 1)
+    dep, x, names = _adf_design(y, lag)
+    return fit_arrays(dep, x, dep_name=f"D({y.name or 'Y'})", reg_names=names)
 
 
 def select_lag(y: TimeSeries, max_lag: int) -> int:
     """Pick the lag in 0..max_lag minimizing the Schwarz criterion.
 
-    All candidates are fitted on the sample implied by max_lag so their
-    criteria are comparable; ties go to the smaller lag.
+    Every candidate is scored on the sample of the max_lag regression so
+    their criteria are comparable.  There the lag-ℓ design is the first
+    2+ℓ columns of the max_lag design, so one Householder QR of that
+    design gives every candidate's SSR as ||(Q'y)[2+ℓ:]||^2 and no
+    candidate is fitted.  Ties go to the smaller lag.
     """
     if max_lag < 0:
         raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
-    n = len(y)
-    if n - 1 - max_lag <= max_lag + 2:
-        raise InsufficientDataError(
-            f"series of length {n} is too short for lag selection with max_lag {max_lag}"
-        )
-    best_lag = 0
-    best_sc = math.inf
-    for lag in range(max_lag + 1):
-        sc = _adf_fit(y.values, y.name, lag, start=max_lag + 1).schwarz
-        if sc < best_sc:
-            best_sc = sc
-            best_lag = lag
-    return best_lag
+    dep, x, names = _adf_design(y, max_lag)
+    _, z = _householder_qr(_equilibrate(x, names)[0], dep)
+    nobs = dep.shape[0]
+    scores = []
+    for k in range(2, max_lag + 3):  # C, y(-1) and k - 2 lagged differences
+        loglik = log_likelihood_from_ssr(float(np.sum(z[k:] * z[k:])), nobs)
+        scores.append(schwarz_from_loglik(loglik, nobs, k))
+    return scores.index(min(scores))  # the first minimum: ties go to the smaller lag
 
 
 def verdict_from_t(t_stat: float, critical_values: Mapping[int, float]) -> Verdict:

@@ -194,6 +194,23 @@ def test_data_errors_exit_1(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_unknown_config_keys_exit_3(tmp_path, capsys):
+    # Keys are each subcommand's own long flags: a misspelling, a removed
+    # flag and another subcommand's flag are all usage errors.
+    for argv, text in (
+        (["analyze", "--synth-seed", "1"], "maxlags=1\n"),
+        (["analyze", "--synth-seed", "1"], "lag-criterion=schwarz\n"),
+        (["analyze", "--synth-seed", "1"], "seed=4\n"),
+        (["synth", "--out", str(tmp_path / "m.csv")], "maxlag=2\n"),
+    ):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(argv + ["--config", str(conf)], capsys)
+        assert code == 3, text
+        assert out == ""
+        assert f"unknown config key(s) for {argv[0]}: {text.split('=')[0]}" in err
+
+
 def test_singular_design_exits_2(tmp_path, capsys):
     path = tmp_path / "s.csv"
     dates = trading_dates(40)

@@ -19,7 +19,6 @@ from specloss.errors import (
     CsvSchemaError,
     CsvValidationError,
     InvalidArgumentError,
-    UnsupportedConfigError,
 )
 from specloss.market import MarketData
 from specloss.series import TimeSeries, trading_dates
@@ -234,8 +233,6 @@ def test_parse_config_file_errors(tmp_path):
 
 def test_run_config_validation():
     RunConfig(input_path=None, synth_seed=1)
-    with pytest.raises(UnsupportedConfigError):
-        RunConfig(input_path=None, synth_seed=1, lag_criterion="akaike")
     with pytest.raises(InvalidArgumentError):
         RunConfig(input_path=None, synth_seed=1, output_format="xml")
     with pytest.raises(InvalidArgumentError):

@@ -8,10 +8,19 @@ import pytest
 from specloss.errors import (
     InsufficientDataError,
     InvalidArgumentError,
+    SingularMatrixError,
     UnsupportedConfigError,
 )
+from specloss.market import UVariant, u_series
+from specloss.ols import fit_arrays
 from specloss.series import TimeSeries, diff, trading_dates
-from specloss.synth import NormalStream, gen_ar1, gen_random_walk
+from specloss.synth import (
+    NormalStream,
+    SynthConfig,
+    gen_ar1,
+    gen_market_days,
+    gen_random_walk,
+)
 from specloss.unit_root import (
     AdfSpec,
     Verdict,
@@ -161,6 +170,43 @@ def test_select_lag_bounds_and_errors():
         select_lag(s, -1)
     with pytest.raises(InsufficientDataError):
         select_lag(gen_random_walk(3, 12, label="B2"), 5)
+
+
+def _schwarz_lag_by_separate_fits(y, max_lag):
+    """Reference lag choice: one full fit per candidate on the common sample."""
+    v = y.values
+    n = len(v)
+    dy = v[1:] - v[:-1]
+    start = max_lag + 1
+    best_lag, best_sc = 0, math.inf
+    for lag in range(max_lag + 1):
+        cols = [np.ones(n - start), v[start - 1 : n - 1]]
+        cols += [dy[start - 1 - i : n - 1 - i] for i in range(1, lag + 1)]
+        sc = fit_arrays(dy[start - 1 :], np.column_stack(cols)).schwarz
+        if sc < best_sc:
+            best_lag, best_sc = lag, sc
+    return best_lag
+
+
+def test_select_lag_matches_separate_candidate_fits():
+    for seed in range(50):
+        days = gen_market_days(SynthConfig(seed=seed))
+        levels = [u_series(days, UVariant.BY_VOLUME),
+                  u_series(days, UVariant.BY_DEPOSIT),
+                  *days.series().values()]
+        for s in levels + [diff(s) for s in levels]:
+            for max_lag in (1, 5, 8):
+                want = _schwarz_lag_by_separate_fits(s, max_lag)
+                assert select_lag(s, max_lag) == want, (seed, s.name, max_lag)
+
+
+def test_constant_series_is_singular_for_lag_search():
+    s = TimeSeries(trading_dates(60), np.full(60, 3.5), name="K")
+    for max_lag in (0, 1, 5):
+        with pytest.raises(SingularMatrixError):
+            select_lag(s, max_lag)
+        with pytest.raises(SingularMatrixError):
+            adf_test(s, AdfSpec(max_lag=max_lag))
 
 
 def test_adf_t_statistic_invariant_under_affine_transforms():
