@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import sys
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -182,7 +183,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process for every ``main`` call; do not modify it."""
     parser = _Parser(
         prog="specloss",
         description="Speculative-loss time-series analysis "

@@ -1,12 +1,14 @@
 """Ordinary least squares with the diagnostic set printed by EViews.
 
-The solver is Householder QR on a column-equilibrated design matrix.
-Equilibration (scaling every column to unit Euclidean norm) keeps the
-rank test meaningful when regressors differ by many orders of magnitude,
-which happens as soon as volumes in pieces meet rates in fractions.
-Reductions use ``np.sum`` on elementwise products rather than BLAS calls
-so results are bit-stable across runs on the same platform.  Standard
-errors need only the diagonal of (X'X)^-1, so only that is formed.
+The solver is Householder QR on a column-equilibrated design matrix,
+held transposed with y as one more row.  Equilibration (scaling every
+column to unit Euclidean norm) keeps the rank test meaningful when
+regressors differ by many orders of magnitude, which happens as soon as
+volumes in pieces meet rates in fractions.  Reductions use ``np.sum`` on
+elementwise products, not BLAS, so results are bit-stable on a platform:
+numpy sums each contiguous row pairwise like a 1-D ``np.sum``, which
+``tests/test_ols.py`` checks against column loops.  Standard errors need
+only the diagonal of (X'X)^-1, so only that is formed.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -169,30 +171,28 @@ def durbin_watson(residuals: np.ndarray) -> float:
     return float(np.sum(steps * steps)) / denom
 
 
-def _equilibrate(x: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Scale every column of ``x`` to unit Euclidean norm; (scaled x, norms)."""
-    norms = np.sqrt(np.sum(x * x, axis=0))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        j = int(zero[0])
-        raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
-    return x / norms, norms
+def _householder_qr(x: np.ndarray, y: np.ndarray,
+                    names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder QR of ``x`` scaled to unit column norms: (R, Q'y, norms).
 
-
-def _householder_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR of an equilibrated ``x``, returning (R, Q'y).
-
-    Reflection j only touches columns j and later, so the leading p
-    columns of R and the first p entries of Q'y are bit-identical to the
-    factorization of ``x[:, :p]`` alone, and ||(Q'y)[p:]||^2 is the SSR of
-    regressing y on those p columns.  The rank test compares diagonal
+    Row m of the work array is column m and y is its last row, so each
+    reflection updates the trailing block in one ``np.sum(..., axis=1)``.
+    Reflection j only touches columns j and later, so the leading p columns
+    of R and entries of Q'y are those of ``x[:, :p]`` alone, and
+    ||(Q'y)[p:]||^2 is that prefix's SSR.  The rank test compares diagonal
     magnitudes of R, which is only fair at unit column norms.
     """
     n, k = x.shape
-    r = x.copy()
-    z = y.astype(np.float64).copy()
+    norms = np.sqrt(np.sum(x * x, axis=0))
+    if not np.all(norms):
+        j = int(np.argmin(norms))  # the first zero column
+        raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
+    a = np.empty((k + 1, n))
+    np.divide(x.T, norms[:, None], out=a[:k])
+    a[k] = y
+    scratch = np.empty(a.size)  # both products of every reflection
     for j in range(k):
-        col = r[j:, j]
+        col = a[j, j:]
         norm = math.sqrt(float(np.sum(col * col)))
         if norm == 0.0:
             raise SingularMatrixError(
@@ -202,16 +202,14 @@ def _householder_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
         alpha = -math.copysign(norm, col[0]) if col[0] != 0.0 else -norm
         v = col.copy()
         v[0] -= alpha
-        vnorm2 = float(np.sum(v * v))
-        scale = 2.0 / vnorm2
-        for m in range(j, k):
-            w = scale * float(np.sum(v * r[j:, m]))
-            r[j:, m] -= w * v
-        w = scale * float(np.sum(v * z[j:]))
-        z[j:] -= w * v
-        r[j, j] = alpha
-        r[j + 1 :, j] = 0.0
-    diag = np.abs(np.diag(r)[:k])
+        scale = 2.0 / float(np.sum(v * v))
+        block = a[j:, j:]
+        prod = scratch[: block.size].reshape(block.shape)
+        w = scale * np.sum(np.multiply(v, block, out=prod), axis=1)
+        block -= np.multiply(w[:, None], v, out=prod)
+        a[j, j] = alpha
+        a[j, j + 1 :] = 0.0
+    diag = np.abs(np.diagonal(a)[:k])
     if float(np.min(diag)) < _RANK_RTOL * float(np.max(diag)):
         bad = int(np.argmin(diag))
         raise SingularMatrixError(
@@ -219,25 +217,27 @@ def _householder_qr(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
             f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
             column=bad,
         )
-    return r[:k], z
+    return a[:k, :k].T, a[k], norms
 
 
 def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Back-substitute R b = (Q'y)[:k]; returns (b, diag of (X'X)^-1).
 
-    (X'X)^-1 = R^-1 R^-T, so its diagonal is the row sums of R^-1 * R^-1;
-    the off-diagonal entries are never formed.
+    Superdiagonal d of R^-1 needs only lower ones: a contiguous (k-d, d)
+    array of terms, each row summed like a 1-D ``np.sum``.  diag (X'X)^-1 is
+    the row sums of R^-1 * R^-1; the off-diagonal entries are never formed.
     """
     k = r.shape[0]
     beta = np.zeros(k)
     for j in range(k - 1, -1, -1):
         beta[j] = (z[j] - float(np.sum(r[j, j + 1 :] * beta[j + 1 :]))) / r[j, j]
-    rinv = np.zeros((k, k))
-    for j in range(k):
-        rinv[j, j] = 1.0 / r[j, j]
-        for i in range(j - 1, -1, -1):
-            rinv[i, j] = -float(np.sum(r[i, i + 1 : j + 1] * rinv[i + 1 : j + 1, j])) / r[i, i]
-    return beta, np.array([float(np.sum(row * row)) for row in rinv])
+    dr, idx = np.diagonal(r), np.arange(k)
+    rinv = np.diag(1.0 / dr)
+    for d in range(1, k):
+        i, j = idx[: k - d], idx[d:]  # entry (i, j) sums over columns i + 1 .. j
+        cols = i[:, None] + idx[1 : d + 1]
+        rinv[i, j] = -np.sum(r[i[:, None], cols] * rinv[cols, j[:, None]], axis=1) / dr[: k - d]
+    return beta, np.sum(rinv * rinv, axis=1)
 
 
 def fit_arrays(
@@ -280,8 +280,8 @@ def fit_arrays(
     if not (np.all(np.isfinite(yv)) and np.all(np.isfinite(xv))):
         raise InvalidArgumentError("regression inputs must be finite")
 
-    xs, norms = _equilibrate(xv, reg_names)
-    beta_s, var_s = _solve_triangular(*_householder_qr(xs, yv))
+    r, z, norms = _householder_qr(xv, yv, reg_names)
+    beta_s, var_s = _solve_triangular(r, z)
     beta = beta_s / norms
     var = var_s / (norms * norms)
 
@@ -312,13 +312,9 @@ def fit_arrays(
         rows.append(CoefRow(name=str(reg_names[j]), coef=float(beta[j]),
                             std_err=se, t_stat=t, p_value=p))
 
-    fstat = f_statistic_from_r2(r2, n, k) if not math.isnan(r2) else math.nan
-    if math.isnan(fstat):
-        fprob = math.nan
-    elif math.isinf(fstat):
-        fprob = 0.0
-    else:
-        fprob = f_sf(fstat, k - 1, df)
+    # R^2 < 0 (no constant) leaves no F test against the mean-only model.
+    fstat = f_statistic_from_r2(r2, n, k) if r2 >= 0.0 else math.nan
+    fprob = math.nan if math.isnan(fstat) else f_sf(fstat, k - 1, df)
 
     return OlsFit(
         dep_name=dep_name,
@@ -345,9 +341,7 @@ def fit_arrays(
 
 def fit(spec: RegressionSpec) -> OlsFit:
     """Align the spec's series on common dates and fit, constant (C) first."""
-    aligned = align(spec.dependent, *spec.regressors)
-    dep_a = aligned[0]
-    regs_a = aligned[1:]
+    dep_a, *regs_a = align(spec.dependent, *spec.regressors)
     n = len(dep_a)
     names: list[str] = []
     cols: list[np.ndarray] = []

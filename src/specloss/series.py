@@ -132,12 +132,16 @@ def stddev(s: TimeSeries) -> float:
 def align(*series: TimeSeries) -> list[TimeSeries]:
     """Restrict all series to their common dates, order preserved.
 
-    Returns new series sharing an identical date vector.  Raises
-    :class:`AlignmentError` when the calendars have no dates in common.
+    Returns series sharing an identical date vector; a series already on
+    those dates comes back as it is.  Raises :class:`AlignmentError` when
+    the calendars have no dates in common.
     """
     if not series:
         raise InvalidArgumentError("align requires at least one series")
-    common = set(series[0].dates)
+    first = series[0].dates
+    if first and all(s.dates == first for s in series[1:]):
+        return list(series)
+    common = set(first)
     for s in series[1:]:
         common &= set(s.dates)
     if not common:

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .ols import (
     OlsFit,
-    _equilibrate,
     _householder_qr,
     fit_arrays,
     log_likelihood_from_ssr,
@@ -244,7 +243,7 @@ def select_lag(y: TimeSeries, max_lag: int) -> int:
     if max_lag < 0:
         raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
     dep, x, names = _adf_design(y, max_lag)
-    _, z = _householder_qr(_equilibrate(x, names)[0], dep)
+    _, z, _ = _householder_qr(x, dep, names)
     nobs = dep.shape[0]
     scores = []
     for k in range(2, max_lag + 3):  # C, y(-1) and k - 2 lagged differences

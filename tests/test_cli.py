@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from specloss.cli import main
+from specloss.cli import build_parser, main
 from specloss.dataio import load_series_csv, write_series_csv
 from specloss.ols import RegressionSpec, fit
 from specloss.report import render_adf_block, render_regression
@@ -245,3 +245,34 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 0
     assert overridden == direct2
     assert overridden != direct
+
+
+def test_back_to_back_calls_match_fresh_calls(tmp_path, capsys):
+    # main builds its parser once per process; a run of calls through the
+    # one parser must behave like calls that each get a fresh one.
+    series_path = tmp_path / "s.csv"
+    make_series_file(series_path)
+    conf = tmp_path / "synth.conf"
+    conf.write_text("seed=3\ndays=60\n", encoding="utf-8")
+    calls = [
+        ["analyze", "--synth-seed", "1", "--input", "x.csv"],
+        ["analyze", "--synth-seed", "1"],
+        ["synth", "--config", str(conf), "--out", str(tmp_path / "m.csv")],
+        ["adf", "--input", str(series_path), "--column", "W"],
+    ]
+    commands = ("analyze", "adf", "ols", "coint", "synth")
+
+    def config_keys():
+        return {cmd: build_parser().parse_args([cmd]).config_keys for cmd in commands}
+
+    in_a_row = [run_cli(argv, capsys) for argv in calls]
+    keys_in_a_row = config_keys()
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    build_parser.cache_clear()
+    assert [code for code, _, _ in in_a_row] == [3, 0, 0, 0]
+    assert in_a_row == fresh
+    assert keys_in_a_row == config_keys()

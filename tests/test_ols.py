@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import ols_oracle, random_instance
@@ -13,8 +15,11 @@ from specloss.errors import (
     InvalidArgumentError,
     SingularMatrixError,
 )
+from specloss.market import UVariant, u_series
 from specloss.ols import (
     RegressionSpec,
+    _householder_qr,
+    _solve_triangular,
     durbin_watson,
     fit,
     fit_arrays,
@@ -26,7 +31,9 @@ from specloss.ols import (
     schwarz_from_loglik,
     se_regression_from_ssr,
 )
-from specloss.series import TimeSeries, trading_dates
+from specloss.series import TimeSeries, diff, trading_dates
+from specloss.synth import SynthConfig, gen_market_days
+from specloss.unit_root import _adf_design
 
 
 def close(a, b, rtol=1e-8, atol=1e-12):
@@ -287,8 +294,204 @@ def test_fit_without_constant():
     assert math.isnan(result.f_statistic)
 
 
+def test_fit_worse_than_the_mean_has_no_f_test():
+    # Without a constant the fit can miss the mean by more than the centred
+    # total, so R^2 < 0 and the F test against the mean-only model is void.
+    x = np.column_stack([np.arange(1.0, 7.0), np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])])
+    y = np.array([10.0, 9.0, 11.0, 10.0, 9.0, 10.0]) - 0.5 * np.arange(1.0, 7.0)
+    result = fit_arrays(y, x)
+    assert result.r_squared < 0.0
+    assert math.isnan(result.f_statistic) and math.isnan(result.f_prob)
+
+
 def test_regression_spec_requires_regressors():
     dates = trading_dates(5)
     dep = TimeSeries(dates, np.arange(5.0), name="Y")
     with pytest.raises(InvalidArgumentError):
         RegressionSpec(dependent=dep, regressors=())
+
+
+# -- Bit-identity with the column-at-a-time factorization ---------------------
+#
+# The reference below factors one column at a time: one np.sum per column
+# per reflection and one per entry of R^-1.  The package must give the same
+# bits for R, Q'y, the norms, the coefficients and diag (X'X)^-1, which holds
+# only while numpy reduces each row of a C-contiguous array in the order of
+# a 1-D np.sum.
+
+
+def _reference_qr(x, y, names):
+    norms = np.sqrt(np.sum(x * x, axis=0))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        j = int(zero[0])
+        raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
+    r = x / norms
+    n, k = x.shape
+    z = y.astype(np.float64).copy()
+    for j in range(k):
+        col = r[j:, j]
+        norm = math.sqrt(float(np.sum(col * col)))
+        if norm == 0.0:
+            raise SingularMatrixError(
+                f"design matrix column {j} is numerically zero after reduction",
+                column=j,
+            )
+        alpha = -math.copysign(norm, col[0]) if col[0] != 0.0 else -norm
+        v = col.copy()
+        v[0] -= alpha
+        scale = 2.0 / float(np.sum(v * v))
+        for m in range(j, k):
+            w = scale * float(np.sum(v * r[j:, m]))
+            r[j:, m] -= w * v
+        w = scale * float(np.sum(v * z[j:]))
+        z[j:] -= w * v
+        r[j, j] = alpha
+        r[j + 1 :, j] = 0.0
+    diag = np.abs(np.diag(r)[:k])
+    if float(np.min(diag)) < 1e-10 * float(np.max(diag)):
+        bad = int(np.argmin(diag))
+        raise SingularMatrixError(
+            f"design matrix is rank deficient at column {bad} "
+            f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
+            column=bad,
+        )
+    return r[:k], z, norms
+
+
+def _reference_solve(r, z):
+    k = r.shape[0]
+    beta = np.zeros(k)
+    for j in range(k - 1, -1, -1):
+        beta[j] = (z[j] - float(np.sum(r[j, j + 1 :] * beta[j + 1 :]))) / r[j, j]
+    rinv = np.zeros((k, k))
+    for j in range(k):
+        rinv[j, j] = 1.0 / r[j, j]
+        for i in range(j - 1, -1, -1):
+            rinv[i, j] = -float(np.sum(r[i, i + 1 : j + 1] * rinv[i + 1 : j + 1, j])) / r[i, i]
+    return beta, np.array([float(np.sum(row * row)) for row in rinv])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_bits_as_reference(x, y):
+    names = [f"X{j}" for j in range(x.shape[1])]
+    r, z, norms = _householder_qr(x, y, names)
+    beta, var = _solve_triangular(r, z)
+    r_ref, z_ref, norms_ref = _reference_qr(x, y, names)
+    beta_ref, var_ref = _reference_solve(r_ref, z_ref)
+    pairs = ((r, r_ref), (z, z_ref), (norms, norms_ref), (beta, beta_ref), (var, var_ref))
+    for got, want in pairs:
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_factorization_bits_match_column_loop_on_wild_scales():
+    rng = np.random.default_rng(42)
+    for trial in range(400):
+        k = 1 + trial % 12
+        n = int(rng.integers(k + 2, 300)) if trial % 40 else 25_500
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6.0, 8.0, size=k)
+        if trial % 3 == 0:
+            x[:, 0] = 1.0
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 6.0)
+        _assert_same_bits_as_reference(x, y)
+
+
+def test_factorization_bits_match_column_loop_on_adf_designs():
+    for seed in (0, 7, 23):
+        days = gen_market_days(SynthConfig(seed=seed))
+        series = [u_series(days, UVariant.BY_VOLUME), u_series(days, UVariant.BY_DEPOSIT),
+                  *days.series().values()]
+        for s in series + [diff(s) for s in series]:
+            for lag in range(11):  # 2..12 columns
+                dep, x, _ = _adf_design(s, lag)
+                _assert_same_bits_as_reference(x, dep)
+
+
+def test_singular_designs_name_the_reference_column():
+    rng = np.random.default_rng(43)
+    n = 30
+    base = rng.standard_normal((n, 4))
+    zero_col = base.copy()
+    zero_col[:, 2] = 0.0
+    deficient = base.copy()
+    deficient[:, 3] = 2.0 * base[:, 1] - base[:, 0]
+    y = rng.standard_normal(n)
+    names = ["A", "B", "C", "D"]
+    for x in (zero_col, deficient):
+        with pytest.raises(SingularMatrixError) as ref:
+            _reference_qr(x, y, names)
+        with pytest.raises(SingularMatrixError) as got:
+            _householder_qr(x, y, names)
+        assert got.value.column == ref.value.column is not None
+        assert str(got.value) == str(ref.value)
+
+
+# -- Properties of the fit ----------------------------------------------------
+#
+# Tolerances follow from float64 and the conditioning of the design, fixed
+# before any example is drawn.  A backward-stable least-squares solver
+# perturbs the coefficients, in units of unit-norm columns, by about
+# eps * kappa^2 * ||y|| and the residuals by about eps * kappa * ||y||, with
+# kappa the 2-norm condition number of the equilibrated design.  Both sides
+# of every comparison are computed, so the bound allows a factor 16 * n * k
+# on top.
+
+_EPS = float(np.finfo(np.float64).eps)
+_PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                              database=None)
+
+
+@st.composite
+def _designs(draw):
+    """(x, y, tol): a random design with columns 1e-4..1e6 in scale."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k + 3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 6.0), min_size=k, max_size=k)))
+    x = rng.standard_normal((n, k)) * scales
+    if draw(st.booleans()):
+        x[:, 0] = scales[0]
+    y = rng.standard_normal(n) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    kappa = float(np.linalg.cond(x / np.linalg.norm(x, axis=0)))
+    assume(kappa < 1e3)
+    return x, y, 16.0 * n * k * _EPS * kappa * kappa
+
+
+@_PROPERTY_SETTINGS
+@given(design=_designs(), a=st.floats(1e-2, 1e2), negate=st.booleans(),
+       c_units=st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
+def test_fit_is_affine_equivariant(design, a, negate, c_units):
+    """y -> a*y + X c maps beta -> a*beta + c and the residuals -> a*e."""
+    x, y, tol = design
+    a = -a if negate else a
+    norms = np.linalg.norm(x, axis=0)
+    y_norm = float(np.linalg.norm(y))
+    c = np.array(c_units[: x.shape[1]]) * y_norm / norms
+    y2 = a * y + x @ c
+    base = fit_arrays(y, x)
+    moved = fit_arrays(y2, x)
+    scale = abs(a) * y_norm + float(np.linalg.norm(y2))
+    beta_gap = norms * (moved.coefs - (a * base.coefs + c))
+    assert float(np.linalg.norm(beta_gap)) <= tol * scale
+    assert float(np.linalg.norm(moved.residuals - a * base.residuals)) <= tol * scale
+    assert abs(math.sqrt(moved.ssr) - abs(a) * math.sqrt(base.ssr)) <= tol * scale
+
+
+@_PROPERTY_SETTINGS
+@given(design=_designs(), column=st.integers(0, 5), log_s=st.floats(-6.0, 6.0))
+def test_t_statistics_ignore_column_scale(design, column, log_s):
+    x, y, tol = design
+    j = column % x.shape[1]
+    s = 10.0 ** log_s
+    scaled = x.copy()
+    scaled[:, j] *= s
+    base = fit_arrays(y, x)
+    result = fit_arrays(y, scaled)
+    t_base = np.array([row.t_stat for row in base.coef_rows])
+    t_scaled = np.array([row.t_stat for row in result.coef_rows])
+    assert float(np.max(np.abs(t_scaled - t_base))) <= tol * (1.0 + float(np.max(np.abs(t_base))))
+    assert abs(result.coefs[j] * s - base.coefs[j]) <= tol * (
+        float(np.linalg.norm(y)) / float(np.linalg.norm(x[:, j])))

@@ -167,6 +167,12 @@ def test_align_disjoint_calendars_raises():
         align(a, b)
 
 
+def test_align_shared_empty_calendar_raises():
+    empty = TimeSeries((), np.array([]), name="E")
+    with pytest.raises(AlignmentError):
+        align(empty, empty.with_name("F"))
+
+
 def test_trading_dates_skip_weekends():
     dates = trading_dates(5)
     assert dates == (
