@@ -17,7 +17,7 @@ import argparse
 import datetime
 import functools
 import sys
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Sequence
 
 from .cointegration import engle_granger
 from .dataio import (
@@ -46,8 +46,6 @@ EXIT_DATA = 1
 EXIT_NUMERIC = 2
 EXIT_USAGE = 3
 
-_T = TypeVar("_T")
-
 
 class _UsageError(Exception):
     """Bad flag combination discovered after config merging."""
@@ -66,18 +64,10 @@ def _parse_date(text: str) -> datetime.date:
         raise ValueError(f"not an ISO date: {text!r}") from None
 
 
-_REQUIRED = object()
+def _resolve(args: argparse.Namespace, key: str) -> Any:
+    """Flag value if given, else config-file value, else None.
 
-
-def _resolve(
-    args: argparse.Namespace,
-    key: str,
-    convert: Callable[[str], _T],
-    default: Any = _REQUIRED,
-) -> _T:
-    """Flag value if given, else config-file value, else the default.
-
-    Without a default the flag is required: a usage error if missing.
+    A config-file value goes through the flag's own argparse ``type``.
     """
     value = getattr(args, key.replace("-", "_"))
     if value is not None:
@@ -85,12 +75,29 @@ def _resolve(
     config_map = args.config_map
     if key in config_map:
         try:
-            return convert(config_map[key])
+            return args.config_keys[key](config_map[key])
         except ValueError as exc:
             raise InvalidArgumentError(f"config key {key!r}: {exc}") from None
-    if default is _REQUIRED:
+    return None
+
+
+def _required(args: argparse.Namespace, key: str) -> str:
+    """A string flag that must come from the command line or the config file."""
+    value = _resolve(args, key)
+    if value is None:
         raise _UsageError(f"--{key} is required")
-    return default
+    return value
+
+
+def _given(args: argparse.Namespace, **flags: str) -> dict[str, Any]:
+    """Keyword arguments ``field=value`` for the optional flags that were given.
+
+    ``flags`` maps a config field to its flag.  A flag given neither on the
+    command line nor in the config file is left out, so the config class's
+    own default applies.
+    """
+    values = {name: _resolve(args, key) for name, key in flags.items()}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _require_series(series: Sequence[TimeSeries], name: str) -> TimeSeries:
@@ -102,19 +109,15 @@ def _require_series(series: Sequence[TimeSeries], name: str) -> TimeSeries:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    input_path = _resolve(args, "input", str, None)
-    synth_seed = _resolve(args, "synth-seed", int, None)
+    input_path = _resolve(args, "input")
+    synth_seed = _resolve(args, "synth-seed")
     if (input_path is None) == (synth_seed is None):
         raise _UsageError("exactly one of --input and --synth-seed is required")
     config = RunConfig(
         input_path=input_path,
         synth_seed=synth_seed,
-        i_scale=_resolve(args, "i-scale", float, 1.0),
-        r_scale=_resolve(args, "r-scale", float, 1.0),
-        break_date=_resolve(args, "break-date", _parse_date,
-                            datetime.date(2012, 5, 10)),
-        max_lag=_resolve(args, "maxlag", int, 5),
-        output_format=_resolve(args, "format", str, "text"),
+        **_given(args, i_scale="i-scale", r_scale="r-scale",
+                 break_date="break-date", max_lag="maxlag", output_format="format"),
     )
     report = build_analysis(config)
     if config.output_format == "csv":
@@ -125,10 +128,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_adf(args: argparse.Namespace) -> int:
-    input_path = _resolve(args, "input", str)
-    column = _resolve(args, "column", str)
+    input_path = _required(args, "input")
+    column = _required(args, "column")
     series = _require_series(load_series_csv(input_path), column)
-    result = adf_test(series, AdfSpec(max_lag=_resolve(args, "maxlag", int, 5)))
+    result = adf_test(series, AdfSpec(**_given(args, max_lag="maxlag")))
     lines = render_adf_block(result)
     lines += ["", f"Verdict: {result.verdict.value}"]
     sys.stdout.write("\n".join(lines) + "\n")
@@ -136,9 +139,9 @@ def cmd_adf(args: argparse.Namespace) -> int:
 
 
 def _regression_spec_from_args(args: argparse.Namespace) -> RegressionSpec:
-    input_path = _resolve(args, "input", str)
-    dep_name = _resolve(args, "dep", str)
-    regs_text = _resolve(args, "regressors", str)
+    input_path = _required(args, "input")
+    dep_name = _required(args, "dep")
+    regs_text = _required(args, "regressors")
     names = [name.strip() for name in regs_text.split(",") if name.strip()]
     if not names:
         raise _UsageError("--regressors must list at least one column")
@@ -157,7 +160,7 @@ def cmd_ols(args: argparse.Namespace) -> int:
 
 def cmd_coint(args: argparse.Namespace) -> int:
     spec = _regression_spec_from_args(args)
-    adf_spec = AdfSpec(max_lag=_resolve(args, "maxlag", int, 5))
+    adf_spec = AdfSpec(**_given(args, max_lag="maxlag"))
     result = engle_granger(spec, adf_spec=adf_spec)
     lines = render_regression(result.stage1)
     lines += ["", "ADF test results for residuals:", ""]
@@ -169,14 +172,11 @@ def cmd_coint(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out_path = _resolve(args, "out", str)
-    config = SynthConfig(
-        seed=_resolve(args, "seed", int, 0),
-        n_days=_resolve(args, "days", int, 255),
-        noise_scale=_resolve(args, "noise-scale", float, 1.0),
-        break_factor=_resolve(args, "break-factor", float, 1.0),
-        break_index=_resolve(args, "break-index", int, None),
-    )
+    out_path = _required(args, "out")
+    config = SynthConfig(**_given(
+        args, seed="seed", n_days="days", noise_scale="noise-scale",
+        break_factor="break-factor", break_index="break-index",
+    ))
     days = gen_market_days(config)
     write_market_csv(days, out_path)
     sys.stdout.write(f"wrote {len(days)} days to {out_path}\n")
@@ -239,9 +239,10 @@ def build_parser() -> _Parser:
     p.add_argument("--break-index", type=int, help="index of the I step change (default mid-sample)")
     p.set_defaults(func=cmd_synth)
     for p in sub.choices.values():  # a config file may set any long flag but --config
-        p.set_defaults(config_keys={opt[2:] for action in p._actions
-                                    for opt in action.option_strings
-                                    if opt.startswith("--")} - {"config", "help"})
+        keys = {opt[2:]: action.type or str for action in p._actions
+                for opt in action.option_strings if opt.startswith("--")}
+        del keys["config"], keys["help"]
+        p.set_defaults(config_keys=keys)  # each allowed key with its flag's type
     return parser
 
 
@@ -250,7 +251,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.config_map = parse_config_file(args.config) if args.config else {}
-        unknown = sorted(set(args.config_map) - args.config_keys)
+        unknown = sorted(set(args.config_map) - set(args.config_keys))
         if unknown:
             raise _UsageError(
                 f"unknown config key(s) for {args.command}: {', '.join(unknown)}"

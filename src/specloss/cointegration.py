@@ -75,7 +75,8 @@ def dm_critical_values(n_variables: int, level: int) -> float:
     table = _data_table("engle_granger_crit.txt")
     if n_variables not in table:
         raise UnsupportedConfigError(
-            f"n_variables must be in {min(table)}..{max(table)}, got {n_variables}"
+            f"cointegrating regression must have {min(table)}..{max(table)} "
+            f"variables including the dependent, got {n_variables}"
         )
     if level not in LEVELS:
         raise InvalidArgumentError(f"level must be one of {LEVELS}, got {level}")
@@ -103,16 +104,10 @@ def engle_granger(
     Davidson-MacKinnon table covers.
     """
     n_variables = 1 + len(spec.regressors)
-    table = _data_table("engle_granger_crit.txt")
-    if n_variables not in table:
-        raise UnsupportedConfigError(
-            f"cointegrating regression must have {min(table)}..{max(table)} "
-            f"variables including the dependent, got {n_variables}"
-        )
+    dm_cvs = {level: dm_critical_values(n_variables, level) for level in LEVELS}
     stage1 = fit(spec)
     assert stage1.residual_series is not None
     residual_test = adf_test(stage1.residual_series.with_name(resid_name), adf_spec)
-    dm_cvs = dict(zip(LEVELS, table[n_variables]))
     level = verdict_from_t(residual_test.t_statistic, dm_cvs).level
     return CointResult(
         stage1=stage1,

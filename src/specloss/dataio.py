@@ -5,17 +5,24 @@ trading day per row, under the fixed header
 ``date,i_mrub,r_pct,u_big_vol,u_big_dep`` with an optional trailing
 ``mean_price_rub``.  Series files are generic: a ``date`` column plus one
 named column per series, written in shortest round-trip decimal form so
-load(write(x)) is bit-exact.  All numbers use "." as the decimal separator
-regardless of locale; normalization of locale-specific source data belongs
-outside, at this boundary's callers.
+load(write(x)) is bit-exact.  Both shapes go through one reader and one
+writer.  An empty value cell reads as NaN and a NaN writes as an empty
+cell; the text ``nan`` is never a value.  Whether a NaN may stand is the
+data type's decision: MarketData allows it only as a missing price,
+TimeSeries nowhere, and either names the date of a cell it rejects.  All
+numbers use "." as the decimal separator regardless of locale;
+normalization of locale-specific source data belongs outside, at this
+boundary's callers.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,16 +75,18 @@ class RunConfig:
             )
 
 
-def _parse_float(text: str, column: str, line_no: int) -> float:
+def _parse_cell(text: str, column: str, line_no: int) -> float:
+    """A value cell: a number, or NaN when empty; the text ``nan`` is neither."""
     try:
         value = float(text)
-        if math.isnan(value):  # NaN marks an empty price cell, never a value
-            raise ValueError(text)
-        return value
+        if value == value:
+            return value
     except ValueError:
-        raise CsvParseError(
-            f"column {column!r} has non-numeric value {text!r}", line=line_no
-        ) from None
+        if not text.strip():
+            return math.nan
+    raise CsvParseError(
+        f"column {column!r} has non-numeric value {text.strip()!r}", line=line_no
+    )
 
 
 def _parse_date(text: str, line_no: int) -> datetime.date:
@@ -89,33 +98,30 @@ def _parse_date(text: str, line_no: int) -> datetime.date:
         ) from None
 
 
-def load_market_csv(path: str) -> MarketData:
-    """Read and validate a market data file; rows come back date-sorted."""
+def _read_table(
+    path: str, header_problem: Callable[[list[str]], str | None]
+) -> tuple[list[str], tuple[datetime.date, ...], np.ndarray]:
+    """Header, increasing dates and a float64 (rows, columns) table of a file.
+
+    ``header_problem`` sees the stripped header before any row is read and
+    returns what is wrong with it, if anything.  The first column holds
+    ISO dates; every other cell parses alike, an empty one as NaN.  Each
+    row's numbers go straight into one flat float64 buffer as the row is
+    read, so no cell text outlives its row.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvSchemaError(f"{path}: file is empty, header row required") from None
-        header = [h.strip() for h in header]
-        expected = list(MARKET_COLUMNS)
-        if len(header) == len(MARKET_COLUMNS) + 1:
-            expected.append(MARKET_PRICE_COLUMN)
-        for i, name in enumerate(expected):
-            if i >= len(header) or header[i] != name:
-                raise CsvSchemaError(
-                    f"{path}: expected column {name!r} at position {i + 1}, "
-                    f"got {header[i] if i < len(header) else 'nothing'!r}"
-                )
-        if len(header) > len(expected):
-            raise CsvSchemaError(
-                f"{path}: unexpected extra column {header[len(expected)]!r}"
-            )
-        has_price = len(header) == len(MARKET_COLUMNS) + 1
-
+        problem = header_problem(header)
+        if problem is not None:
+            raise CsvSchemaError(f"{path}: {problem}")
+        names = header[1:]
         dates: list[datetime.date] = []
-        rows: list[list[float]] = []
-        seen: dict[datetime.date, int] = {}
+        lines = array.array("q")
+        values = array.array("d")
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -123,29 +129,58 @@ def load_market_csv(path: str) -> MarketData:
                 raise CsvParseError(
                     f"expected {len(header)} fields, got {len(row)}", line=line_no
                 )
-            day_date = _parse_date(row[0].strip(), line_no)
-            if day_date in seen:
-                raise CsvValidationError(
-                    f"duplicate date (first seen on line {seen[day_date]})",
-                    date=day_date,
-                )
-            seen[day_date] = line_no
-            numbers = [
-                _parse_float(row[i].strip(), header[i], line_no)
-                for i in range(1, len(MARKET_COLUMNS))
-            ]
-            if has_price:
-                cell = row[len(MARKET_COLUMNS)].strip()
-                numbers.append(
-                    _parse_float(cell, MARKET_PRICE_COLUMN, line_no) if cell else math.nan
-                )
-            dates.append(day_date)
-            rows.append(numbers)
+            dates.append(_parse_date(row[0].strip(), line_no))
+            lines.append(line_no)
+            values.extend([_parse_cell(cell, name, line_no)
+                           for name, cell in zip(names, row[1:])])
+    # A stable sort keeps repeated dates in file order, so the first of
+    # two equal neighbours is the date's first occurrence.
     order = sorted(range(len(dates)), key=dates.__getitem__)
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)[order]
+    for first, again in zip(order, order[1:]):
+        if dates[first] == dates[again]:
+            raise CsvValidationError(
+                f"duplicate date (first seen on line {lines[first]})",
+                date=dates[again],
+            )
+    table = np.frombuffer(values, dtype=np.float64).reshape(len(dates), len(names))
+    return header, tuple(dates[i] for i in order), table[order]
+
+
+def _write_table(
+    path: str, header: list[str], dates: Sequence[datetime.date],
+    columns: Sequence[np.ndarray],
+) -> None:
+    """Write a date column plus value columns; NaN becomes an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        # tolist() yields Python floats, whose repr is the shortest
+        # round-trip form (a numpy scalar would repr as np.float64(...)).
+        for day_date, *values in zip(dates, *(c.tolist() for c in columns)):
+            writer.writerow(
+                [day_date.isoformat()] + ["" if v != v else repr(v) for v in values]
+            )
+
+
+def _market_header_problem(header: list[str]) -> str | None:
+    expected = list(MARKET_COLUMNS)
+    if len(header) == len(MARKET_COLUMNS) + 1:
+        expected.append(MARKET_PRICE_COLUMN)
+    for i, name in enumerate(expected):
+        if i >= len(header) or header[i] != name:
+            got = header[i] if i < len(header) else "nothing"
+            return f"expected column {name!r} at position {i + 1}, got {got!r}"
+    if len(header) > len(expected):
+        return f"unexpected extra column {header[len(expected)]!r}"
+    return None
+
+
+def load_market_csv(path: str) -> MarketData:
+    """Read and validate a market data file; rows come back date-sorted."""
+    _, dates, table = _read_table(path, _market_header_problem)
     try:
         # The file's value columns are MarketData's fields, in order.
-        return MarketData(tuple(dates[i] for i in order), *table.T)
+        return MarketData(dates, *table.T)
     except InvalidDayError as exc:
         raise CsvValidationError(str(exc), date=exc.date) from None
 
@@ -154,19 +189,12 @@ def write_market_csv(days: MarketData, path: str) -> None:
     """Write market data in the market schema (price column if any)."""
     if not days:
         raise InvalidArgumentError("no days to write")
-    has_price = days.mean_price is not None
-    header = list(MARKET_COLUMNS) + ([MARKET_PRICE_COLUMN] if has_price else [])
-    columns = [days.invest_i, days.rate_r, days.u_big_vol, days.u_big_dep, days.mean_price]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        # tolist() yields Python floats, whose repr is the shortest
-        # round-trip form (a numpy scalar would repr as np.float64(...)).
-        for day_date, *values in zip(days.dates, *(c.tolist() for c in columns if c is not None)):
-            writer.writerow(
-                [day_date.isoformat()]
-                + ["" if math.isnan(v) else repr(v) for v in values]
-            )
+    columns = [days.invest_i, days.rate_r, days.u_big_vol, days.u_big_dep]
+    header = list(MARKET_COLUMNS)
+    if days.mean_price is not None:
+        columns.append(days.mean_price)
+        header.append(MARKET_PRICE_COLUMN)
+    _write_table(path, header, days.dates, columns)
 
 
 def write_series_csv(series: list[TimeSeries], path: str) -> None:
@@ -182,61 +210,29 @@ def write_series_csv(series: list[TimeSeries], path: str) -> None:
     names = [s.name or f"X{i}" for i, s in enumerate(series)]
     if len(set(names)) != len(names):
         raise InvalidArgumentError(f"series names must be unique, got {names}")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date"] + names)
-        for i, day_date in enumerate(dates):
-            writer.writerow(
-                [day_date.isoformat()] + [repr(float(s.values[i])) for s in series]
-            )
+    _write_table(path, ["date"] + names, dates, [s.values for s in series])
+
+
+def _series_header_problem(header: list[str]) -> str | None:
+    if not header or header[0] != "date":
+        return "first column must be 'date'"
+    if len(header) < 2:
+        return "no series columns after 'date'"
+    if len(set(header[1:])) != len(header) - 1:
+        return "duplicate series column names"
+    return None
 
 
 def load_series_csv(path: str) -> list[TimeSeries]:
     """Read a series file back; any date-headed numeric CSV qualifies."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    header, dates, table = _read_table(path, _series_header_problem)
+    out = []
+    for name, column in zip(header[1:], table.T):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvSchemaError(f"{path}: file is empty, header row required") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "date":
-            raise CsvSchemaError(f"{path}: first column must be 'date'")
-        if len(header) < 2:
-            raise CsvSchemaError(f"{path}: no series columns after 'date'")
-        names = header[1:]
-        if len(set(names)) != len(names):
-            raise CsvSchemaError(f"{path}: duplicate series column names")
-        dates: list[datetime.date] = []
-        columns: list[list[float]] = [[] for _ in names]
-        seen: dict[datetime.date, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=line_no
-                )
-            day_date = _parse_date(row[0].strip(), line_no)
-            if day_date in seen:
-                raise CsvValidationError(
-                    f"duplicate date (first seen on line {seen[day_date]})",
-                    date=day_date,
-                )
-            seen[day_date] = line_no
-            dates.append(day_date)
-            for i, name in enumerate(names):
-                columns[i].append(_parse_float(row[i + 1].strip(), name, line_no))
-    order = sorted(range(len(dates)), key=lambda i: dates[i])
-    sorted_dates = tuple(dates[i] for i in order)
-    return [
-        TimeSeries(
-            dates=sorted_dates,
-            values=np.array([column[i] for i in order]),
-            name=name,
-        )
-        for name, column in zip(names, columns)
-    ]
+            out.append(TimeSeries(dates, column, name=name))
+        except InvalidDayError as exc:
+            raise CsvValidationError(f"column {name!r}: {exc}", date=exc.date) from None
+    return out
 
 
 def parse_config_file(path: str) -> dict[str, str]:

@@ -15,7 +15,7 @@ class InvalidArgumentError(SpeclossError):
 
 
 class InvalidDayError(InvalidArgumentError):
-    """Market data fails a check; ``date`` names the first offending day."""
+    """Dated data fails a check; ``date`` names the first offending day."""
 
     def __init__(self, message: str, date):
         super().__init__(message)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidArgumentError
+from .errors import AlignmentError, InvalidArgumentError, InvalidDayError
 
 __all__ = ["TimeSeries", "diff", "lag", "mean", "stddev", "align", "trading_dates"]
 
@@ -64,8 +64,9 @@ class TimeSeries:
         check_dates(dates)
         if values.size and not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise InvalidArgumentError(
-                f"non-finite value at {dates[bad]}; series may not contain missing values"
+            raise InvalidDayError(
+                f"non-finite value at {dates[bad]}; series may not contain missing values",
+                date=dates[bad],
             )
         values.flags.writeable = False
         object.__setattr__(self, "dates", dates)

@@ -173,19 +173,23 @@ def _reflected_walk(
     return out
 
 
+def _ar1(stream: NormalStream, n: int, phi: float, scale: float) -> np.ndarray:
+    """Mean-zero AR(1), first value from the stationary law; zeros at scale 0."""
+    out = np.zeros(n)
+    if scale == 0.0:
+        return out
+    x = scale / math.sqrt(1.0 - phi * phi) * stream.normal()
+    for t in range(n):
+        out[t] = x
+        x = phi * x + scale * stream.normal()
+    return out
+
+
 def _ar1_around(
     stream: NormalStream, n: int, level: float, phi: float, scale: float
 ) -> np.ndarray:
     """Level plus stationary AR(1) deviations, reflected to stay positive."""
-    out = np.empty(n)
-    if scale == 0.0:
-        out[:] = level
-        return out
-    x = scale / math.sqrt(1.0 - phi * phi) * stream.normal()
-    for t in range(n):
-        out[t] = abs(level + x)
-        x = phi * x + scale * stream.normal()
-    return out
+    return np.abs(level + _ar1(stream, n, phi, scale))
 
 
 def gen_random_walk(
@@ -225,15 +229,7 @@ def gen_ar1(
         raise InvalidArgumentError(f"|phi| must be < 1, got {phi}")
     if scale < 0:
         raise InvalidArgumentError(f"scale must be >= 0, got {scale}")
-    stream = NormalStream(seed, label)
-    values = np.empty(n)
-    if scale == 0.0:
-        values[:] = 0.0
-        return TimeSeries(trading_dates(n), values, name=label)
-    x = scale / math.sqrt(1.0 - phi * phi) * stream.normal()
-    for t in range(n):
-        values[t] = x
-        x = phi * x + scale * stream.normal()
+    values = _ar1(NormalStream(seed, label), n, phi, scale)
     return TimeSeries(trading_dates(n), values, name=label)
 
 

@@ -237,3 +237,108 @@ def test_run_config_validation():
         RunConfig(input_path=None, synth_seed=1, output_format="xml")
     with pytest.raises(InvalidArgumentError):
         RunConfig(input_path=None, synth_seed=1, max_lag=-2)
+
+
+def test_market_blank_required_cell_fails_validation_naming_its_date(tmp_path):
+    path = write_text(
+        tmp_path / "blank_cell.csv",
+        HEADER + "\n2012-01-03,1,1,1,2\n2012-01-04,1,,1,2\n",
+    )
+    with pytest.raises(CsvValidationError, match="rate_r") as exc_info:
+        load_market_csv(path)
+    assert exc_info.value.date == datetime.date(2012, 1, 4)
+
+
+def test_series_blank_cell_fails_naming_its_date(tmp_path):
+    path = write_text(
+        tmp_path / "blank_cell.csv",
+        "date,x,y\n2012-01-03,1,2\n2012-01-04,3, \n",
+    )
+    with pytest.raises(CsvValidationError, match="'y'.*2012-01-04") as exc_info:
+        load_series_csv(path)
+    assert exc_info.value.date == datetime.date(2012, 1, 4)
+
+
+def test_market_blank_price_loads_as_nan(tmp_path):
+    path = write_text(
+        tmp_path / "price.csv",
+        HEADER + ",mean_price_rub\n2012-01-03,1,1,1,2,\n"
+        "2012-01-04,1,1,1,2, \n2012-01-05,1,1,1,2,100\n",
+    )
+    prices = load_market_csv(path).mean_price
+    assert np.isnan(prices[:2]).all() and prices[2] == 100.0
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "-nan", " nan "])
+def test_nan_text_is_a_parse_error_in_both_shapes(tmp_path, text):
+    market = write_text(
+        tmp_path / "m.csv", HEADER + f"\n2012-01-03,1,1,1,2\n2012-01-04,1,{text},1,2\n"
+    )
+    with pytest.raises(CsvParseError, match="'r_pct'") as exc_info:
+        load_market_csv(market)
+    assert exc_info.value.line == 3
+    series = write_text(tmp_path / "s.csv", f"date,x\n2012-01-03,1\n2012-01-04,{text}\n")
+    with pytest.raises(CsvParseError, match="'x'") as exc_info:
+        load_series_csv(series)
+    assert exc_info.value.line == 3
+
+
+def test_bad_header_is_reported_before_a_bad_first_row(tmp_path):
+    market = write_text(
+        tmp_path / "m.csv", "date,i_mrub,r_pct,u_big_vol,bogus\nJan 3,x\n"
+    )
+    with pytest.raises(CsvSchemaError, match="'u_big_dep' at position 5"):
+        load_market_csv(market)
+    series = write_text(tmp_path / "s.csv", "day,x\nJan 3,1,2\n")
+    with pytest.raises(CsvSchemaError, match="'date'"):
+        load_series_csv(series)
+
+
+def test_duplicate_date_out_of_order_names_its_first_line(tmp_path):
+    market = write_text(
+        tmp_path / "m.csv",
+        HEADER + "\n2012-01-05,1,1,1,2\n\n2012-01-03,1,1,1,2\n"
+        "2012-01-04,1,1,1,2\n2012-01-03,1,1,1,2\n",
+    )
+    with pytest.raises(CsvValidationError, match="first seen on line 4") as exc_info:
+        load_market_csv(market)
+    assert exc_info.value.date == datetime.date(2012, 1, 3)
+    series = write_text(
+        tmp_path / "s.csv",
+        "date,x\n2012-01-05,1\n2012-01-04,2\n2012-01-05,3\n2012-01-04,4\n",
+    )
+    with pytest.raises(CsvValidationError, match="first seen on line 3") as exc_info:
+        load_series_csv(series)
+    assert exc_info.value.date == datetime.date(2012, 1, 4)
+
+
+# Bytes written by the two writers before they shared one table writer.
+FROZEN_MARKET = (
+    b"date,i_mrub,r_pct,u_big_vol,u_big_dep,mean_price_rub\r\n"
+    b"2012-01-03,20000.5,5.5,6000000.0,54000000.0,512.8\r\n"
+    b"2012-01-04,0.30000000000000004,0.3333333333333333,1.0,1e+22,\r\n"
+    b"2012-01-05,1e-300,0.0,2.0,2.0,1e-05\r\n"
+)
+FROZEN_SERIES = (
+    b"date,A,X1\r\n"
+    b"2012-01-03,0.1,0.3333333333333333\r\n"
+    b"2012-01-04,-2.5e-08,1e+16\r\n"
+    b"2012-01-05,123456789.123,-0.0\r\n"
+)
+
+
+def test_writers_match_frozen_bytes(tmp_path):
+    days = MarketData(
+        dates=trading_dates(3), invest_i=np.array([20000.5, 0.1 + 0.2, 1e-300]),
+        rate_r=np.array([5.5, 1 / 3, 0.0]), u_big_vol=np.array([6e6, 1.0, 2.0]),
+        u_big_dep=np.array([5.4e7, 1e22, 2.0]),
+        mean_price=np.array([512.8, math.nan, 1e-5]),
+    )
+    market = tmp_path / "market.csv"
+    write_market_csv(days, str(market))
+    assert market.read_bytes() == FROZEN_MARKET
+    a = TimeSeries(trading_dates(3), [0.1, -2.5e-8, 123456789.123], name="A")
+    b = TimeSeries(trading_dates(3), [1 / 3, 1e16, -0.0])
+    series = tmp_path / "series.csv"
+    write_series_csv([a, b], str(series))
+    assert series.read_bytes() == FROZEN_SERIES
