@@ -20,12 +20,11 @@ from .errors import (
     SpeclossError,
     UnsupportedConfigError,
 )
-from .series import TimeSeries, align, diff, lag, mean, stddev, trading_dates
+from .series import TimeSeries, align, diff, mean, stddev, trading_dates
 from .special import betainc_regularized, f_sf, student_t_sf
 from .ols import CoefRow, OlsFit, RegressionSpec, fit, fit_arrays
 from .unit_root import (
     AdfResult,
-    AdfSpec,
     LadderResult,
     Verdict,
     adf_regression,
@@ -84,7 +83,6 @@ __all__ = [
     "CsvValidationError",
     "TimeSeries",
     "diff",
-    "lag",
     "mean",
     "stddev",
     "align",
@@ -97,7 +95,6 @@ __all__ = [
     "OlsFit",
     "fit",
     "fit_arrays",
-    "AdfSpec",
     "AdfResult",
     "LadderResult",
     "Verdict",

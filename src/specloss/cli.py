@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 data or validation error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import sys
 from typing import Any, Sequence
@@ -22,6 +21,7 @@ from typing import Any, Sequence
 from .cointegration import engle_granger
 from .dataio import (
     RunConfig,
+    _parse_date,
     load_series_csv,
     parse_config_file,
     write_market_csv,
@@ -37,7 +37,7 @@ from .report import (
 )
 from .series import TimeSeries
 from .synth import SynthConfig, gen_market_days
-from .unit_root import AdfSpec, adf_test
+from .unit_root import adf_test
 
 __all__ = ["main"]
 
@@ -55,13 +55,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit with code 3
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _parse_date(text: str) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"not an ISO date: {text!r}") from None
 
 
 def _resolve(args: argparse.Namespace, key: str) -> Any:
@@ -131,7 +124,7 @@ def cmd_adf(args: argparse.Namespace) -> int:
     input_path = _required(args, "input")
     column = _required(args, "column")
     series = _require_series(load_series_csv(input_path), column)
-    result = adf_test(series, AdfSpec(**_given(args, max_lag="maxlag")))
+    result = adf_test(series, **_given(args, max_lag="maxlag"))
     lines = render_adf_block(result)
     lines += ["", f"Verdict: {result.verdict.value}"]
     sys.stdout.write("\n".join(lines) + "\n")
@@ -160,8 +153,7 @@ def cmd_ols(args: argparse.Namespace) -> int:
 
 def cmd_coint(args: argparse.Namespace) -> int:
     spec = _regression_spec_from_args(args)
-    adf_spec = AdfSpec(**_given(args, max_lag="maxlag"))
-    result = engle_granger(spec, adf_spec=adf_spec)
+    result = engle_granger(spec, **_given(args, max_lag="maxlag"))
     lines = render_regression(result.stage1)
     lines += ["", "ADF test results for residuals:", ""]
     lines += render_adf_block(result.residual_test,

@@ -23,7 +23,6 @@ from .ols import OlsFit, RegressionSpec, fit
 from .unit_root import (
     LEVELS,
     AdfResult,
-    AdfSpec,
     _data_table,
     adf_test,
     verdict_from_t,
@@ -94,20 +93,23 @@ _VERDICT_BY_LEVEL = {
 def engle_granger(
     spec: RegressionSpec,
     *,
-    adf_spec: AdfSpec = AdfSpec(),
+    max_lag: int = 5,
     resid_name: str = "RESID",
 ) -> CointResult:
     """Run both Engle-Granger stages on a stage-one regression spec.
 
     The number of variables (dependent plus regressors, constant
     excluded) must be between 2 and 6, the range the embedded
-    Davidson-MacKinnon table covers.
+    Davidson-MacKinnon table covers.  Both settings are checked before
+    stage one is fitted.
     """
+    if max_lag < 0:
+        raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
     n_variables = 1 + len(spec.regressors)
     dm_cvs = {level: dm_critical_values(n_variables, level) for level in LEVELS}
     stage1 = fit(spec)
     assert stage1.residual_series is not None
-    residual_test = adf_test(stage1.residual_series.with_name(resid_name), adf_spec)
+    residual_test = adf_test(stage1.residual_series.with_name(resid_name), max_lag)
     level = verdict_from_t(residual_test.t_statistic, dm_cvs).level
     return CointResult(
         stage1=stage1,

@@ -89,13 +89,22 @@ def _parse_cell(text: str, column: str, line_no: int) -> float:
     )
 
 
-def _parse_date(text: str, line_no: int) -> datetime.date:
+def _parse_date(text: str) -> datetime.date:
+    """A date written as YYYY-MM-DD, in files, flags and config keys alike.
+
+    Only text equal to the date's own ``isoformat()`` is a date.  From
+    Python 3.11 on ``date.fromisoformat`` also takes the basic and week
+    forms (``20120103``, ``2012-W01-3``, ...); of all the forms it takes,
+    only YYYY-MM-DD has ten characters with "-" at index 7.  Checking that
+    shape costs far less per CSV row than formatting the date again.
+    """
     try:
-        return datetime.date.fromisoformat(text)
+        day = datetime.date.fromisoformat(text)
     except ValueError:
-        raise CsvParseError(
-            f"column 'date' has invalid ISO date {text!r}", line=line_no
-        ) from None
+        day = None
+    if day is None or len(text) != 10 or text[7] != "-":
+        raise ValueError(f"not an ISO date: {text!r}")
+    return day
 
 
 def _read_table(
@@ -129,7 +138,11 @@ def _read_table(
                 raise CsvParseError(
                     f"expected {len(header)} fields, got {len(row)}", line=line_no
                 )
-            dates.append(_parse_date(row[0].strip(), line_no))
+            try:
+                dates.append(_parse_date(row[0].strip()))
+            except ValueError:
+                raise CsvParseError(f"column 'date' has invalid ISO date "
+                                    f"{row[0].strip()!r}", line=line_no) from None
             lines.append(line_no)
             values.extend([_parse_cell(cell, name, line_no)
                            for name, cell in zip(names, row[1:])])

@@ -46,12 +46,12 @@ DAYS_PER_YEAR = 365.0
 
 FloatOrArray = float | np.ndarray
 
-# Raw regression variables: column, series name, unit label.
+# Raw regression variables: column and series name.
 _RAW_SERIES = (
-    ("invest_i", "I", "m. rubles"),
-    ("rate_r", "R", "% p.a."),
-    ("u_big_vol", "U_BIG_VOL", "pieces"),
-    ("u_big_dep", "U_BIG_DEP", "pieces"),
+    ("invest_i", "I"),
+    ("rate_r", "R"),
+    ("u_big_vol", "U_BIG_VOL"),
+    ("u_big_dep", "U_BIG_DEP"),
 )
 
 
@@ -103,7 +103,7 @@ class MarketData:
                 )
             column.flags.writeable = False
             object.__setattr__(self, f.name, column)
-        for label, _, _ in _RAW_SERIES:
+        for label, _ in _RAW_SERIES:
             column = getattr(self, label)
             self._reject(
                 ~(np.isfinite(column) & (column >= 0)),
@@ -144,11 +144,8 @@ class MarketData:
 
     def series(self) -> dict[str, TimeSeries]:
         """The four raw regression variables as named series."""
-        return {
-            name: TimeSeries(self.dates, getattr(self, column),
-                             unit_label=unit, name=name)
-            for column, name, unit in _RAW_SERIES
-        }
+        return {name: TimeSeries(self.dates, getattr(self, column), name=name)
+                for column, name in _RAW_SERIES}
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ def u_series(days: MarketData, variant: UVariant) -> TimeSeries:
         days.invest_i * MRUB_TO_KOPECKS, days.rate_r * PCT_TO_FRACTION, u_big
     )
     name = "U_SMALL_VOL" if variant is UVariant.BY_VOLUME else "U_SMALL_DEP"
-    return TimeSeries(days.dates, values, unit_label="kopecks", name=name)
+    return TimeSeries(days.dates, values, name=name)
 
 
 def constancy_check(u: TimeSeries, mean_price: float) -> ConstancyResult:

@@ -52,13 +52,11 @@ class RegressionSpec:
     """A least-squares problem stated in terms of named series.
 
     Series are aligned on their common dates before fitting; the constant
-    term, when included, is labeled C and listed first as in standard
-    package output.
+    term is labeled C and listed first as in standard package output.
     """
 
     dependent: TimeSeries
     regressors: tuple[TimeSeries, ...]
-    include_constant: bool = True
 
     def __post_init__(self) -> None:
         if not self.regressors:
@@ -342,23 +340,10 @@ def fit_arrays(
 def fit(spec: RegressionSpec) -> OlsFit:
     """Align the spec's series on common dates and fit, constant (C) first."""
     dep_a, *regs_a = align(spec.dependent, *spec.regressors)
-    n = len(dep_a)
-    names: list[str] = []
-    cols: list[np.ndarray] = []
-    if spec.include_constant:
-        names.append("C")
-        cols.append(np.ones(n))
-    for s in regs_a:
-        names.append(s.name or f"X{len(names)}")
-        cols.append(s.values)
-    x = np.column_stack(cols)
+    names = ["C"] + [s.name or f"X{j}" for j, s in enumerate(regs_a, start=1)]
+    x = np.column_stack([np.ones(len(dep_a))] + [s.values for s in regs_a])
     result = fit_arrays(
         dep_a.values, x, dep_name=spec.dependent.name or "Y", reg_names=names
     )
-    resid = TimeSeries(
-        dates=dep_a.dates,
-        values=result.residuals,
-        unit_label=dep_a.unit_label,
-        name="RESID",
-    )
+    resid = TimeSeries(dep_a.dates, result.residuals, name="RESID")
     return replace(result, residual_series=resid)

@@ -23,7 +23,7 @@ from .market import (
 from .ols import RegressionSpec
 from .report import AnalysisReport
 from .synth import SynthConfig, gen_market_days
-from .unit_root import AdfSpec, stationarity_ladder
+from .unit_root import stationarity_ladder
 
 __all__ = ["build_analysis"]
 
@@ -45,19 +45,18 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
     u_dep = u_series(days, UVariant.BY_DEPOSIT)
     raw = days.series()
     variables = {"U_SMALL_VOL": u_vol, "U_SMALL_DEP": u_dep, **raw}
-    adf_spec = AdfSpec(max_lag=config.max_lag)
     ladders = {
-        name: stationarity_ladder(series, adf_spec)
+        name: stationarity_ladder(series, config.max_lag)
         for name, series in variables.items()
     }
     coint_vol = engle_granger(
         RegressionSpec(dependent=u_vol, regressors=(raw["U_BIG_VOL"], raw["R"], raw["I"])),
-        adf_spec=adf_spec,
+        max_lag=config.max_lag,
         resid_name="RESID1",
     )
     coint_dep = engle_granger(
         RegressionSpec(dependent=u_dep, regressors=(raw["U_BIG_DEP"], raw["R"], raw["I"])),
-        adf_spec=adf_spec,
+        max_lag=config.max_lag,
         resid_name="RESID2",
     )
     prices = days.mean_price

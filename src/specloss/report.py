@@ -92,15 +92,11 @@ def render_adf_block(
 ) -> list[str]:
     """One ADF test block.  With ``dm_critical``, the critical-value rows
     show the Davidson-MacKinnon residual-test constants instead."""
-    lag_how = (
-        f"(Automatic - based on SIC, maxlag={result.max_lag})"
-        if result.auto_lag
-        else "(Fixed)"
-    )
     lines = [
         f"Null Hypothesis: {result.series_name} has a unit root",
         "Exogenous: Constant",
-        f"Lag Length: {result.chosen_lag} {lag_how}",
+        f"Lag Length: {result.chosen_lag} "
+        f"(Automatic - based on SIC, maxlag={result.max_lag})",
         "",
         f"{'':38}{'t-Statistic':>13}{'Prob.*':>11}",
         f"{'Augmented Dickey-Fuller test statistic':38}"
@@ -121,13 +117,13 @@ def render_adf_block(
     return lines
 
 
-def render_regression(fit: OlsFit, *, sample_label: str | None = None) -> list[str]:
+def render_regression(fit: OlsFit) -> list[str]:
     """The regression table in the standard field order."""
     nobs = fit.nobs
     lines = [
         f"Dependent Variable: {fit.dep_name}",
         "Method: Least Squares",
-        f"Sample: {sample_label if sample_label is not None else f'1 {nobs}'}",
+        f"Sample: 1 {nobs}",
         f"Included observations: {nobs}",
         "",
         f"{'Variable':20}{'Coefficient':>12}{'Std. Error':>13}"

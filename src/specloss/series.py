@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError, InvalidArgumentError, InvalidDayError
 
-__all__ = ["TimeSeries", "diff", "lag", "mean", "stddev", "align", "trading_dates"]
+__all__ = ["TimeSeries", "diff", "mean", "stddev", "align", "trading_dates"]
 
 
 def check_dates(dates: Sequence[datetime.date]) -> None:
@@ -43,13 +43,10 @@ class TimeSeries:
     values : sequence of float
         One finite value per date.  NaN/inf are rejected: a gap must be
         handled before construction, never carried inside a series.
-    unit_label : str
-        Free-text unit for reports (e.g. ``"kopecks"``, ``"m. rubles"``).
     """
 
     dates: tuple[datetime.date, ...]
     values: np.ndarray
-    unit_label: str = ""
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -76,39 +73,17 @@ class TimeSeries:
         return len(self.dates)
 
     def with_name(self, name: str) -> "TimeSeries":
-        return TimeSeries(self.dates, self.values, self.unit_label, name)
+        return TimeSeries(self.dates, self.values, name)
 
 
-def diff(s: TimeSeries, order: int = 1) -> TimeSeries:
-    """Difference with gap ``order``: result[t] = s[t] - s[t-order].
-
-    The result is aligned to the last ``len(s) - order`` dates.
-    """
-    if order < 1:
-        raise InvalidArgumentError(f"order must be >= 1, got {order}")
-    if order >= len(s):
+def diff(s: TimeSeries) -> TimeSeries:
+    """First difference, result[t] = s[t] - s[t-1], on the last ``len(s) - 1`` dates."""
+    if len(s) < 2:
         raise InvalidArgumentError(
-            f"order {order} must be smaller than series length {len(s)}"
+            f"first difference needs at least 2 values, got {len(s)}"
         )
-    values = s.values[order:] - s.values[:-order]
     name = f"D({s.name})" if s.name else ""
-    return TimeSeries(s.dates[order:], values, s.unit_label, name)
-
-
-def lag(s: TimeSeries, k: int) -> TimeSeries:
-    """Shift values forward by ``k`` steps: result[t] = s[t-k].
-
-    Aligned to the last ``len(s) - k`` dates; ``k = 0`` returns an equal
-    series.
-    """
-    if k < 0:
-        raise InvalidArgumentError(f"lag must be >= 0, got {k}")
-    if k >= len(s):
-        raise InvalidArgumentError(f"lag {k} must be smaller than series length {len(s)}")
-    if k == 0:
-        return s
-    name = f"{s.name}(-{k})" if s.name else ""
-    return TimeSeries(s.dates[k:], s.values[:-k], s.unit_label, name)
+    return TimeSeries(s.dates[1:], s.values[1:] - s.values[:-1], name)
 
 
 def mean(s: TimeSeries) -> float:
@@ -157,7 +132,6 @@ def align(*series: TimeSeries) -> list[TimeSeries]:
                 TimeSeries(
                     tuple(s.dates[i] for i in keep),
                     s.values[keep],
-                    s.unit_label,
                     s.name,
                 )
             )

@@ -4,8 +4,8 @@ Both tails reduce to the regularized incomplete beta function, evaluated
 here with the classic continued-fraction scheme (modified Lentz method)
 so the package carries no statistics dependency.  Against scipy, the
 relative error stays below 3e-11 for Student-t tails at 1 to 100,000
-degrees of freedom and |t| down to 0.001, and for F tails with df1 up
-to 1,000 and df2 up to 100,000, comfortably inside the 5e-4 agreement
+degrees of freedom and |t| down to 0.001, and for F tails with df1
+and df2 up to 100,000, comfortably inside the 5e-4 agreement
 required against published tables.
 """
 
@@ -87,6 +87,12 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
     big, small = max(a, b), min(a, b)
     if big < 10.0:
         neg_log_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    elif small >= 10.0:
+        # Stirling's series for all three: its z·log z terms regroup into
+        # log1p terms that stay accurate however large a and b grow.
+        neg_log_beta = ((a - 0.5) * math.log1p(b / a) + (b - 0.5) * math.log1p(a / b)
+                        + 0.5 * math.log((a + b) / (2.0 * math.pi))
+                        + _stirling_tail(a + b) - _stirling_tail(a) - _stirling_tail(b))
     else:
         # log Γ(a+b) − log Γ(big) from Stirling's series: two lgamma calls
         # of that size would cancel to relative errors near 1e-10.

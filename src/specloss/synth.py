@@ -16,7 +16,6 @@ order they are drawn in.
 
 from __future__ import annotations
 
-import datetime
 import math
 from dataclasses import dataclass
 
@@ -40,6 +39,17 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+# The market process of gen_market_days.  I: reflected random walk,
+# million rubles.  R: AR(1) around a level, percent per annum.  U_vol:
+# AR(1) around a level, pieces.  U_dep = U_vol + a slow positive walk,
+# pieces.  Mean stock price: AR(1) around a level, rubles.  Each scale
+# below is an innovation standard deviation.
+_I0, _I_SCALE = 20000.0, 25.0
+_R0, _R_PHI, _R_SCALE = 5.5, 0.3, 0.12
+_UVOL0, _UVOL_PHI, _UVOL_SCALE = 6.0e6, 0.25, 1.2e5
+_DEP0, _DEP_SCALE = 5.4e7, 1.5e5
+_PRICE0, _PRICE_PHI, _PRICE_SCALE = 512.8, 0.3, 2.5
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -91,7 +101,7 @@ class NormalStream:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Process parameters for one generated dataset.
+    """Settings of one generated dataset; the process itself is fixed.
 
     ``noise_scale`` multiplies the innovation scales of the stationary
     processes (R, stock counts, price); at 0 they degenerate to constants
@@ -101,26 +111,6 @@ class SynthConfig:
 
     seed: int = 0
     n_days: int = 255
-    start_date: datetime.date = datetime.date(2012, 1, 3)
-    # I: random walk, million rubles.
-    i0: float = 20000.0
-    i_drift: float = 0.0
-    i_scale: float = 25.0
-    # R: AR(1) around a level, percent per annum.
-    r0: float = 5.5
-    r_phi: float = 0.3
-    r_scale: float = 0.12
-    # U_vol: AR(1) around a level, pieces.
-    uvol0: float = 6.0e6
-    uvol_phi: float = 0.25
-    uvol_scale: float = 1.2e5
-    # U_dep = U_vol + a slow positive walk, pieces.
-    dep0: float = 5.4e7
-    dep_scale: float = 1.5e5
-    # Mean stock price: AR(1) around a level, rubles.
-    price0: float = 512.8
-    price_phi: float = 0.3
-    price_scale: float = 2.5
     noise_scale: float = 1.0
     break_factor: float = 1.0
     break_index: int | None = None
@@ -128,28 +118,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_days < 30:
             raise InvalidArgumentError(f"n_days must be >= 30, got {self.n_days}")
-        for label, value in (
-            ("i0", self.i0),
-            ("i_scale", self.i_scale),
-            ("r0", self.r0),
-            ("r_scale", self.r_scale),
-            ("uvol0", self.uvol0),
-            ("uvol_scale", self.uvol_scale),
-            ("dep0", self.dep0),
-            ("dep_scale", self.dep_scale),
-            ("price0", self.price0),
-            ("price_scale", self.price_scale),
-            ("break_factor", self.break_factor),
-        ):
-            if value <= 0:
-                raise InvalidArgumentError(f"{label} must be > 0, got {value}")
-        for label, phi in (
-            ("r_phi", self.r_phi),
-            ("uvol_phi", self.uvol_phi),
-            ("price_phi", self.price_phi),
-        ):
-            if not abs(phi) < 1:
-                raise InvalidArgumentError(f"|{label}| must be < 1, got {phi}")
+        if self.break_factor <= 0:
+            raise InvalidArgumentError(
+                f"break_factor must be > 0, got {self.break_factor}"
+            )
         if self.noise_scale < 0:
             raise InvalidArgumentError(
                 f"noise_scale must be >= 0, got {self.noise_scale}"
@@ -161,14 +133,12 @@ class SynthConfig:
             )
 
 
-def _reflected_walk(
-    stream: NormalStream, n: int, y0: float, drift: float, scale: float
-) -> np.ndarray:
-    """Random walk from y0 kept positive by reflection at zero."""
+def _reflected_walk(stream: NormalStream, n: int, y0: float, scale: float) -> np.ndarray:
+    """Driftless random walk from y0 kept positive by reflection at zero."""
     out = np.empty(n)
     level = y0
     for t in range(n):
-        level = abs(level + drift + scale * stream.normal())
+        level = abs(level + scale * stream.normal())
         out[t] = level
     return out
 
@@ -234,36 +204,25 @@ def gen_ar1(
 
 
 def gen_market_days(config: SynthConfig) -> MarketData:
-    """Generate market data for ``n_days`` trading dates under the config's DGP."""
+    """Generate market data for ``n_days`` trading dates from the fixed process."""
     n = config.n_days
     ns = config.noise_scale
-    invest = _reflected_walk(
-        NormalStream(config.seed, "invest"), n, config.i0, config.i_drift,
-        config.i_scale,
-    )
+    invest = _reflected_walk(NormalStream(config.seed, "invest"), n, _I0, _I_SCALE)
     break_index = config.break_index
     if break_index is None:
         break_index = n // 2
     if config.break_factor != 1.0:
         invest[break_index:] *= config.break_factor
-    rate = _ar1_around(
-        NormalStream(config.seed, "rate"), n, config.r0, config.r_phi,
-        ns * config.r_scale,
-    )
+    rate = _ar1_around(NormalStream(config.seed, "rate"), n, _R0, _R_PHI, ns * _R_SCALE)
     u_vol = _ar1_around(
-        NormalStream(config.seed, "u_vol"), n, config.uvol0, config.uvol_phi,
-        ns * config.uvol_scale,
+        NormalStream(config.seed, "u_vol"), n, _UVOL0, _UVOL_PHI, ns * _UVOL_SCALE
     )
-    dep_extra = _reflected_walk(
-        NormalStream(config.seed, "u_dep"), n, config.dep0, 0.0,
-        ns * config.dep_scale,
-    )
+    dep_extra = _reflected_walk(NormalStream(config.seed, "u_dep"), n, _DEP0, ns * _DEP_SCALE)
     price = _ar1_around(
-        NormalStream(config.seed, "price"), n, config.price0, config.price_phi,
-        ns * config.price_scale,
+        NormalStream(config.seed, "price"), n, _PRICE0, _PRICE_PHI, ns * _PRICE_SCALE
     )
     return MarketData(
-        dates=trading_dates(n, config.start_date),
+        dates=trading_dates(n),
         invest_i=invest,
         rate_r=rate,
         u_big_vol=u_vol,

@@ -45,7 +45,6 @@ from .series import TimeSeries, diff
 
 __all__ = [
     "Verdict",
-    "AdfSpec",
     "AdfResult",
     "LadderResult",
     "adf_regression",
@@ -87,26 +86,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class AdfSpec:
-    """Configuration of an ADF run.
-
-    ``fixed_lag=None`` selects the lag automatically by the Schwarz
-    criterion; an integer pins it.
-    """
-
-    max_lag: int = 5
-    fixed_lag: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_lag < 0:
-            raise InvalidArgumentError(f"max_lag must be >= 0, got {self.max_lag}")
-        if self.fixed_lag is not None and not 0 <= self.fixed_lag <= self.max_lag:
-            raise InvalidArgumentError(
-                f"fixed_lag must be in 0..max_lag={self.max_lag}, got {self.fixed_lag}"
-            )
-
-
-@dataclass(frozen=True)
 class AdfResult:
     """ADF test outcome with its auxiliary regression."""
 
@@ -114,7 +93,6 @@ class AdfResult:
     t_statistic: float
     p_value: float
     chosen_lag: int
-    auto_lag: bool
     max_lag: int
     effective_obs: int
     critical_values: Mapping[int, float]
@@ -263,12 +241,9 @@ def verdict_from_t(t_stat: float, critical_values: Mapping[int, float]) -> Verdi
     return Verdict.NO_REJECT
 
 
-def adf_test(y: TimeSeries, spec: AdfSpec = AdfSpec()) -> AdfResult:
-    """Run the ADF test: lag choice, regression, critical values, verdict."""
-    if spec.fixed_lag is not None:
-        lag = spec.fixed_lag
-    else:
-        lag = select_lag(y, spec.max_lag)
+def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
+    """Run the ADF test: lag choice by SIC, regression, critical values, verdict."""
+    lag = select_lag(y, max_lag)
     reg = adf_regression(y, lag)
     t_stat = reg.coef_rows[1].t_stat
     t_eff = reg.nobs
@@ -280,8 +255,7 @@ def adf_test(y: TimeSeries, spec: AdfSpec = AdfSpec()) -> AdfResult:
         t_statistic=t_stat,
         p_value=mackinnon_pvalue(t_stat),
         chosen_lag=lag,
-        auto_lag=spec.fixed_lag is None,
-        max_lag=spec.max_lag,
+        max_lag=max_lag,
         effective_obs=t_eff,
         critical_values=cvs,
         verdict=verdict_from_t(t_stat, cvs),
@@ -302,12 +276,12 @@ def classify_ladder(level_verdict: Verdict, diff_verdict: Verdict | None) -> str
     return "Variable is not stationary in levels or first differences"
 
 
-def stationarity_ladder(y: TimeSeries, spec: AdfSpec = AdfSpec()) -> LadderResult:
+def stationarity_ladder(y: TimeSeries, max_lag: int = 5) -> LadderResult:
     """Test the level; if it fails to reject at 5%, test first differences."""
-    level_result = adf_test(y, spec)
+    level_result = adf_test(y, max_lag)
     diff_result = None
     if not level_result.verdict.rejects_at_5:
-        diff_result = adf_test(diff(y), spec)
+        diff_result = adf_test(diff(y), max_lag)
     return LadderResult(
         level_result=level_result,
         diff_result=diff_result,

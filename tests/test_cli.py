@@ -121,6 +121,22 @@ def test_adf_output_matches_library(tmp_path, capsys):
     assert np.array_equal(load_series_csv(str(path))[0].values, named[0].values)
 
 
+def test_maxlag_zero_fixes_the_adf_lag(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    make_series_file(path)
+    code, out, _ = run_cli(
+        ["adf", "--input", str(path), "--column", "W", "--maxlag", "0"], capsys)
+    assert code == 0
+    result = adf_test(load_series_csv(str(path))[0], max_lag=0)
+    assert result.chosen_lag == 0
+    expected = render_adf_block(result) + ["", f"Verdict: {result.verdict.value}"]
+    assert out == "\n".join(expected) + "\n"
+    code, out, _ = run_cli(["coint", "--input", str(path), "--dep", "W",
+                            "--regressors", "S", "--maxlag", "0"], capsys)
+    assert code == 0
+    assert "Lag Length: 0 (Automatic - based on SIC, maxlag=0)" in out
+
+
 def test_ols_output_matches_library(tmp_path, capsys):
     path = tmp_path / "s.csv"
     make_series_file(path)
@@ -192,6 +208,21 @@ def test_data_errors_exit_1(tmp_path, capsys):
         ["analyze", "--synth-seed", "1", "--config", str(dup)], capsys)
     assert code == 1
     assert "duplicate" in err
+
+
+def test_break_date_must_be_iso_text(tmp_path, capsys):
+    # date.fromisoformat takes these forms from Python 3.11 on; specloss never does.
+    code, out, err = run_cli(
+        ["analyze", "--synth-seed", "1", "--break-date", "20120510"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "invalid _parse_date value: '20120510'" in err
+    conf = tmp_path / "week.conf"
+    conf.write_text("break-date=2012-W19-4\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["analyze", "--synth-seed", "1", "--config", str(conf)], capsys)
+    assert code == 1
+    assert "config key 'break-date': not an ISO date: '2012-W19-4'" in err
 
 
 def test_unknown_config_keys_exit_3(tmp_path, capsys):

@@ -7,7 +7,7 @@ from specloss.cointegration import CointVerdict, dm_critical_values, engle_grang
 from specloss.errors import InvalidArgumentError, UnsupportedConfigError
 from specloss.ols import RegressionSpec, fit
 from specloss.synth import gen_cointegrated, gen_random_walk
-from specloss.unit_root import AdfSpec, adf_test
+from specloss.unit_root import adf_test
 
 # Davidson-MacKinnon (1993) asymptotic critical values for the
 # residual-based test with constant term, by number of variables.
@@ -67,7 +67,7 @@ def test_engle_granger_stage_two_consumes_stage_one_residuals():
     result = engle_granger(spec)
     stage1 = fit(spec)
     assert np.array_equal(result.stage1.residuals, stage1.residuals)
-    replay = adf_test(stage1.residual_series.with_name("RESID"), AdfSpec())
+    replay = adf_test(stage1.residual_series.with_name("RESID"))
     assert result.residual_test.t_statistic == replay.t_statistic
     assert result.residual_test.chosen_lag == replay.chosen_lag
     assert result.residual_test.series_name == "RESID"
@@ -98,9 +98,10 @@ def test_engle_granger_resid_name_and_spec_passthrough():
     result = engle_granger(gen_cointegrated(3), resid_name="RESID2")
     assert result.residual_test.series_name == "RESID2"
     assert result.residual_test.regression.dep_name == "D(RESID2)"
-    fixed = engle_granger(gen_cointegrated(3),
-                          adf_spec=AdfSpec(max_lag=5, fixed_lag=2))
-    assert fixed.residual_test.chosen_lag == 2
+    fixed = engle_granger(gen_cointegrated(3), max_lag=0)
+    assert fixed.residual_test.chosen_lag == 0 and fixed.residual_test.max_lag == 0
+    with pytest.raises(InvalidArgumentError, match="max_lag must be >= 0"):
+        engle_granger(gen_cointegrated(3), max_lag=-1)
 
 
 def test_engle_granger_variable_count_limits():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloss.dataio import (
     RunConfig,
@@ -47,7 +49,7 @@ def test_market_round_trip_without_price(tmp_path):
     )
     path = str(tmp_path / "noprice.csv")
     write_market_csv(days, path)
-    first_line = open(path, encoding="utf-8").readline().strip()
+    first_line = (tmp_path / "noprice.csv").read_text(encoding="utf-8").splitlines()[0]
     assert first_line == HEADER
     assert load_market_csv(path) == days
 
@@ -69,7 +71,7 @@ def test_market_rows_sorted_on_load(tmp_path):
     days = gen_market_days(SynthConfig(seed=18, n_days=40))
     path = str(tmp_path / "shuffled.csv")
     write_market_csv(days, path)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = (tmp_path / "shuffled.csv").read_text(encoding="utf-8").splitlines()
     rng = np.random.default_rng(0)
     body = lines[1:]
     rng.shuffle(body)
@@ -111,10 +113,12 @@ def test_market_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(CsvParseError) as exc_info:
         load_market_csv(bad_number)
     assert exc_info.value.line == 3
-    bad_date = write_text(tmp_path / "d.csv", HEADER + "\nJan 3,1,1,1,2\n")
-    with pytest.raises(CsvParseError) as exc_info:
-        load_market_csv(bad_date)
-    assert exc_info.value.line == 2
+    # 20120103 and 2012-W01-3 pass date.fromisoformat from Python 3.11 on.
+    for text in ("Jan 3", "20120103", "2012-W01-3", "2012-1-3"):
+        bad_date = write_text(tmp_path / "d.csv", HEADER + f"\n{text},1,1,1,2\n")
+        with pytest.raises(CsvParseError, match=f"invalid ISO date '{text}'") as exc_info:
+            load_market_csv(bad_date)
+        assert exc_info.value.line == 2
     short_row = write_text(tmp_path / "r.csv", HEADER + "\n2012-01-03,1,1,1\n")
     with pytest.raises(CsvParseError, match="fields"):
         load_market_csv(short_row)
@@ -342,3 +346,81 @@ def test_writers_match_frozen_bytes(tmp_path):
     series = tmp_path / "series.csv"
     write_series_csv([a, b], str(series))
     assert series.read_bytes() == FROZEN_SERIES
+
+
+# -- Round trip: what a writer writes, its reader gives back bit for bit ------
+
+_PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                              database=None)
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308)
+
+
+@st.composite
+def _calendars(draw, max_days=12):
+    """Strictly increasing dates, years 1 to about 9000."""
+    start = draw(st.dates(max_value=datetime.date(9000, 1, 1)))
+    gaps = draw(st.lists(st.integers(1, 400), min_size=0, max_size=max_days - 1))
+    dates = [start]
+    for gap in gaps:
+        dates.append(dates[-1] + datetime.timedelta(days=gap))
+    return tuple(dates)
+
+
+def _finite(min_value=None):
+    """Any finite float at or above ``min_value``, edge values drawn often."""
+    edges = [v for v in _EDGE_FLOATS + tuple(-v for v in _EDGE_FLOATS)
+             if min_value is None or v >= min_value]
+    return st.one_of(st.sampled_from(edges),
+                     st.floats(min_value=min_value, allow_nan=False, allow_infinity=False))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@st.composite
+def _market_days(draw):
+    dates = draw(_calendars())
+    n = len(dates)
+    columns = [draw(st.lists(_finite(0.0), min_size=n, max_size=n)) for _ in range(4)]
+    pairs = [sorted(p) for p in zip(columns[2], columns[3])]  # u_big_vol <= u_big_dep
+    price = None
+    if draw(st.booleans()):
+        price = draw(st.lists(
+            st.one_of(st.just(math.nan),
+                      st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+            min_size=n, max_size=n))
+    return MarketData(dates, columns[0], columns[1], [p[0] for p in pairs],
+                      [p[1] for p in pairs], price)
+
+
+@_PROPERTY_SETTINGS
+@given(days=_market_days())
+def test_market_round_trip_is_bit_exact(tmp_path_factory, days):
+    path = str(tmp_path_factory.mktemp("market") / "m.csv")
+    write_market_csv(days, path)
+    loaded = load_market_csv(path)
+    assert loaded.dates == days.dates
+    for name in ("invest_i", "rate_r", "u_big_vol", "u_big_dep"):
+        assert _bits(getattr(loaded, name)) == _bits(getattr(days, name)), name
+    if days.mean_price is None:
+        assert loaded.mean_price is None
+    else:
+        assert _bits(loaded.mean_price) == _bits(days.mean_price)
+
+
+@_PROPERTY_SETTINGS
+@given(dates=_calendars(), data=st.data(),
+       names=st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}", fullmatch=True),
+                      min_size=1, max_size=4, unique=True))
+def test_series_round_trip_is_bit_exact(tmp_path_factory, dates, data, names):
+    n = len(dates)
+    series = [TimeSeries(dates, data.draw(st.lists(_finite(), min_size=n, max_size=n)),
+                         name=name) for name in names]
+    path = str(tmp_path_factory.mktemp("series") / "s.csv")
+    write_series_csv(series, path)
+    loaded = load_series_csv(path)
+    assert [s.name for s in loaded] == names
+    for want, got in zip(series, loaded):
+        assert got.dates == dates
+        assert _bits(got.values) == _bits(want.values), want.name

@@ -72,7 +72,6 @@ def test_u_series_values_names_units():
     u_vol = u_series(days, UVariant.BY_VOLUME)
     u_dep = u_series(days, UVariant.BY_DEPOSIT)
     assert u_vol.name == "U_SMALL_VOL" and u_dep.name == "U_SMALL_DEP"
-    assert u_vol.unit_label == "kopecks"
     assert np.allclose(u_vol.values, [1.0, 2.0], rtol=1e-12)
     assert np.allclose(u_dep.values, [0.5, 1.0], rtol=1e-12)
     assert u_vol.dates == days.dates
@@ -118,8 +117,7 @@ def test_u_series_homogeneity():
 def test_constancy_check_threshold_and_verdicts():
     # Mean price arrives in rubles; the threshold is price/100 in kopecks,
     # numerically equal to the ruble price.
-    u = TimeSeries(trading_dates(4), np.array([10.0, 90.0, 10.0, 90.0]),
-                   unit_label="kopecks")
+    u = TimeSeries(trading_dates(4), np.array([10.0, 90.0, 10.0, 90.0]))
     sd = stddev(u)
     result = constancy_check(u, mean_price=5320.0)
     assert result.threshold == 5320.0

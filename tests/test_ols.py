@@ -278,16 +278,9 @@ def test_fit_spec_aligns_and_labels():
 
 
 def test_fit_without_constant():
-    dates = trading_dates(30)
     rng = np.random.default_rng(41)
     xv = rng.standard_normal(30)
-    yv = 4.0 * xv
-    spec = RegressionSpec(
-        dependent=TimeSeries(dates, yv, name="Y"),
-        regressors=(TimeSeries(dates, xv, name="X"),),
-        include_constant=False,
-    )
-    result = fit(spec)
+    result = fit_arrays(4.0 * xv, xv[:, None], reg_names=["X"])
     assert [row.name for row in result.coef_rows] == ["X"]
     assert close(result.coef_rows[0].coef, 4.0, rtol=1e-10)
     # With a single parameter there is no joint F test.

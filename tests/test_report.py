@@ -20,7 +20,7 @@ from specloss.report import (
     render_regression,
 )
 from specloss.synth import gen_random_walk
-from specloss.unit_root import AdfSpec, adf_test
+from specloss.unit_root import adf_test
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +89,10 @@ def test_render_adf_block_layout():
 
 
 def test_render_adf_block_fixed_lag_label():
-    result = adf_test(gen_random_walk(2, 80, label="FIXL"),
-                      AdfSpec(max_lag=5, fixed_lag=3))
+    # A lag fixed at 0 by max_lag=0 is labeled like any automatic choice.
+    result = adf_test(gen_random_walk(2, 80, label="FIXL"), max_lag=0)
     lines = render_adf_block(result)
-    assert lines[2] == "Lag Length: 3 (Fixed)"
+    assert lines[2] == "Lag Length: 0 (Automatic - based on SIC, maxlag=0)"
 
 
 def test_render_adf_block_dm_variant(analysis):
@@ -132,15 +132,6 @@ def test_render_regression_layout():
         assert label in joined
     assert lines[-1].startswith("Prob(F-statistic)")
     assert lines[-1].endswith(f"{result.f_prob:.6f}")
-
-
-def test_render_regression_sample_label_override():
-    result = fit_arrays(
-        np.array([0.0, 1.0, 3.0, 5.0, 4.0]),
-        np.column_stack([np.ones(5), np.arange(5.0)]),
-    )
-    lines = render_regression(result, sample_label="2012-01-03 2012-12-28")
-    assert lines[2] == "Sample: 2012-01-03 2012-12-28"
 
 
 def test_render_analysis_text_sections(analysis):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from specloss.errors import AlignmentError, InvalidArgumentError
-from specloss.series import TimeSeries, align, diff, lag, mean, stddev, trading_dates
+from specloss.series import TimeSeries, align, diff, mean, stddev, trading_dates
 
 
 def make_series(values, start=datetime.date(2012, 1, 3), name="X"):
@@ -79,19 +79,10 @@ def test_diff_values_dates_and_name():
     assert d.name == "D(SQ)"
 
 
-def test_diff_order_two():
-    s = make_series([1.0, 4.0, 9.0, 16.0])
-    d = diff(s, order=2)
-    assert list(d.values) == [8.0, 12.0]
-    assert d.dates == s.dates[2:]
-
-
 def test_diff_rejects_bad_order():
-    s = make_series([1.0, 2.0, 3.0])
-    with pytest.raises(InvalidArgumentError):
-        diff(s, order=0)
-    with pytest.raises(InvalidArgumentError):
-        diff(s, order=3)
+    # A first difference needs two values.
+    with pytest.raises(InvalidArgumentError, match="at least 2 values, got 1"):
+        diff(make_series([1.0]))
 
 
 def test_diff_inverts_cumulative_sum():
@@ -102,23 +93,6 @@ def test_diff_inverts_cumulative_sum():
         d = diff(s)
         rebuilt = values[0] + np.cumsum(d.values)
         assert np.allclose(rebuilt, values[1:], rtol=0, atol=1e-12)
-
-
-def test_lag_values_dates_and_name():
-    s = make_series([1.0, 2.0, 3.0, 4.0], name="L")
-    s1 = lag(s, 1)
-    assert list(s1.values) == [1.0, 2.0, 3.0]
-    assert s1.dates == s.dates[1:]
-    assert s1.name == "L(-1)"
-    assert lag(s, 0) is s
-
-
-def test_lag_rejects_bad_k():
-    s = make_series([1.0, 2.0])
-    with pytest.raises(InvalidArgumentError):
-        lag(s, -1)
-    with pytest.raises(InvalidArgumentError):
-        lag(s, 2)
 
 
 def test_mean_and_stddev_match_numpy():

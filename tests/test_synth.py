@@ -8,6 +8,7 @@ import pytest
 
 from specloss.errors import InvalidArgumentError
 from specloss.market import UVariant, u_series
+from specloss import synth
 from specloss.series import trading_dates
 from specloss.synth import (
     NormalStream,
@@ -107,7 +108,7 @@ def test_market_days_shape_and_invariants():
     config = SynthConfig(seed=13, n_days=120)
     days = gen_market_days(config)
     assert len(days) == 120
-    assert days.dates == trading_dates(120, config.start_date)
+    assert days.dates == trading_dates(120)
     assert np.all(days.invest_i >= 0.0)
     assert np.all(days.rate_r >= 0.0)
     assert np.all((0.0 <= days.u_big_vol) & (days.u_big_vol <= days.u_big_dep))
@@ -140,12 +141,12 @@ def test_market_days_break_defaults_to_midpoint():
 def test_zero_noise_scale_makes_u_linear_in_invest():
     config = SynthConfig(seed=6, n_days=40, noise_scale=0.0)
     days = gen_market_days(config)
-    assert np.all(days.rate_r == config.r0)
-    assert np.all(days.u_big_vol == config.uvol0)
-    assert np.all(days.u_big_dep == config.uvol0 + config.dep0)
-    assert np.all(days.mean_price == config.price0)
+    assert np.all(days.rate_r == synth._R0)
+    assert np.all(days.u_big_vol == synth._UVOL0)
+    assert np.all(days.u_big_dep == synth._UVOL0 + synth._DEP0)
+    assert np.all(days.mean_price == synth._PRICE0)
     u = u_series(days, UVariant.BY_VOLUME)
-    slope = 1e8 * (config.r0 / 100.0) / (365.0 * config.uvol0)
+    slope = 1e8 * (synth._R0 / 100.0) / (365.0 * synth._UVOL0)
     assert np.allclose(u.values, slope * days.invest_i, rtol=1e-12)
 
 
@@ -153,11 +154,7 @@ def test_synth_config_validation():
     with pytest.raises(InvalidArgumentError):
         SynthConfig(n_days=29)
     with pytest.raises(InvalidArgumentError):
-        SynthConfig(r_phi=1.0)
-    with pytest.raises(InvalidArgumentError):
         SynthConfig(noise_scale=-0.1)
-    with pytest.raises(InvalidArgumentError):
-        SynthConfig(i_scale=0.0)
     with pytest.raises(InvalidArgumentError):
         SynthConfig(break_factor=0.0)
     with pytest.raises(InvalidArgumentError):

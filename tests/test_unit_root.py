@@ -22,7 +22,6 @@ from specloss.synth import (
     gen_random_walk,
 )
 from specloss.unit_root import (
-    AdfSpec,
     Verdict,
     adf_regression,
     adf_test,
@@ -206,7 +205,7 @@ def test_constant_series_is_singular_for_lag_search():
         with pytest.raises(SingularMatrixError):
             select_lag(s, max_lag)
         with pytest.raises(SingularMatrixError):
-            adf_test(s, AdfSpec(max_lag=max_lag))
+            adf_test(s, max_lag)
 
 
 def test_adf_t_statistic_invariant_under_affine_transforms():
@@ -219,9 +218,9 @@ def test_adf_t_statistic_invariant_under_affine_transforms():
 
 def test_adf_test_fields_are_consistent():
     s = gen_random_walk(7, 255, label="FLD").with_name("X")
-    result = adf_test(s, AdfSpec(max_lag=5))
+    result = adf_test(s, max_lag=5)
     assert result.series_name == "X"
-    assert result.auto_lag and result.max_lag == 5
+    assert result.max_lag == 5
     assert 0 <= result.chosen_lag <= 5
     assert result.effective_obs == 255 - 1 - result.chosen_lag
     assert result.effective_obs == result.regression.nobs
@@ -238,18 +237,19 @@ def test_adf_test_fields_are_consistent():
 
 
 def test_adf_test_fixed_lag():
+    # max_lag=0 leaves the lag search one candidate: the lag is fixed at 0.
     s = gen_random_walk(8, 120, label="FIX")
-    result = adf_test(s, AdfSpec(max_lag=5, fixed_lag=4))
-    assert result.chosen_lag == 4
-    assert not result.auto_lag
-    assert result.effective_obs == 120 - 1 - 4
+    result = adf_test(s, max_lag=0)
+    assert result.chosen_lag == 0 and result.max_lag == 0
+    assert result.effective_obs == 120 - 1
+    assert result.t_statistic == adf_regression(s, 0).coef_rows[1].t_stat
 
 
 def test_adf_spec_validation():
-    with pytest.raises(InvalidArgumentError):
-        AdfSpec(max_lag=-1)
-    with pytest.raises(InvalidArgumentError):
-        AdfSpec(max_lag=3, fixed_lag=4)
+    s = gen_random_walk(8, 120, label="NEG")
+    for run in (adf_test, stationarity_ladder, select_lag):
+        with pytest.raises(InvalidArgumentError, match="max_lag must be >= 0, got -1"):
+            run(s, -1)
 
 
 def test_verdict_from_t_boundaries():
