@@ -13,6 +13,22 @@ TimeSeries nowhere, and either names the date of a cell it rejects.  All
 numbers use "." as the decimal separator regardless of locale;
 normalization of locale-specific source data belongs outside, at this
 boundary's callers.
+
+The reader has two paths and one behaviour.  After the header is checked
+the body is first parsed in C by one ``np.loadtxt`` call, a record of
+date text and value floats per row.  That result stands only when the
+row-by-row reader would return the same: the body is not blank and holds
+no empty cell, no NUL, none of the separators U+001C..U+001F and no line
+over the ``csv`` field size limit, every row has the header's width
+(``loadtxt`` enforces it), every date text has the shape YYYY-MM-DD in
+ASCII digits and parses as a date from year 1 on, no date repeats, and
+no value is NaN.  numpy parses a number as ``float()`` does, but rejects
+underscores and non-ASCII digits.  Rows out of date order are sorted on
+either path.  In every other case (numpy raises, blank or quoted cells,
+a ``#`` line, a header-only file, any bad input) the file is read row by
+row, and that reader alone decides every error message.  Either path
+hands back a checked calendar, so the data types built on it do not walk
+the dates again.
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ import array
 import csv
 import datetime
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +51,7 @@ from .errors import (
     InvalidDayError,
 )
 from .market import MarketData
-from .series import TimeSeries
+from .series import TimeSeries, _CheckedDates
 
 __all__ = [
     "RunConfig",
@@ -107,16 +124,103 @@ def _parse_date(text: str) -> datetime.date:
     return day
 
 
+_NUMPY_ONLY_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_NOT_BLANK = re.compile(rb"\S")
+# The code points of YYYY-MM-DD: ASCII digits but for "-" at 4 and 7.
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
+# Python's first date, in days since 1970-01-01; year 0000 has the shape.
+_FIRST_DAY = int(np.datetime64("0001-01-01", "D").astype(np.int64))
+
+
+def _loadtxt_may_differ(data: bytes, start: int) -> bool:
+    """Whether a file's body, ``data[start:]``, should be read row by row.
+
+    ``loadtxt`` drops a string cell's trailing NULs, strips the separators
+    U+001C..U+001F around a number (``float()`` rejects them), and has no
+    field size limit (``csv`` raises past ``csv.field_size_limit()``).  An
+    empty cell would fail the NaN check only after a full parse, so it
+    declines here, and so does a blank body, on which ``loadtxt`` warns
+    that the input contained no data.
+    """
+    if _NOT_BLANK.search(data, start) is None or data.endswith(b","):
+        return True
+    if any(data.find(byte, start) >= 0 for byte in _NUMPY_ONLY_BYTES):
+        return True
+    # An empty cell is a comma followed by a comma or a line break.  One
+    # numpy pass over the bytes beats searching for ",," and the like,
+    # since every row holds several commas.
+    body = np.frombuffer(data, np.uint8, offset=start)
+    after_comma = body[np.flatnonzero(body[:-1] == ord(",")) + 1]
+    if any((after_comma == ord(end)).any() for end in ",\n\r"):
+        return True
+    # From a line start, jump past the last line break within the limit;
+    # a line, and so a field, can pass the limit only where there is none.
+    limit = csv.field_size_limit()
+    while len(data) - start > limit:
+        reach = start + limit + 1
+        last = max(data.rfind(b"\n", start, reach), data.rfind(b"\r", start, reach))
+        if last < 0:
+            return True
+        start = last + 1
+    return False
+
+
+def _read_body_fast(
+    path: str, width: int
+) -> tuple[_CheckedDates, np.ndarray] | None:
+    """Date-sorted dates and value table of a file's body parsed in C, or None.
+
+    None means "read it row by row": numpy raised, or its result might
+    differ from the streaming reader's.  The date column is read one
+    character wider than an ISO date, so a longer cell fails the shape
+    check.  Only texts of that shape reach numpy's date parser, which
+    rejects a month or day out of range; so a parsed date's own text is
+    the cell.
+    """
+    with open(path, "rb") as raw:
+        data = raw.read()
+    header_end = min((i for i in (data.find(b"\n"), data.find(b"\r")) if i >= 0),
+                     default=len(data))
+    if _loadtxt_may_differ(data, header_end + 1):
+        return None
+    del data
+    row = np.dtype([("date", "U11"), ("values", np.float64, (width - 1,))])
+    try:
+        body = np.loadtxt(path, dtype=row, delimiter=",", comments=None,
+                          skiprows=1, ndmin=1, encoding="utf-8")
+        # The records' first 11 code points are the date text, 0-padded.
+        codes = body.view(np.uint32).reshape(len(body), -1)[:, :11]
+        if (codes[:, 10].any() or (codes[:, [4, 7]] != ord("-")).any()
+                or ((codes[:, _DATE_DIGITS] - ord("0")) > 9).any()):
+            return None
+        days = body["date"].astype("datetime64[D]")
+    except ValueError:
+        return None
+    stamps = days.view(np.int64)
+    # The streaming reader's order: a repeated date declines below, and
+    # with none any sort agrees.  The stable sort is linear on sorted rows.
+    order = np.argsort(stamps, kind="stable")
+    stamps = stamps[order]
+    values = body["values"][order]
+    del body  # free the date texts before the date objects are built
+    if not (stamps.size and _FIRST_DAY <= stamps[0] and (np.diff(stamps) > 0).all()
+            and not np.isnan(values).any()):
+        return None
+    return _CheckedDates(days[order].tolist()), values
+
+
 def _read_table(
     path: str, header_problem: Callable[[list[str]], str | None]
-) -> tuple[list[str], tuple[datetime.date, ...], np.ndarray]:
+) -> tuple[list[str], _CheckedDates, np.ndarray]:
     """Header, increasing dates and a float64 (rows, columns) table of a file.
 
     ``header_problem`` sees the stripped header before any row is read and
     returns what is wrong with it, if anything.  The first column holds
-    ISO dates; every other cell parses alike, an empty one as NaN.  Each
-    row's numbers go straight into one flat float64 buffer as the row is
-    read, so no cell text outlives its row.
+    ISO dates; every other cell parses alike, an empty one as NaN.  A
+    one-line header lets :func:`_read_body_fast` try the body first.
+    Otherwise, or when it declines, each row's numbers go straight into
+    one flat float64 buffer as the row is read, so no cell text outlives
+    its row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -127,25 +231,32 @@ def _read_table(
         problem = header_problem(header)
         if problem is not None:
             raise CsvSchemaError(f"{path}: {problem}")
+        if reader.line_num == 1:
+            fast = _read_body_fast(path, len(header))
+            if fast is not None:
+                return header, *fast
         names = header[1:]
         dates: list[datetime.date] = []
         lines = array.array("q")
         values = array.array("d")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=line_no
-                )
-            try:
-                dates.append(_parse_date(row[0].strip()))
-            except ValueError:
-                raise CsvParseError(f"column 'date' has invalid ISO date "
-                                    f"{row[0].strip()!r}", line=line_no) from None
-            lines.append(line_no)
-            values.extend([_parse_cell(cell, name, line_no)
-                           for name, cell in zip(names, row[1:])])
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise CsvParseError(
+                        f"expected {len(header)} fields, got {len(row)}", line=line_no
+                    )
+                try:
+                    dates.append(_parse_date(row[0].strip()))
+                except ValueError:
+                    raise CsvParseError(f"column 'date' has invalid ISO date "
+                                        f"{row[0].strip()!r}", line=line_no) from None
+                lines.append(line_no)
+                values.extend([_parse_cell(cell, name, line_no)
+                               for name, cell in zip(names, row[1:])])
+        except csv.Error as exc:  # a field over the size limit; a NUL before 3.11
+            raise CsvParseError(f"unreadable row: {exc}", line=reader.line_num) from None
     # A stable sort keeps repeated dates in file order, so the first of
     # two equal neighbours is the date's first occurrence.
     order = sorted(range(len(dates)), key=dates.__getitem__)
@@ -156,7 +267,7 @@ def _read_table(
                 date=dates[again],
             )
     table = np.frombuffer(values, dtype=np.float64).reshape(len(dates), len(names))
-    return header, tuple(dates[i] for i in order), table[order]
+    return header, _CheckedDates(dates[i] for i in order), table[order]
 
 
 def _write_table(

@@ -13,6 +13,7 @@ unit-agnostic and takes scalars or arrays; the conversions live in
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import enum
 from dataclasses import dataclass, fields
@@ -89,8 +90,8 @@ class MarketData:
     mean_price: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        dates = tuple(self.dates)
-        check_dates(dates)
+        dates = check_dates(self.dates if isinstance(self.dates, tuple)
+                            else tuple(self.dates))
         object.__setattr__(self, "dates", dates)
         for f in fields(self)[1:]:
             if f.name == "mean_price" and self.mean_price is None:
@@ -230,7 +231,7 @@ def break_analysis(u: TimeSeries, break_date: datetime.date) -> BreakResult:
     The break date itself belongs to the "after" segment; both segments
     need at least two observations.
     """
-    n_before = sum(1 for d in u.dates if d < break_date)
+    n_before = bisect.bisect_left(u.dates, break_date)
     n_after = len(u) - n_before
     if n_before < 2 or n_after < 2:
         raise InvalidArgumentError(

@@ -75,9 +75,11 @@ def fmt_stat(x: float) -> str:
     decimals = max(0, 7 - digits)
     out = f"{x:.{decimals}f}"
     # Rounding can add an integer digit (9.9999999 -> 10.000000); use one
-    # fewer decimal then, keeping the total width stable.
-    if decimals > 0 and len(out.lstrip("-").split(".")[0]) > digits:
-        out = f"{x:.{decimals - 1}f}"
+    # fewer decimal then, keeping the total width stable.  Without a
+    # decimal to give up (9999999.6 -> 10000000) the value has reached
+    # 1e7 and takes the scientific form.
+    if len(out.lstrip("-").split(".")[0]) > digits:
+        out = f"{x:.{decimals - 1}f}" if decimals > 0 else f"{x:.2E}"
     return out
 
 

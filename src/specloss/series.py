@@ -4,6 +4,11 @@ A :class:`TimeSeries` is an immutable pairing of strictly increasing
 calendar dates with float64 values.  All statistical modules consume and
 produce these; calendar handling stops here (dates are plain
 ``datetime.date`` objects, no times, no timezone logic).
+
+A calendar is checked once.  :func:`check_dates` returns the dates as a
+private tuple type that records the check, and every series, difference,
+alignment and market table built from it passes it on without walking
+the dates again.
 """
 
 from __future__ import annotations
@@ -20,8 +25,29 @@ from .errors import AlignmentError, InvalidArgumentError, InvalidDayError
 __all__ = ["TimeSeries", "diff", "mean", "stddev", "align", "trading_dates"]
 
 
-def check_dates(dates: Sequence[datetime.date]) -> None:
-    """Require plain ``datetime.date`` values in strictly increasing order."""
+class _CheckedDates(tuple):
+    """Dates already known to be plain ``datetime.date``, strictly increasing.
+
+    A slice with a positive step keeps both properties, so it stays
+    checked; any other operation gives a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        item = tuple.__getitem__(self, key)
+        if isinstance(key, slice) and (key.step is None or key.step > 0):
+            return _CheckedDates(item)
+        return item
+
+
+def check_dates(dates: Sequence[datetime.date]) -> _CheckedDates:
+    """Require plain ``datetime.date`` values in strictly increasing order.
+
+    Returns the dates as a checked calendar, at once when they are one.
+    """
+    if type(dates) is _CheckedDates:
+        return dates
     for d in dates:
         if not isinstance(d, datetime.date) or isinstance(d, datetime.datetime):
             raise InvalidArgumentError(f"dates must be datetime.date, got {d!r}")
@@ -30,6 +56,7 @@ def check_dates(dates: Sequence[datetime.date]) -> None:
             raise InvalidArgumentError(
                 f"dates must be strictly increasing: {prev} followed by {cur}"
             )
+    return _CheckedDates(dates)
 
 
 @dataclass(frozen=True)
@@ -50,7 +77,7 @@ class TimeSeries:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        dates = tuple(self.dates)
+        dates = self.dates if isinstance(self.dates, tuple) else tuple(self.dates)
         values = np.asarray(self.values, dtype=np.float64).copy()
         if values.ndim != 1:
             raise InvalidArgumentError("values must be one-dimensional")
@@ -58,7 +85,7 @@ class TimeSeries:
             raise InvalidArgumentError(
                 f"dates ({len(dates)}) and values ({values.shape[0]}) differ in length"
             )
-        check_dates(dates)
+        dates = check_dates(dates)
         if values.size and not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise InvalidDayError(
@@ -115,7 +142,7 @@ def align(*series: TimeSeries) -> list[TimeSeries]:
     if not series:
         raise InvalidArgumentError("align requires at least one series")
     first = series[0].dates
-    if first and all(s.dates == first for s in series[1:]):
+    if first and all(s.dates is first or s.dates == first for s in series[1:]):
         return list(series)
     common = set(first)
     for s in series[1:]:
@@ -128,13 +155,9 @@ def align(*series: TimeSeries) -> list[TimeSeries]:
         if len(keep) == len(s):
             out.append(s)
         else:
-            out.append(
-                TimeSeries(
-                    tuple(s.dates[i] for i in keep),
-                    s.values[keep],
-                    s.name,
-                )
-            )
+            # An increasing subsequence of a checked calendar is checked.
+            dates = _CheckedDates(s.dates[i] for i in keep)
+            out.append(TimeSeries(dates, s.values[keep], s.name))
     return out
 
 

@@ -141,5 +141,5 @@ def f_sf(f: float, df1: int, df2: int) -> float:
         return 0.0
     if f == 0.0:
         return 1.0
-    x = df2 / (df2 + df1 * f)
-    return betainc_regularized(df2 / 2.0, df1 / 2.0, x)
+    scaled = df1 * f
+    return _betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + scaled), scaled / (df2 + scaled))

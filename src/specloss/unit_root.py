@@ -151,6 +151,12 @@ def mackinnon_pvalue(t_stat: float, *, n_variables: int = 1) -> float:
     the surface's fitted range the value is clamped to [1e-6, 0.9999].
     ``n_variables`` counts the variables of a residual-based test, one for
     a plain unit-root test; the constant-only table covers 1..6.
+
+    p is non-decreasing in t within each branch.  Across tau_star it
+    rises for n = 1, 3, 4 and 5, but the published surfaces for n = 2
+    and n = 6 do not meet there: p drops by 8.09e-4 just above
+    t = -2.62 (n = 2) and by 6.49e-4 just above t = -3.93 (n = 6).
+    The table is kept as published.
     """
     table = _data_table("mackinnon_pval.txt")
     if n_variables not in table:
@@ -169,7 +175,7 @@ def mackinnon_pvalue(t_stat: float, *, n_variables: int = 1) -> float:
     else:
         t = t_stat
         # The fitted cubic turns over just below tau_max for some rows;
-        # freeze it at its local maximum so p stays monotone in t.
+        # freeze it at its local maximum so p stays monotone on this branch.
         disc = d2 * d2 - 3.0 * d3 * d1
         if d3 < 0.0 and disc > 0.0:
             t_peak = (-d2 - math.sqrt(disc)) / (3.0 * d3)

@@ -1,13 +1,17 @@
 """Tests for CSV ingestion, writing, and config files."""
 
+import csv
 import datetime
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specloss import dataio
 from specloss.dataio import (
     RunConfig,
     load_market_csv,
@@ -23,7 +27,7 @@ from specloss.errors import (
     InvalidArgumentError,
 )
 from specloss.market import MarketData
-from specloss.series import TimeSeries, trading_dates
+from specloss.series import TimeSeries, _CheckedDates, trading_dates
 from specloss.synth import SynthConfig, gen_market_days, gen_random_walk
 
 
@@ -424,3 +428,156 @@ def test_series_round_trip_is_bit_exact(tmp_path_factory, dates, data, names):
     for want, got in zip(series, loaded):
         assert got.dates == dates
         assert _bits(got.values) == _bits(want.values), want.name
+
+
+# -- The C-parsed fast path reads exactly what the streaming reader reads ------
+
+def _streaming(load, path):
+    """``load(path)`` with the fast path declining, so every row streams."""
+    with mock.patch.object(dataio, "_read_body_fast", return_value=None):
+        return load(path)
+
+
+def _outcome(path):
+    """What loading a market file gives: (error type, message, line, date),
+    or (None, dates, column bits)."""
+    try:
+        days = load_market_csv(path)
+    except (CsvParseError, CsvSchemaError, CsvValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "date", None)
+    columns = [days.invest_i, days.rate_r, days.u_big_vol, days.u_big_dep]
+    if days.mean_price is not None:
+        columns.append(days.mean_price)
+    return None, days.dates, [_bits(c) for c in columns]
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\u2003", "\u3000"])
+_NUMBER = st.one_of(
+    st.from_regex(r"[+-]?([0-9]{1,20}(\.[0-9]{0,20})?|\.[0-9]{1,20})([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.sampled_from(["inf", "-Infinity", "+iNf", "1e999", "-1e-999", "5e-324",
+                     "2.4703282292062328e-324", "1e308", "-1.7976931348623157e308"]),
+    _finite().map(repr),
+    _finite().map("{:+.17e}".format),
+    _finite().map("{:.17G}".format),
+)
+
+
+@_PROPERTY_SETTINGS
+@given(dates=_calendars(), width=st.integers(1, 5), data=st.data(),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_fast_path_parses_like_the_streaming_reader(tmp_path_factory, dates, width, data,
+                                                    newline):
+    header = "date," + ",".join(f"x{j}" for j in range(width))
+    rows = data.draw(st.permutations([",".join([day.isoformat()] + [
+        data.draw(_SPACE) + data.draw(_NUMBER) + data.draw(_SPACE) for _ in range(width)
+    ]) for day in dates]))
+    path = tmp_path_factory.mktemp("fast") / "f.csv"
+    path.write_text(newline.join([header] + rows) + newline, encoding="utf-8")
+    path = str(path)
+    assert dataio._read_body_fast(path, width + 1) is not None
+    fast = dataio._read_table(path, dataio._series_header_problem)
+    slow = _streaming(lambda p: dataio._read_table(p, dataio._series_header_problem), path)
+    assert fast[0] == slow[0]
+    assert fast[1] == slow[1] == dates
+    assert _bits(fast[2]) == _bits(slow[2])
+
+
+PRICE_HEADER = HEADER + ",mean_price_rub"
+# 8,000 rows, 152 KB: longer than the csv module's default field size limit.
+_LONG_BODY = "".join(f"{day.isoformat()},1,1,1,2\n" for day in trading_dates(8000))
+_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("text, expected", [
+    pytest.param(HEADER + "\n", None, id="header-only"),
+    pytest.param(HEADER + "\n\n \r\n\t\n", None, id="blank-body"),
+    pytest.param(HEADER + "\n#2012-01-03,1,1,1,2\n2012-01-04,1,1,1,2\n",
+                 CsvParseError, id="hash-line"),
+    pytest.param(HEADER + "\n2012-01-03,1,1,1,2\n\n2012-01-04,1,1,1,2\n",
+                 None, id="blank-line"),
+    pytest.param(HEADER + "\n2012-01-03,1,1,1,2\n   \n2012-01-04,1,1,1,2\n",
+                 None, id="whitespace-line"),
+    pytest.param(HEADER + '\n2012-01-03,"1",1,1,2\n', None, id="quoted-cell"),
+    pytest.param(HEADER + "\n2012-01-03,1_0,1,1,2\n", None, id="underscore"),
+    pytest.param(HEADER + "\n2012-01-03,\u0661\u0662,1,1,2\n",
+                 None, id="unicode-digits"),
+    pytest.param(HEADER + "\n2012-01-03,nan,1,1,2\n", CsvParseError, id="nan"),
+    pytest.param(HEADER + "\n2012-01-03,inf,1,1,2\n", CsvValidationError, id="inf"),
+    pytest.param(PRICE_HEADER + "\n2012-01-03,1,1,1,2,\n2012-01-04,1,1,1,2,5\n",
+                 None, id="blank-price"),
+    pytest.param(HEADER + "\nNaT,1,1,1,2\n", CsvParseError, id="NaT"),
+    pytest.param(HEADER + "\n0000-01-01,1,1,1,2\n", CsvParseError, id="year-0"),
+    pytest.param(HEADER + "\n10000-01-01,1,1,1,2\n", CsvParseError, id="year-10000"),
+    pytest.param(HEADER + "\n 2012-01-03,1,1,1,2\n", None, id="padded-date"),
+    pytest.param(HEADER + "\n2012-01,1,1,1,2\n", CsvParseError, id="year-month"),
+    pytest.param(HEADER + "\n2012-01-03T00,1,1,1,2\n", CsvParseError, id="date-time"),
+    pytest.param(HEADER + "\n2012-01-03Z,1,1,1,2\n", CsvParseError, id="date-zone"),
+    pytest.param(HEADER + "\n2012-02-30,1,1,1,2\n", CsvParseError, id="day-out-of-range"),
+    pytest.param(HEADER + "\n2012-13-01,1,1,1,2\n", CsvParseError, id="month-out-of-range"),
+    pytest.param(HEADER + "\n\uff12012-01-03,1,1,1,2\n", CsvParseError, id="wide-digit"),
+    pytest.param(HEADER + "\n2012/01/03,1,1,1,2\n", CsvParseError, id="slashes"),
+    pytest.param(HEADER + "\n+012-01-03,1,1,1,2\n", CsvParseError, id="signed-year"),
+    pytest.param(HEADER + "\n 012-01-03,1,1,1,2\n", CsvParseError, id="padded-year"),
+    pytest.param(HEADER + "\n2012-01-03\x00,1,1,1,2\n", CsvParseError, id="nul"),
+    pytest.param(HEADER + "\n2012-01-03,\x1c1\x1c,1,1,2\n",
+                 CsvParseError, id="unit-separator"),
+    pytest.param(HEADER + "\n2012-01-03,1,1,1,2,\n", CsvParseError, id="extra-field"),
+    pytest.param(HEADER + "\n2012-01-03,1,1,1\n", CsvParseError, id="short-row"),
+    pytest.param(HEADER + "\n2012-01-04,1,1,1,2\n2012-01-03,2,2,2,3\n",
+                 None, id="out-of-order"),
+    pytest.param(HEADER + "\n2012-01-03,1,1,1,2\n2012-01-03,2,2,2,3\n",
+                 CsvValidationError, id="duplicate-date"),
+    pytest.param(HEADER + "\n2012-01-05,1,1,1,2\n2012-01-04,1,1,1,2\n2012-01-05,2,2,2,3\n",
+                 CsvValidationError, id="duplicate-date-out-of-order"),
+    pytest.param(PRICE_HEADER + "\n2012-01-03,1,1,1,2,5\n2012-01-04,1,1,1,2,",
+                 None, id="blank-price-last-cell"),
+    pytest.param(PRICE_HEADER + "\n2012-01-03,1,1,1,2,5\r\n2012-01-04,,1,1,2,5\r\n",
+                 CsvValidationError, id="blank-required-cell"),
+    pytest.param(HEADER + "\r2012-01-03,1,1,1,2\r2012-01-04,1,1,1,2\r",
+                 None, id="cr-newlines"),
+    pytest.param(HEADER + "\n" + _LONG_BODY, None, id="past-field-limit"),
+    pytest.param(HEADER + "\n2012-01-03,1" + "0" * (_LIMIT - 10) + ",1,1,2\n",
+                 CsvValidationError, id="long-field"),
+    pytest.param(HEADER + "\n2012-01-03,1" + "0" * _LIMIT + ",1,1,2\n",
+                 CsvParseError, id="field-over-limit"),
+    pytest.param(HEADER + "\n" + _LONG_BODY + "9999-01-01,1" + "0" * _LIMIT + ",1,1,2\n",
+                 CsvParseError, id="field-over-limit-late"),
+])
+def test_fast_path_gives_todays_result_or_error(tmp_path, text, expected):
+    """Each input loads, or fails with its message, as rows streamed alone did."""
+    path = str(tmp_path / "m.csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(path)
+    assert caught == []  # a header-only file makes loadtxt warn
+    assert got == _streaming(_outcome, path)
+    assert got[0] is expected
+
+
+def test_fast_path_sorts_rows_itself(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(HEADER + "\n2012-01-05,3,1,1,2\n2012-01-03,1,1,1,2\n2012-01-04,2,1,1,2\n",
+                    encoding="utf-8")
+    dates, table = dataio._read_body_fast(str(path), 5)
+    assert isinstance(dates, _CheckedDates)
+    assert dates == tuple(datetime.date(2012, 1, d) for d in (3, 4, 5))
+    assert table[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("text", [
+    HEADER + "\n",
+    HEADER + "\n\n\r\n \n",
+    HEADER + "\n2012-01-03,1,,1,2\n",
+    PRICE_HEADER + "\n2012-01-03,1,1,1,2,\n2012-01-04,1,1,1,2,5\n",
+    PRICE_HEADER + "\r\n2012-01-03,1,1,1,2,5\r\n2012-01-04,1,1,1,2,\r\n",
+    PRICE_HEADER + "\n2012-01-03,1,1,1,2,5\n2012-01-04,1,1,1,2,",
+], ids=["header-only", "blank-body", "blank-cell", "blank-price", "blank-price-crlf",
+        "blank-last-cell"])
+def test_fast_path_declines_blank_bodies_and_cells_before_parsing(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+        assert dataio._read_body_fast(str(path), len(text.split("\n")[0].split(","))) is None

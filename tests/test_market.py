@@ -17,7 +17,7 @@ from specloss.market import (
     mean_loss_per_stock,
     u_series,
 )
-from specloss.series import TimeSeries, stddev, trading_dates
+from specloss.series import TimeSeries, check_dates, stddev, trading_dates
 
 
 def make_days(rows, start=datetime.date(2012, 1, 3), price=None):
@@ -163,6 +163,23 @@ def test_break_analysis_break_date_belongs_to_after():
     assert break_analysis(u, saturday) == result
 
 
+def test_break_analysis_counts_days_before_any_break_date():
+    dates = trading_dates(6)  # Tue Jan 3 .. Tue Jan 10, 2012
+    u = TimeSeries(dates, np.array([1.0, 1.0, 1.0, 4.0, 4.0, 4.0]))
+    trading_day = break_analysis(u, dates[3])
+    assert (trading_day.mean_before, trading_day.mean_after) == (1.0, 4.0)
+    # Sun Jan 8 lies in the weekend gap between Jan 6 and Jan 9.
+    sunday = datetime.date(2012, 1, 8)
+    assert break_analysis(u, sunday) == break_analysis(u, dates[4])
+    assert break_analysis(u, sunday).mean_before == 1.75
+    with pytest.raises(InvalidArgumentError, match="leaves 0 observations before "
+                                                   "and 6 after"):
+        break_analysis(u, dates[0] - datetime.timedelta(days=1))
+    with pytest.raises(InvalidArgumentError, match="leaves 6 observations before "
+                                                   "and 0 after"):
+        break_analysis(u, dates[-1] + datetime.timedelta(days=1))
+
+
 def test_break_analysis_constant_series_ratio_one():
     dates = trading_dates(8)
     u = TimeSeries(dates, np.full(8, 3.0))
@@ -253,3 +270,21 @@ def test_market_day_validation():
         one_day(rate_r=[1.0, 2.0])
     with pytest.raises(ValueError):
         one_day().invest_i[0] = 2.0
+
+
+def test_market_data_rejects_bad_calendars_with_their_messages():
+    d = trading_dates(3)
+    columns = dict(invest_i=[1.0] * 3, rate_r=[1.0] * 3, u_big_vol=[1.0] * 3,
+                   u_big_dep=[1.0] * 3)
+    for dates, match in [
+        ((d[0], d[2], d[1]), f"strictly increasing: {d[2]} followed by {d[1]}"),
+        ([d[0], d[1], d[1]], f"strictly increasing: {d[1]} followed by {d[1]}"),
+        ((d[0], datetime.datetime(2012, 1, 4), d[2]), "must be datetime.date"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=match):
+            MarketData(dates, **columns)
+    # A checked calendar is not walked again, here or in the series built on it.
+    days = MarketData(list(d), **columns)
+    assert check_dates(days.dates) is days.dates
+    assert all(s.dates is days.dates for s in days.series().values())
+    assert u_series(days, UVariant.BY_VOLUME).dates is days.dates

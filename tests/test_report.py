@@ -3,9 +3,12 @@
 import csv
 import io
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloss.dataio import RunConfig
 from specloss.ols import fit_arrays
@@ -55,6 +58,42 @@ def test_fmt_stat_rounding_overflow_keeps_width():
     assert fmt_stat(9.9999999) == "10.00000"
     assert fmt_stat(-9.9999999) == "-10.00000"
     assert fmt_stat(999.99999) == "1000.000"
+    # Rounded up to 1e7, a value prints as 1e7 does.
+    assert fmt_stat(9999999.4) == "9999999"
+    assert fmt_stat(9999999.6) == "1.00E+07"
+    assert fmt_stat(-9999999.5) == "-1.00E+07"
+
+
+_PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                              database=None)
+
+
+@_PROPERTY_SETTINGS
+@given(x=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e-5, max_value=2e7),
+    st.sampled_from([9999999.5, 9999999.49, 999999.96, 9.99999995, 9.99999996e-5,
+                     1e-4, 5e-324, 1.7976931348623157e308]),
+), negate=st.booleans())
+def test_fmt_stat_width_and_value(x, negate):
+    """8 characters plus sign; 7 digits for an integer in [1e6, 1e7)."""
+    x = -x if negate else x
+    out = fmt_stat(x)
+    body = out.removeprefix("-")
+    assert out.startswith("-") == (x < 0)
+    error = abs(Decimal(out) - Decimal(x))
+    if "E" in body:
+        mantissa, exponent = body.split("E")
+        assert len(mantissa) == 4 and mantissa[1] == "."
+        assert exponent[0] in "+-"
+        assert len(exponent) == (4 if abs(int(exponent)) >= 100 else 3)
+        assert error <= Decimal("0.005").scaleb(int(exponent))
+    elif "." in body:
+        assert len(body) == 8
+        assert error <= Decimal(5).scaleb(-len(body.split(".")[1]) - 1)
+    else:
+        assert len(body) == 7 and 1_000_000 <= int(body) < 10_000_000
+        assert error <= Decimal("0.5")
 
 
 def test_fmt_stat_special_values():

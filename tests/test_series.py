@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from specloss.errors import AlignmentError, InvalidArgumentError
-from specloss.series import TimeSeries, align, diff, mean, stddev, trading_dates
+from specloss.series import (
+    TimeSeries,
+    _CheckedDates,
+    align,
+    check_dates,
+    diff,
+    mean,
+    stddev,
+    trading_dates,
+)
 
 
 def make_series(values, start=datetime.date(2012, 1, 3), name="X"):
@@ -162,3 +171,31 @@ def test_trading_dates_skip_weekends():
 def test_trading_dates_needs_positive_n():
     with pytest.raises(InvalidArgumentError):
         trading_dates(0)
+
+
+def test_checked_calendar_is_checked_once_and_kept_by_transforms():
+    s = make_series([1.0, 4.0, 9.0, 16.0, 25.0])
+    assert type(s.dates) is _CheckedDates
+    assert check_dates(s.dates) is s.dates
+    # Slices with a positive step stay increasing, so they stay checked.
+    for part in (s.dates[1:], s.dates[:-1], s.dates[::2]):
+        assert type(part) is _CheckedDates
+    assert type(s.dates[::-1]) is tuple and type(s.dates[0]) is datetime.date
+    assert diff(s).dates == s.dates[1:] and type(diff(s).dates) is _CheckedDates
+    assert s.with_name("Y").dates is s.dates
+    other = make_series([1.0, 2.0, 3.0], start=s.dates[2])
+    a, b = align(s, other)
+    assert type(a.dates) is _CheckedDates and a.dates == b.dates == other.dates
+
+
+def test_plain_dates_keep_every_check_and_message():
+    d = trading_dates(3)
+    reversed_checked = TimeSeries(d, np.zeros(3)).dates[::-1]
+    for dates, match in [
+        ([d[1], d[0], d[2]], f"strictly increasing: {d[1]} followed by {d[0]}"),
+        ((d[0], d[1], d[1]), "strictly increasing"),
+        (reversed_checked, "strictly increasing"),
+        ((d[0], "2012-01-04", d[2]), "must be datetime.date, got '2012-01-04'"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=match):
+            TimeSeries(dates, np.zeros(3))

@@ -116,6 +116,14 @@ def test_tails_match_scipy_at_large_degrees_of_freedom():
     assert worst_f < 3e-11, worst_f
 
 
+def test_f_sf_small_ratio_at_large_denominator_df():
+    # df1*f small against df2: the complement df1*f/(df2 + df1*f) goes to
+    # the incomplete beta exactly; 1 - df2/(df2 + df1*f) cost 1.04e-11.
+    for f, df1, df2 in [(0.2, 1, 100000), (0.2, 2, 100000), (0.8, 1, 25496)]:
+        ref = float(stats.f.sf(f, df1, df2))
+        assert abs(f_sf(f, df1, df2) - ref) <= 1e-13 * ref, (f, df1, df2)
+
+
 def test_t_sf_special_inputs():
     assert math.isnan(student_t_sf(math.nan, 5))
     assert student_t_sf(math.inf, 5) == 0.0

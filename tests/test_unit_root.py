@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloss.errors import (
     InsufficientDataError,
@@ -111,6 +113,41 @@ def test_pvalue_monotone_for_every_table_row():
             p = mackinnon_pvalue(float(t), n_variables=n_vars)
             assert p >= previous - 1e-15
             previous = p
+
+
+# tau_star of each row of the p-value surface table, and the drop in p
+# across it where the two published branches do not meet.
+_TAU_STAR = {1: -1.61, 2: -2.62, 3: -3.13, 4: -3.47, 5: -3.78, 6: -3.93}
+_SEAM_DROP = {2: 8.09e-4, 6: 6.49e-4}
+
+
+def test_pvalue_seam_drops_only_where_the_table_says():
+    for n_vars, tau_star in _TAU_STAR.items():
+        at = mackinnon_pvalue(tau_star, n_variables=n_vars)
+        above = mackinnon_pvalue(math.nextafter(tau_star, math.inf), n_variables=n_vars)
+        if n_vars in _SEAM_DROP:
+            assert abs((at - above) - _SEAM_DROP[n_vars]) < 5e-7, n_vars
+        else:
+            assert above > at, n_vars
+
+
+_STATISTICS = st.one_of(
+    st.floats(-25.0, 5.0),
+    st.sampled_from([t for tau in _TAU_STAR.values()
+                     for t in (tau, math.nextafter(tau, math.inf))]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n_vars=st.integers(1, 6), a=_STATISTICS, b=_STATISTICS)
+def test_pvalue_non_decreasing_in_t(n_vars, a, b):
+    """Within a branch for every row; across tau_star only up to the pinned drop."""
+    lo, hi = min(a, b), max(a, b)
+    p_lo = mackinnon_pvalue(lo, n_variables=n_vars)
+    p_hi = mackinnon_pvalue(hi, n_variables=n_vars)
+    crosses_seam = lo <= _TAU_STAR[n_vars] < hi
+    slack = _SEAM_DROP.get(n_vars, 0.0) + 5e-7 if crosses_seam else 0.0
+    assert p_hi >= p_lo - slack
 
 
 def test_pvalue_rejects_unsupported_configs():
