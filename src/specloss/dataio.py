@@ -28,7 +28,8 @@ either path.  In every other case (numpy raises, blank or quoted cells,
 a ``#`` line, a header-only file, any bad input) the file is read row by
 row, and that reader alone decides every error message.  Either path
 hands back a checked calendar, so the data types built on it do not walk
-the dates again.
+the dates again.  A byte that is not UTF-8 is a parse error naming its
+line.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ __all__ = [
 
 MARKET_COLUMNS = ("date", "i_mrub", "r_pct", "u_big_vol", "u_big_dep")
 MARKET_PRICE_COLUMN = "mean_price_rub"
+# Rows per write call of _write_table.  The whole file in one string
+# would hold every cell's text at once (a 17.9 MB peak at 25,500 days).
+_WRITE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,21 @@ class RunConfig:
             )
 
 
+def _reject_undecodable(text: str, where: str, line_no: int) -> None:
+    """Raise if ``text``, decoded with surrogateescape, holds a byte that is not UTF-8.
+
+    That decoding turns each such byte into a surrogate U+DC80..U+DCFF,
+    which neither ``float()`` nor the date parser accepts, so only the
+    header and cells that already failed to parse need this check.
+    """
+    for ch in text:
+        if "\udc80" <= ch <= "\udcff":
+            raise CsvParseError(
+                f"{where} holds the byte 0x{ord(ch) - 0xDC00:02x}, which is not UTF-8",
+                line=line_no,
+            )
+
+
 def _parse_cell(text: str, column: str, line_no: int) -> float:
     """A value cell: a number, or NaN when empty; the text ``nan`` is neither."""
     try:
@@ -101,6 +120,7 @@ def _parse_cell(text: str, column: str, line_no: int) -> float:
     except ValueError:
         if not text.strip():
             return math.nan
+    _reject_undecodable(text, f"column {column!r}", line_no)
     raise CsvParseError(
         f"column {column!r} has non-numeric value {text.strip()!r}", line=line_no
     )
@@ -222,12 +242,17 @@ def _read_table(
     one flat float64 buffer as the row is read, so no cell text outlives
     its row.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    # A byte that is not UTF-8 reads as a surrogate, so that the row that
+    # holds it fails with its own line number; a strict decoder would fail
+    # in the read-ahead, on no particular line.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvSchemaError(f"{path}: file is empty, header row required") from None
+        for name in header:
+            _reject_undecodable(name, "the header", 1)
         problem = header_problem(header)
         if problem is not None:
             raise CsvSchemaError(f"{path}: {problem}")
@@ -250,6 +275,7 @@ def _read_table(
                 try:
                     dates.append(_parse_date(row[0].strip()))
                 except ValueError:
+                    _reject_undecodable(row[0], "column 'date'", line_no)
                     raise CsvParseError(f"column 'date' has invalid ISO date "
                                         f"{row[0].strip()!r}", line=line_no) from None
                 lines.append(line_no)
@@ -274,16 +300,23 @@ def _write_table(
     path: str, header: list[str], dates: Sequence[datetime.date],
     columns: Sequence[np.ndarray],
 ) -> None:
-    """Write a date column plus value columns; NaN becomes an empty cell."""
+    """Write a date column plus value columns; NaN becomes an empty cell.
+
+    The body goes out in blocks of ``_WRITE_ROWS`` rows, one ``write``
+    each, in the bytes ``csv.writer`` gives: an ISO date, a float's
+    ``repr`` or an empty cell never needs quoting, and every row has at
+    least two cells.  Only the header, whose names may, goes through it.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        # tolist() yields Python floats, whose repr is the shortest
-        # round-trip form (a numpy scalar would repr as np.float64(...)).
-        for day_date, *values in zip(dates, *(c.tolist() for c in columns)):
-            writer.writerow(
-                [day_date.isoformat()] + ["" if v != v else repr(v) for v in values]
-            )
+        csv.writer(handle).writerow(header)
+        for start in range(0, len(dates), _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            cells = [[day.isoformat() for day in dates[block]]]
+            # tolist() yields Python floats, whose repr is the shortest
+            # round-trip form (a numpy scalar would repr as np.float64(...)).
+            cells += [["" if v != v else repr(v) for v in c[block].tolist()]
+                      for c in columns]
+            handle.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
 def _market_header_problem(header: list[str]) -> str | None:

@@ -163,18 +163,15 @@ def align(*series: TimeSeries) -> list[TimeSeries]:
 
 def trading_dates(
     n: int, start: datetime.date = datetime.date(2012, 1, 3)
-) -> tuple[datetime.date, ...]:
-    """First ``n`` weekdays (Mon-Fri) from ``start`` onward.
+) -> _CheckedDates:
+    """First ``n`` weekdays (Mon-Fri) from ``start`` onward, as a checked calendar.
 
     A stand-in trading calendar for generated data; real calendars arrive
     with the data files and are never hardcoded in the statistics.
     """
     if n < 1:
         raise InvalidArgumentError(f"need at least one date, got n={n}")
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += datetime.timedelta(days=1)
-    return tuple(out)
+    days = np.busday_offset(start, np.arange(n), roll="forward")
+    if days[-1] > np.datetime64(datetime.date.max):
+        raise InvalidArgumentError(f"{n} weekdays from {start} pass {datetime.date.max}")
+    return _CheckedDates(days.tolist())

@@ -12,6 +12,14 @@ platform RNG so golden outputs stay stable: a 64-bit FNV-1a hash of
 53 bits, and normals come from the Box-Muller transform.  Labeled
 substreams make generated variables independent of each other and of the
 order they are drawn in.
+
+A splitmix64 state only ever adds a constant, so a whole block of
+uniforms is computed at once in numpy ``uint64``, whose arithmetic wraps
+exactly as the 64-bit mask does.  The normals stay libm Box-Muller, one
+pair at a time in Python floats: numpy's vectorised log, sqrt, cos and
+sin are not guaranteed to give libm's bits.  The processes' recurrences
+also run over Python floats, draw by draw, in the order they always did
+(a ``cumsum`` would round in another order).
 """
 
 from __future__ import annotations
@@ -39,6 +47,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+# uint64 operands everywhere, so that numpy 1.x value-based casting and
+# numpy 2 promotion both keep every step in wrapping uint64.
+_U64_GAMMA = np.uint64(_SPLITMIX_GAMMA)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 # The market process of gen_market_days.  I: reflected random walk,
 # million rubles.  R: AR(1) around a level, percent per annum.  U_vol:
@@ -95,8 +108,36 @@ class NormalStream:
         self._cached = radius * math.sin(angle)
         return radius * math.cos(angle)
 
+    def _uniforms(self, n: int) -> list[float]:
+        """The next ``n`` uniforms, as ``n`` calls of ``_next_uniform`` give them."""
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * _U64_GAMMA
+        self._state = (self._state + n * _SPLITMIX_GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= _U64_MIX1
+        z ^= z >> np.uint64(27)
+        z *= _U64_MIX2
+        z ^= z >> np.uint64(31)
+        # Below 2**53 the top bits convert exactly; the rest is one float
+        # add and an exact scaling, as in _next_uniform.
+        return (((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53).tolist()
+
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)])
+        """The next ``n`` draws, leaving the stream as ``n`` calls of ``normal`` do."""
+        out = []
+        if n > 0 and self._cached is not None:
+            out.append(self._cached)
+            self._cached = None
+        uniforms = self._uniforms(2 * ((n - len(out) + 1) // 2))
+        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+        two_pi = 2.0 * math.pi
+        for u1, u2 in zip(uniforms[::2], uniforms[1::2]):
+            radius = sqrt(-2.0 * log(u1))
+            angle = two_pi * u2
+            out.append(radius * cos(angle))
+            out.append(radius * sin(angle))
+        if len(out) > n:
+            self._cached = out.pop()
+        return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -135,24 +176,27 @@ class SynthConfig:
 
 def _reflected_walk(stream: NormalStream, n: int, y0: float, scale: float) -> np.ndarray:
     """Driftless random walk from y0 kept positive by reflection at zero."""
-    out = np.empty(n)
+    out = []
     level = y0
-    for t in range(n):
-        level = abs(level + scale * stream.normal())
-        out[t] = level
-    return out
+    for shock in (scale * stream.normals(n)).tolist():
+        level = abs(level + shock)
+        out.append(level)
+    return np.array(out)
 
 
 def _ar1(stream: NormalStream, n: int, phi: float, scale: float) -> np.ndarray:
     """Mean-zero AR(1), first value from the stationary law; zeros at scale 0."""
-    out = np.zeros(n)
     if scale == 0.0:
-        return out
-    x = scale / math.sqrt(1.0 - phi * phi) * stream.normal()
-    for t in range(n):
-        out[t] = x
-        x = phi * x + scale * stream.normal()
-    return out
+        return np.zeros(n)
+    # n + 1 draws: the first starts the process, the last is never used.
+    draws = stream.normals(n + 1)
+    x = scale / math.sqrt(1.0 - phi * phi) * float(draws[0])
+    shocks = (scale * draws[1:]).tolist()
+    out = []
+    for shock in shocks:
+        out.append(x)
+        x = phi * x + shock
+    return np.array(out)
 
 
 def _ar1_around(
@@ -175,12 +219,11 @@ def gen_random_walk(
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
     if scale < 0:
         raise InvalidArgumentError(f"scale must be >= 0, got {scale}")
-    stream = NormalStream(seed, label)
-    values = np.empty(n)
+    values = []
     level = 0.0
-    for t in range(n):
-        level = level + drift + scale * stream.normal()
-        values[t] = level
+    for shock in (scale * NormalStream(seed, label).normals(n)).tolist():
+        level = level + drift + shock
+        values.append(level)
     return TimeSeries(trading_dates(n), values, name=label)
 
 

@@ -581,3 +581,28 @@ def test_fast_path_declines_blank_bodies_and_cells_before_parsing(tmp_path, text
     path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
         assert dataio._read_body_fast(str(path), len(text.split("\n")[0].split(","))) is None
+
+
+# -- Bytes that are not UTF-8 ---------------------------------------------------
+
+_GOOD_ROWS = "".join(f"{day.isoformat()},1,1,1,2\n" for day in trading_dates(3000))
+
+
+@pytest.mark.parametrize("text, line, where", [
+    pytest.param(HEADER + "\n2012-01-03,1,1,1,2\n2012-01-04,1\xe9,1,1,2\n",
+                 3, "column 'i_mrub'", id="value-cell"),
+    pytest.param(HEADER + "\n2012-01-03\xe9,1,1,1,2\n", 2, "column 'date'", id="date-cell"),
+    pytest.param(HEADER + "\xe9\n2012-01-03,1,1,1,2\n", 1, "the header", id="header"),
+    # Past the text layer's read-ahead, which once raised on an earlier line.
+    pytest.param(HEADER + "\n" + _GOOD_ROWS + "9999-01-01,1,1,1,2\xe9\n",
+                 3002, "column 'u_big_dep'", id="late-row"),
+])
+def test_non_utf8_byte_is_a_parse_error_naming_its_line(tmp_path, text, line, where):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("latin-1"))
+    assert dataio._read_body_fast(str(path), 5) is None
+    for load in (load_market_csv, load_series_csv):
+        with pytest.raises(CsvParseError, match=f"{where} holds the byte 0xe9, "
+                                                "which is not UTF-8") as exc_info:
+            load(str(path))
+        assert exc_info.value.line == line

@@ -1,11 +1,16 @@
 """Tests for the deterministic synthetic data generators."""
 
+import contextlib
 import datetime
+import hashlib
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specloss.cli import main
 from specloss.errors import InvalidArgumentError
 from specloss.market import UVariant, u_series
 from specloss import synth
@@ -34,6 +39,19 @@ def test_stream_normals_match_single_draws():
     stream = NormalStream(3, "single")
     singles = [stream.normal() for _ in range(10)]
     assert np.array_equal(NormalStream(3, "single").normals(10), singles)
+
+
+def test_stream_blocks_interleave_with_single_draws():
+    """normals(k) gives the next k scalar draws and leaves the same state,
+    whether a draw is cached on entry or k is odd."""
+    blocks = NormalStream(11, "blocks")
+    scalar = NormalStream(11, "blocks")
+    for k in (0, 1, 4, 3, 0, 2, 7, 1, 1, 6, 5, 25501):
+        if k % 3 == 1:  # a single draw between blocks caches a value or uses it up
+            assert blocks.normal() == scalar.normal()
+        want = [scalar.normal() for _ in range(k)]
+        assert blocks.normals(k).tolist() == want, k
+        assert (blocks._state, blocks._cached) == (scalar._state, scalar._cached), k
 
 
 def test_stream_moments_are_standard_normal():
@@ -186,3 +204,50 @@ def test_default_config_produces_plausible_magnitudes():
         0.1,
         abs_tol=0.05,
     )
+
+
+def _weekday_walk(n, start):
+    """The first n weekdays from start, one day at a time."""
+    out = []
+    day = start
+    while len(out) < n:
+        if day.weekday() < 5:
+            out.append(day)
+        day += datetime.timedelta(days=1)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2000])
+@pytest.mark.parametrize("start_day", range(2, 9))  # Monday 2012-01-02 to Sunday
+def test_trading_dates_are_the_weekday_walk(n, start_day):
+    start = datetime.date(2012, 1, start_day)
+    dates = trading_dates(n, start)
+    assert dates == _weekday_walk(n, start)
+    assert all(type(d) is datetime.date for d in dates)
+
+
+def test_trading_dates_stop_at_the_last_date():
+    assert trading_dates(1, datetime.date(9999, 12, 31)) == (datetime.date(9999, 12, 31),)
+    with pytest.raises(InvalidArgumentError, match="9999-12-31"):
+        trading_dates(3, datetime.date(9999, 12, 30))
+    with pytest.raises(InvalidArgumentError):
+        trading_dates(0)
+
+
+# sha256 of `specloss synth` files, one "digest  arguments" line each, taken
+# before the generator and the writer were vectorised.
+_PINNED = Path(__file__).parent / "data" / "synth_sha256.txt"
+
+
+def _pinned_runs():
+    for line in _PINNED.read_text(encoding="utf-8").splitlines():
+        digest, command = line.split("  ", 1)
+        yield pytest.param(digest, command, id=command.replace(" ", ""))
+
+
+@pytest.mark.parametrize("digest, command", _pinned_runs())
+def test_synth_files_keep_their_pinned_bytes(tmp_path, digest, command):
+    path = tmp_path / "synth.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(command.split() + ["--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
