@@ -399,8 +399,9 @@ def parse_config_file(path: str) -> dict[str, str]:
     ``break-date``); values stay strings for the CLI layer to interpret.
     """
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
+            _reject_undecodable(raw, f"config line {line_no}", line_no)
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

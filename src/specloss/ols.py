@@ -4,11 +4,14 @@ The solver is Householder QR on a column-equilibrated design matrix,
 held transposed with y as one more row.  Equilibration (scaling every
 column to unit Euclidean norm) keeps the rank test meaningful when
 regressors differ by many orders of magnitude, which happens as soon as
-volumes in pieces meet rates in fractions.  Reductions use ``np.sum`` on
-elementwise products, not BLAS, so results are bit-stable on a platform:
-numpy sums each contiguous row pairwise like a 1-D ``np.sum``, which
-``tests/test_ols.py`` checks against column loops.  Standard errors need
-only the diagonal of (X'X)^-1, so only that is formed.
+volumes in pieces meet rates in fractions.  Reductions call the
+``np.add.reduce`` ufunc on elementwise products, not BLAS, so results
+are bit-stable on a platform: numpy sums each contiguous row pairwise
+like a 1-D reduction, which ``tests/test_ols.py`` checks against column
+loops.  The column norms are a row-order fold over the C-ordered
+design, so a work array holding the design transposed gives the same
+norms.  Standard errors need only the diagonal of (X'X)^-1, so only
+that is formed.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -162,80 +165,113 @@ def durbin_watson(residuals: np.ndarray) -> float:
     e = np.asarray(residuals, dtype=np.float64)
     if e.size < 2:
         raise InsufficientDataError("Durbin-Watson needs at least 2 residuals")
-    denom = float(np.sum(e * e))
+    denom = float(np.add.reduce(e * e))
     if denom == 0.0:
         return math.nan
     steps = e[1:] - e[:-1]
-    return float(np.sum(steps * steps)) / denom
+    return float(np.add.reduce(steps * steps)) / denom
+
+
+def _column_norms(x: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Euclidean norms of the columns of the (n, k) design ``x``.
+
+    The squares are laid out C-ordered whatever the layout of ``x``, so
+    every norm is a row-order fold down its column and a transposed view
+    of a work array gives the bits of the C-ordered design.  A zero
+    column raises, naming the first one.
+    """
+    norms = np.sqrt(np.add.reduce(np.square(x, order="C"), axis=0))
+    if not norms.all():
+        j = int(norms.argmin())  # the first zero column
+        raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
+    return norms
 
 
 def _householder_qr(x: np.ndarray, y: np.ndarray,
                     names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Householder QR of ``x`` scaled to unit column norms: (R, Q'y, norms).
 
-    Row m of the work array is column m and y is its last row, so each
-    reflection updates the trailing block in one ``np.sum(..., axis=1)``.
     Reflection j only touches columns j and later, so the leading p columns
     of R and entries of Q'y are those of ``x[:, :p]`` alone, and
-    ||(Q'y)[p:]||^2 is that prefix's SSR.  The rank test compares diagonal
-    magnitudes of R, which is only fair at unit column norms.
+    ||(Q'y)[p:]||^2 is that prefix's SSR.  The norms' temporary is freed
+    before the work array is built, which keeps the peak at one design
+    plus one work array.
     """
     n, k = x.shape
-    norms = np.sqrt(np.sum(x * x, axis=0))
-    if not np.all(norms):
-        j = int(np.argmin(norms))  # the first zero column
-        raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
+    norms = _column_norms(x, names)
     a = np.empty((k + 1, n))
     np.divide(x.T, norms[:, None], out=a[:k])
     a[k] = y
-    scratch = np.empty(a.size)  # both products of every reflection
+    return _factor_work_array(a, names), a[k], norms
+
+
+def _factor_work_array(a: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Householder QR in place of the (k+1, n) work array; returns R.
+
+    Rows 0..k-1 of ``a`` are the design's columns at unit norm and row k
+    is y, which ends as Q'y.  Each reflection updates the rows below the
+    pivot in one ``np.add.reduce(..., axis=1)``; the pivot row itself
+    holds the reflector v while it is applied and then column j of R, so
+    it is never reflected.  ||v||^2 reuses the squares of the
+    column's norm, as v differs from the column in its first entry only.
+    The rank test compares diagonal magnitudes of R, which is only fair
+    at unit column norms.
+    """
+    k, n = a.shape[0] - 1, a.shape[1]
+    scratch = np.empty((k, n))  # both products of the largest reflection
     for j in range(k):
-        col = a[j, j:]
-        norm = math.sqrt(float(np.sum(col * col)))
+        v = a[j, j:]
+        sq = v * v
+        norm = math.sqrt(float(np.add.reduce(sq)))
         if norm == 0.0:
             raise SingularMatrixError(
                 f"design matrix column {j} is numerically zero after reduction",
                 column=j,
             )
-        alpha = -math.copysign(norm, col[0]) if col[0] != 0.0 else -norm
-        v = col.copy()
-        v[0] -= alpha
-        scale = 2.0 / float(np.sum(v * v))
-        block = a[j:, j:]
-        prod = scratch[: block.size].reshape(block.shape)
-        w = scale * np.sum(np.multiply(v, block, out=prod), axis=1)
-        block -= np.multiply(w[:, None], v, out=prod)
-        a[j, j] = alpha
-        a[j, j + 1 :] = 0.0
+        head = float(v[0])
+        alpha = -math.copysign(norm, head) if head != 0.0 else -norm
+        v0 = head - alpha
+        sq[0] = v0 * v0
+        scale = 2.0 / float(np.add.reduce(sq))
+        v[0] = v0
+        block = a[j + 1 :, j:]
+        prod = scratch[: k - j, : n - j]
+        w = np.add.reduce(np.multiply(v, block, out=prod), axis=1, keepdims=True)
+        w *= scale
+        block -= np.multiply(w, v, out=prod)
+        v[0] = alpha
+        v[1 : k - j] = 0.0
     diag = np.abs(np.diagonal(a)[:k])
-    if float(np.min(diag)) < _RANK_RTOL * float(np.max(diag)):
-        bad = int(np.argmin(diag))
+    if float(diag.min()) < _RANK_RTOL * float(diag.max()):
+        bad = int(diag.argmin())
         raise SingularMatrixError(
             f"design matrix is rank deficient at column {bad} "
             f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
             column=bad,
         )
-    return a[:k, :k].T, a[k], norms
+    return a[:k, :k].T
 
 
 def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Back-substitute R b = (Q'y)[:k]; returns (b, diag of (X'X)^-1).
 
     Superdiagonal d of R^-1 needs only lower ones: a contiguous (k-d, d)
-    array of terms, each row summed like a 1-D ``np.sum``.  diag (X'X)^-1 is
-    the row sums of R^-1 * R^-1; the off-diagonal entries are never formed.
+    array of terms, each row summed like a 1-D ``np.add.reduce``.  diag
+    (X'X)^-1 is the row sums of R^-1 * R^-1; the off-diagonal entries are
+    never formed.
     """
     k = r.shape[0]
     beta = np.zeros(k)
     for j in range(k - 1, -1, -1):
-        beta[j] = (z[j] - float(np.sum(r[j, j + 1 :] * beta[j + 1 :]))) / r[j, j]
+        beta[j] = (z[j] - float(np.add.reduce(r[j, j + 1 :] * beta[j + 1 :]))) / r[j, j]
     dr, idx = np.diagonal(r), np.arange(k)
     rinv = np.diag(1.0 / dr)
     for d in range(1, k):
         i, j = idx[: k - d], idx[d:]  # entry (i, j) sums over columns i + 1 .. j
         cols = i[:, None] + idx[1 : d + 1]
-        rinv[i, j] = -np.sum(r[i[:, None], cols] * rinv[cols, j[:, None]], axis=1) / dr[: k - d]
-    return beta, np.sum(rinv * rinv, axis=1)
+        terms = r[i[:, None], cols] * rinv[cols, j[:, None]]
+        rinv[i, j] = -np.add.reduce(terms, axis=1) / dr[: k - d]
+    return beta, np.add.reduce(rinv * rinv, axis=1)
 
 
 def fit_arrays(
@@ -275,7 +311,7 @@ def fit_arrays(
         raise InvalidArgumentError(
             f"got {len(reg_names)} regressor names for {k} columns"
         )
-    if not (np.all(np.isfinite(yv)) and np.all(np.isfinite(xv))):
+    if not (np.isfinite(yv).all() and np.isfinite(xv).all()):
         raise InvalidArgumentError("regression inputs must be finite")
 
     r, z, norms = _householder_qr(xv, yv, reg_names)
@@ -287,11 +323,11 @@ def fit_arrays(
     for j in range(k):
         fitted += beta[j] * xv[:, j]
     resid = yv - fitted
-    ssr = float(np.sum(resid * resid))
+    ssr = float(np.add.reduce(resid * resid))
 
-    mean_dep = float(np.sum(yv)) / n
+    mean_dep = float(np.add.reduce(yv)) / n
     dev = yv - mean_dep
-    tss = float(np.sum(dev * dev))
+    tss = float(np.add.reduce(dev * dev))
     sd_dep = math.sqrt(tss / (n - 1))
     r2 = 1.0 - ssr / tss if tss > 0.0 else math.nan
     df = n - k
@@ -299,16 +335,15 @@ def fit_arrays(
     loglik = log_likelihood_from_ssr(ssr, n)
 
     rows = []
-    for j in range(k):
-        se = math.sqrt(s2 * var[j])
+    for name, b, v in zip(reg_names, beta.tolist(), var.tolist()):
+        se = math.sqrt(s2 * v)
         if se > 0.0:
-            t = float(beta[j]) / se
+            t = b / se
             p = 2.0 * student_t_sf(abs(t), df)
         else:
-            t = math.nan if beta[j] == 0.0 else math.copysign(math.inf, beta[j])
-            p = math.nan if beta[j] == 0.0 else 0.0
-        rows.append(CoefRow(name=str(reg_names[j]), coef=float(beta[j]),
-                            std_err=se, t_stat=t, p_value=p))
+            t = math.nan if b == 0.0 else math.copysign(math.inf, b)
+            p = math.nan if b == 0.0 else 0.0
+        rows.append(CoefRow(name=str(name), coef=b, std_err=se, t_stat=t, p_value=p))
 
     # R^2 < 0 (no constant) leaves no F test against the mean-only model.
     fstat = f_statistic_from_r2(r2, n, k) if r2 >= 0.0 else math.nan

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .ols import (
     OlsFit,
-    _householder_qr,
+    _column_norms,
+    _factor_work_array,
     fit_arrays,
     log_likelihood_from_ssr,
     schwarz_from_loglik,
@@ -184,8 +185,8 @@ def mackinnon_pvalue(t_stat: float, *, n_variables: int = 1) -> float:
     return min(max(_norm_cdf(z), _PVAL_CLAMP_LO), _PVAL_CLAMP_HI)
 
 
-def _adf_design(y: TimeSeries, lag: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """ADF regression at ``lag`` on its longest sample: (dep, x, names).
+def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+    """ADF regression at ``lag`` on its longest sample: (dep, columns, names).
 
     Columns are [C, y(-1), Δy(-1), ..., Δy(-lag)], so the design of a
     smaller lag on this sample is a column prefix of this one.
@@ -200,7 +201,13 @@ def _adf_design(y: TimeSeries, lag: int) -> tuple[np.ndarray, np.ndarray, list[s
     names = ["C", f"{label}(-1)"] + [f"D({label}(-{i}))" for i in range(1, lag + 1)]
     cols = [np.ones(n - 1 - lag), yv[lag : n - 1]]
     cols += [dy[lag - i : n - 1 - i] for i in range(1, lag + 1)]
-    return dy[lag:], np.column_stack(cols), names
+    return dy[lag:], cols, names
+
+
+def _adf_design(y: TimeSeries, lag: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """ADF regression at ``lag`` as (dep, x, names), x the C-ordered design."""
+    dep, cols, names = _adf_columns(y, lag)
+    return dep, np.column_stack(cols), names
 
 
 def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
@@ -215,6 +222,22 @@ def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
     return fit_arrays(dep, x, dep_name=f"D({y.name or 'Y'})", reg_names=names)
 
 
+def _lag_search_qy(y: TimeSeries, max_lag: int) -> np.ndarray:
+    """Q'y of the max_lag ADF design from one Householder QR.
+
+    The design goes straight into the transposed work array, with the
+    dependent as its last row, and is factored there in place, so the
+    design is never held a second time as an (n, k) matrix.
+    """
+    dep, cols, names = _adf_columns(y, max_lag)
+    a = np.array([*cols, dep])
+    k = len(cols)
+    del dep, cols  # the work array is the only copy while it is factored
+    a[:k] /= _column_norms(a[:k].T, names)[:, None]
+    _factor_work_array(a, names)
+    return a[k]
+
+
 def select_lag(y: TimeSeries, max_lag: int) -> int:
     """Pick the lag in 0..max_lag minimizing the Schwarz criterion.
 
@@ -226,12 +249,12 @@ def select_lag(y: TimeSeries, max_lag: int) -> int:
     """
     if max_lag < 0:
         raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
-    dep, x, names = _adf_design(y, max_lag)
-    _, z, _ = _householder_qr(x, dep, names)
-    nobs = dep.shape[0]
+    z = _lag_search_qy(y, max_lag)
+    nobs = z.shape[0]
+    sq = z * z
     scores = []
     for k in range(2, max_lag + 3):  # C, y(-1) and k - 2 lagged differences
-        loglik = log_likelihood_from_ssr(float(np.sum(z[k:] * z[k:])), nobs)
+        loglik = log_likelihood_from_ssr(float(np.add.reduce(sq[k:])), nobs)
         scores.append(schwarz_from_loglik(loglik, nobs, k))
     return scores.index(min(scores))  # the first minimum: ties go to the smaller lag
 

@@ -209,6 +209,13 @@ def test_data_errors_exit_1(tmp_path, capsys):
     assert code == 1
     assert "duplicate" in err
 
+    latin1 = tmp_path / "latin1.conf"
+    latin1.write_bytes(b"maxlag=\xe9\n")
+    code, out, err = run_cli(
+        ["analyze", "--synth-seed", "1", "--config", str(latin1)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "specloss: error: config line 1 holds the byte 0xe9, which is not UTF-8\n"
+
 
 def test_break_date_must_be_iso_text(tmp_path, capsys):
     # date.fromisoformat takes these forms from Python 3.11 on; specloss never does.

@@ -237,6 +237,13 @@ def test_parse_config_file_errors(tmp_path):
     empty_key = write_text(tmp_path / "c.cfg", " = 3\n")
     with pytest.raises(CsvParseError, match="empty key"):
         parse_config_file(empty_key)
+    for data, line in ((b"maxlag=\xe9\n", 1), (b"maxlag=2\n# caf\xe9\n", 2)):
+        latin1 = tmp_path / "d.cfg"
+        latin1.write_bytes(data)
+        with pytest.raises(CsvParseError, match=f"config line {line} holds the byte 0xe9, "
+                                                "which is not UTF-8") as exc_info:
+            parse_config_file(str(latin1))
+        assert exc_info.value.line == line
 
 
 def test_run_config_validation():

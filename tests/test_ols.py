@@ -33,7 +33,7 @@ from specloss.ols import (
 )
 from specloss.series import TimeSeries, diff, trading_dates
 from specloss.synth import SynthConfig, gen_market_days
-from specloss.unit_root import _adf_design
+from specloss.unit_root import _adf_design, _lag_search_qy, select_lag
 
 
 def close(a, b, rtol=1e-8, atol=1e-12):
@@ -392,12 +392,15 @@ def test_factorization_bits_match_column_loop_on_wild_scales():
         _assert_same_bits_as_reference(x, y)
 
 
+def _ladder_series(days):
+    levels = [u_series(days, UVariant.BY_VOLUME), u_series(days, UVariant.BY_DEPOSIT),
+              *days.series().values()]
+    return levels + [diff(s) for s in levels]
+
+
 def test_factorization_bits_match_column_loop_on_adf_designs():
     for seed in (0, 7, 23):
-        days = gen_market_days(SynthConfig(seed=seed))
-        series = [u_series(days, UVariant.BY_VOLUME), u_series(days, UVariant.BY_DEPOSIT),
-                  *days.series().values()]
-        for s in series + [diff(s) for s in series]:
+        for s in _ladder_series(gen_market_days(SynthConfig(seed=seed))):
             for lag in range(11):  # 2..12 columns
                 dep, x, _ = _adf_design(s, lag)
                 _assert_same_bits_as_reference(x, dep)
@@ -420,6 +423,43 @@ def test_singular_designs_name_the_reference_column():
             _householder_qr(x, y, names)
         assert got.value.column == ref.value.column is not None
         assert str(got.value) == str(ref.value)
+
+
+def _assert_lag_search_bits(s, max_lag):
+    """select_lag's Q'y and lag equal those of the C-ordered design's QR."""
+    dep, x, names = _adf_design(s, max_lag)
+    _, z_ref, _ = _householder_qr(x, dep, names)
+    assert np.array_equal(_bits(_lag_search_qy(s, max_lag)), _bits(z_ref))
+    nobs = dep.shape[0]
+    scores = [schwarz_from_loglik(log_likelihood_from_ssr(
+                  float(np.sum(z_ref[k:] * z_ref[k:])), nobs), nobs, k)
+              for k in range(2, max_lag + 3)]
+    assert select_lag(s, max_lag) == scores.index(min(scores))
+
+
+def test_lag_search_work_array_keeps_the_design_bits():
+    for seed in (0, 7, 23):
+        for s in _ladder_series(gen_market_days(SynthConfig(seed=seed))):
+            for max_lag in range(11):
+                _assert_lag_search_bits(s, max_lag)
+    u = u_series(gen_market_days(SynthConfig(seed=0, n_days=25_500)), UVariant.BY_VOLUME)
+    for s in (u, diff(u)):
+        for max_lag in (0, 2, 5, 7):
+            _assert_lag_search_bits(s, max_lag)
+
+
+def test_constant_series_fails_the_lag_search_like_the_reference():
+    s = TimeSeries(trading_dates(60), np.full(60, 3.5), name="R")
+    for max_lag in range(6):
+        dep, x, names = _adf_design(s, max_lag)
+        with pytest.raises(SingularMatrixError) as ref:
+            _reference_qr(x, dep, names)
+        with pytest.raises(SingularMatrixError) as got:
+            select_lag(s, max_lag)
+        assert (str(got.value), got.value.column) == (str(ref.value), ref.value.column)
+        if max_lag:
+            assert str(got.value) == "regressor 'D(R(-1))' is identically zero"
+            assert got.value.column == 2
 
 
 # -- Properties of the fit ----------------------------------------------------
