@@ -397,9 +397,10 @@ def parse_config_file(path: str) -> dict[str, str]:
 
     Keys use the CLI's long-flag spelling (e.g. ``maxlag``,
     ``break-date``); values stay strings for the CLI layer to interpret.
+    A byte-order mark at the start of the file is dropped.
     """
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
             _reject_undecodable(raw, f"config line {line_no}", line_no)
             line = raw.split("#", 1)[0].strip()

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivisionDomainError, InvalidArgumentError, InvalidDayError
-from .series import TimeSeries, check_dates, mean, stddev
+from .series import TimeSeries, _Frozen, check_dates, mean, stddev
 
 __all__ = [
     "MarketData",
@@ -144,8 +144,8 @@ class MarketData:
         )
 
     def series(self) -> dict[str, TimeSeries]:
-        """The four raw regression variables as named series."""
-        return {name: TimeSeries(self.dates, getattr(self, column), name=name)
+        """The four raw regression variables as named series on the frozen columns."""
+        return {name: TimeSeries(self.dates, _Frozen(getattr(self, column)), name=name)
                 for column, name in _RAW_SERIES}
 
 
@@ -206,7 +206,7 @@ def u_series(days: MarketData, variant: UVariant) -> TimeSeries:
         days.invest_i * MRUB_TO_KOPECKS, days.rate_r * PCT_TO_FRACTION, u_big
     )
     name = "U_SMALL_VOL" if variant is UVariant.BY_VOLUME else "U_SMALL_DEP"
-    return TimeSeries(days.dates, values, name=name)
+    return TimeSeries(days.dates, _Frozen(values), name=name)
 
 
 def constancy_check(u: TimeSeries, mean_price: float) -> ConstancyResult:

@@ -8,10 +8,13 @@ volumes in pieces meet rates in fractions.  Reductions call the
 ``np.add.reduce`` ufunc on elementwise products, not BLAS, so results
 are bit-stable on a platform: numpy sums each contiguous row pairwise
 like a 1-D reduction, which ``tests/test_ols.py`` checks against column
-loops.  The column norms are a row-order fold over the C-ordered
-design, so a work array holding the design transposed gives the same
-norms.  Standard errors need only the diagonal of (X'X)^-1, so only
-that is formed.
+loops.  The design's columns are copied straight into that transposed
+work array, whether they come as an (n, k) matrix or, from the
+library's own callers, as separate column arrays that are never
+stacked; the column norms are a row-order fold that gives the bits of
+the C-ordered design.
+Standard errors need only the diagonal of (X'X)^-1, so only that is
+formed.  A fit keeps its residuals, frozen, and no other n-vector.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -27,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, SingularMatrixError
-from .series import TimeSeries, align
+from .series import TimeSeries, _Frozen, align
 from .special import f_sf, student_t_sf
 
 __all__ = [
@@ -86,8 +89,7 @@ class OlsFit:
     coef_rows: tuple[CoefRow, ...]
     nobs: int
     n_params: int
-    residuals: np.ndarray
-    fitted: np.ndarray
+    residuals: np.ndarray  # read-only
     ssr: float
     r_squared: float
     adj_r_squared: float
@@ -187,37 +189,38 @@ def _column_norms(x: np.ndarray, names: Sequence[str]) -> np.ndarray:
     return norms
 
 
-def _householder_qr(x: np.ndarray, y: np.ndarray,
-                    names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder QR of ``x`` scaled to unit column norms: (R, Q'y, norms).
+class _Columns(tuple):
+    """A design as its k columns: equal-length float64 arrays the library made.
 
-    Reflection j only touches columns j and later, so the leading p columns
-    of R and entries of Q'y are those of ``x[:, :p]`` alone, and
-    ||(Q'y)[p:]||^2 is that prefix's SSR.  The norms' temporary is freed
-    before the work array is built, which keeps the peak at one design
-    plus one work array.
+    :func:`fit_arrays` copies them into its work array one by one, so the
+    (n, k) matrix is never built.
     """
-    n, k = x.shape
-    norms = _column_norms(x, names)
-    a = np.empty((k + 1, n))
-    np.divide(x.T, norms[:, None], out=a[:k])
-    a[k] = y
-    return _factor_work_array(a, names), a[k], norms
+
+    __slots__ = ()
 
 
-def _factor_work_array(a: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Householder QR in place of the (k+1, n) work array; returns R.
+# A read-only column of ones as long as any float64 array, holding one float.
+_ONES = np.broadcast_to(1.0, np.iinfo(np.intp).max // 8)
 
-    Rows 0..k-1 of ``a`` are the design's columns at unit norm and row k
-    is y, which ends as Q'y.  Each reflection updates the rows below the
-    pivot in one ``np.add.reduce(..., axis=1)``; the pivot row itself
-    holds the reflector v while it is applied and then column j of R, so
-    it is never reflected.  ||v||^2 reuses the squares of the
+
+def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR in place of the (k+1, n) work array: returns (R, norms).
+
+    Rows 0..k-1 of ``a`` are the design's columns, first scaled to unit
+    norm here, and row k is y, which ends as Q'y.  Reflection j only
+    touches columns j and later, so the leading p columns of R and
+    entries of Q'y are those of the first p columns alone, and
+    ||(Q'y)[p:]||^2 is that prefix's SSR.  Each reflection updates the
+    rows below the pivot in one ``np.add.reduce(..., axis=1)``; the pivot
+    row itself holds the reflector v while it is applied and then column
+    j of R, so it is never reflected.  ||v||^2 reuses the squares of the
     column's norm, as v differs from the column in its first entry only.
     The rank test compares diagonal magnitudes of R, which is only fair
     at unit column norms.
     """
     k, n = a.shape[0] - 1, a.shape[1]
+    norms = _column_norms(a[:k].T, names)
+    a[:k] /= norms[:, None]
     scratch = np.empty((k, n))  # both products of the largest reflection
     for j in range(k):
         v = a[j, j:]
@@ -249,7 +252,7 @@ def _factor_work_array(a: np.ndarray, names: Sequence[str]) -> np.ndarray:
             f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
             column=bad,
         )
-    return a[:k, :k].T
+    return a[:k, :k].T, norms
 
 
 def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,10 +294,15 @@ def fit_arrays(
     reg_names : k labels; defaults to X0..X{k-1}.
     """
     yv = np.asarray(y, dtype=np.float64)
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim != 2:
-        raise InvalidArgumentError(f"design matrix must be 2-D, got ndim={xv.ndim}")
-    n, k = xv.shape
+    if type(x) is _Columns:
+        columns = x
+        n, k = len(x[0]), len(x)
+    else:
+        xv = np.asarray(x, dtype=np.float64)
+        if xv.ndim != 2:
+            raise InvalidArgumentError(f"design matrix must be 2-D, got ndim={xv.ndim}")
+        n, k = xv.shape
+        columns = xv.T
     if yv.shape != (n,):
         raise InvalidArgumentError(
             f"dependent variable has shape {yv.shape}, expected ({n},)"
@@ -311,18 +319,21 @@ def fit_arrays(
         raise InvalidArgumentError(
             f"got {len(reg_names)} regressor names for {k} columns"
         )
-    if not (np.isfinite(yv).all() and np.isfinite(xv).all()):
+    a = np.array([*columns, yv])  # the work array, the only copy of the design
+    if not np.isfinite(a).all():
         raise InvalidArgumentError("regression inputs must be finite")
 
-    r, z, norms = _householder_qr(xv, yv, reg_names)
-    beta_s, var_s = _solve_triangular(r, z)
+    r, norms = _householder_qr(a, reg_names)
+    beta_s, var_s = _solve_triangular(r, a[k])
+    del a, r  # the work array goes before the residuals are formed
     beta = beta_s / norms
     var = var_s / (norms * norms)
 
-    fitted = np.zeros(n)
-    for j in range(k):
-        fitted += beta[j] * xv[:, j]
-    resid = yv - fitted
+    resid = np.zeros(n)  # the fitted values, then y minus them
+    for b, column in zip(beta, columns):
+        resid += b * column
+    np.subtract(yv, resid, out=resid)
+    resid.flags.writeable = False
     ssr = float(np.add.reduce(resid * resid))
 
     mean_dep = float(np.add.reduce(yv)) / n
@@ -355,7 +366,6 @@ def fit_arrays(
         nobs=n,
         n_params=k,
         residuals=resid,
-        fitted=fitted,
         ssr=ssr,
         r_squared=r2,
         adj_r_squared=adj_r2_from_r2(r2, n, k) if not math.isnan(r2) else math.nan,
@@ -376,9 +386,9 @@ def fit(spec: RegressionSpec) -> OlsFit:
     """Align the spec's series on common dates and fit, constant (C) first."""
     dep_a, *regs_a = align(spec.dependent, *spec.regressors)
     names = ["C"] + [s.name or f"X{j}" for j, s in enumerate(regs_a, start=1)]
-    x = np.column_stack([np.ones(len(dep_a))] + [s.values for s in regs_a])
+    x = _Columns([_ONES[: len(dep_a)]] + [s.values for s in regs_a])
     result = fit_arrays(
         dep_a.values, x, dep_name=spec.dependent.name or "Y", reg_names=names
     )
-    resid = TimeSeries(dep_a.dates, result.residuals, name="RESID")
+    resid = TimeSeries(dep_a.dates, _Frozen(result.residuals), name="RESID")
     return replace(result, residual_series=resid)

@@ -9,6 +9,12 @@ A calendar is checked once.  :func:`check_dates` returns the dates as a
 private tuple type that records the check, and every series, difference,
 alignment and market table built from it passes it on without walking
 the dates again.
+
+Values are copied only where they come from a caller.
+``TimeSeries(dates, values)`` copies them; an array the library made
+itself, or already holds frozen, comes wrapped in the private
+:class:`_Frozen` and is kept as it is, after the same length,
+finiteness and date checks.
 """
 
 from __future__ import annotations
@@ -41,6 +47,21 @@ class _CheckedDates(tuple):
         return item
 
 
+class _Frozen:
+    """A float64 array the library owns, frozen here, that a series keeps uncopied.
+
+    Only the library wraps arrays: ones it has just made (a difference, a
+    fit's residuals) or holds frozen already (a market column, another
+    series' values).  No caller keeps a writable handle on them.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray) -> None:
+        values.flags.writeable = False
+        self.values = values
+
+
 def check_dates(dates: Sequence[datetime.date]) -> _CheckedDates:
     """Require plain ``datetime.date`` values in strictly increasing order.
 
@@ -68,8 +89,8 @@ class TimeSeries:
     dates : sequence of datetime.date
         Strictly increasing, no duplicates.
     values : sequence of float
-        One finite value per date.  NaN/inf are rejected: a gap must be
-        handled before construction, never carried inside a series.
+        One finite value per date, copied.  NaN/inf are rejected: a gap
+        must be handled before construction, never carried inside a series.
     """
 
     dates: tuple[datetime.date, ...]
@@ -78,7 +99,10 @@ class TimeSeries:
 
     def __post_init__(self):
         dates = self.dates if isinstance(self.dates, tuple) else tuple(self.dates)
-        values = np.asarray(self.values, dtype=np.float64).copy()
+        if type(self.values) is _Frozen:
+            values = self.values.values
+        else:
+            values = np.array(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise InvalidArgumentError("values must be one-dimensional")
         if len(dates) != values.shape[0]:
@@ -100,7 +124,7 @@ class TimeSeries:
         return len(self.dates)
 
     def with_name(self, name: str) -> "TimeSeries":
-        return TimeSeries(self.dates, self.values, name)
+        return TimeSeries(self.dates, _Frozen(self.values), name)
 
 
 def diff(s: TimeSeries) -> TimeSeries:
@@ -110,7 +134,7 @@ def diff(s: TimeSeries) -> TimeSeries:
             f"first difference needs at least 2 values, got {len(s)}"
         )
     name = f"D({s.name})" if s.name else ""
-    return TimeSeries(s.dates[1:], s.values[1:] - s.values[:-1], name)
+    return TimeSeries(s.dates[1:], _Frozen(s.values[1:] - s.values[:-1]), name)
 
 
 def mean(s: TimeSeries) -> float:
@@ -157,7 +181,7 @@ def align(*series: TimeSeries) -> list[TimeSeries]:
         else:
             # An increasing subsequence of a checked calendar is checked.
             dates = _CheckedDates(s.dates[i] for i in keep)
-            out.append(TimeSeries(dates, s.values[keep], s.name))
+            out.append(TimeSeries(dates, _Frozen(s.values[keep]), s.name))
     return out
 
 

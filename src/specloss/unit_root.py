@@ -36,8 +36,9 @@ from .errors import (
 )
 from .ols import (
     OlsFit,
-    _column_norms,
-    _factor_work_array,
+    _Columns,
+    _ONES,
+    _householder_qr,
     fit_arrays,
     log_likelihood_from_ssr,
     schwarz_from_loglik,
@@ -189,7 +190,8 @@ def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray],
     """ADF regression at ``lag`` on its longest sample: (dep, columns, names).
 
     Columns are [C, y(-1), Δy(-1), ..., Δy(-lag)], so the design of a
-    smaller lag on this sample is a column prefix of this one.
+    smaller lag on this sample is a column prefix of this one.  C is a
+    read-only view that holds no n-vector.
     """
     yv, n = y.values, len(y)
     if n - 1 - lag <= lag + 2:
@@ -199,15 +201,9 @@ def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray],
     dy = yv[1:] - yv[:-1]
     label = y.name or "Y"
     names = ["C", f"{label}(-1)"] + [f"D({label}(-{i}))" for i in range(1, lag + 1)]
-    cols = [np.ones(n - 1 - lag), yv[lag : n - 1]]
+    cols = [_ONES[: n - 1 - lag], yv[lag : n - 1]]
     cols += [dy[lag - i : n - 1 - i] for i in range(1, lag + 1)]
     return dy[lag:], cols, names
-
-
-def _adf_design(y: TimeSeries, lag: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """ADF regression at ``lag`` as (dep, x, names), x the C-ordered design."""
-    dep, cols, names = _adf_columns(y, lag)
-    return dep, np.column_stack(cols), names
 
 
 def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
@@ -215,11 +211,13 @@ def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
 
     Effective observations are ``len(y) - 1 - lag``; the ADF statistic is
     the t-statistic of the second coefficient row (on the lagged level).
+    The columns go to the fit as they are, never stacked into a matrix.
     """
     if lag < 0:
         raise InvalidArgumentError(f"lag must be >= 0, got {lag}")
-    dep, x, names = _adf_design(y, lag)
-    return fit_arrays(dep, x, dep_name=f"D({y.name or 'Y'})", reg_names=names)
+    dep, cols, names = _adf_columns(y, lag)
+    return fit_arrays(dep, _Columns(cols), dep_name=f"D({y.name or 'Y'})",
+                      reg_names=names)
 
 
 def _lag_search_qy(y: TimeSeries, max_lag: int) -> np.ndarray:
@@ -231,11 +229,9 @@ def _lag_search_qy(y: TimeSeries, max_lag: int) -> np.ndarray:
     """
     dep, cols, names = _adf_columns(y, max_lag)
     a = np.array([*cols, dep])
-    k = len(cols)
     del dep, cols  # the work array is the only copy while it is factored
-    a[:k] /= _column_norms(a[:k].T, names)[:, None]
-    _factor_work_array(a, names)
-    return a[k]
+    _householder_qr(a, names)
+    return a[-1]
 
 
 def select_lag(y: TimeSeries, max_lag: int) -> int:

@@ -249,6 +249,17 @@ def test_unknown_config_keys_exit_3(tmp_path, capsys):
         assert f"unknown config key(s) for {argv[0]}: {text.split('=')[0]}" in err
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(b"maxlag=3\n")
+    marked.write_bytes(b"\xef\xbb\xbfmaxlag=3\n")
+    code, want, _ = run_cli(["analyze", "--synth-seed", "1", "--config", str(plain)], capsys)
+    assert code == 0
+    code, got, err = run_cli(["analyze", "--synth-seed", "1", "--config", str(marked)], capsys)
+    assert (code, err) == (0, "")
+    assert got == want
+
+
 def test_singular_design_exits_2(tmp_path, capsys):
     path = tmp_path / "s.csv"
     dates = trading_dates(40)

@@ -246,6 +246,12 @@ def test_parse_config_file_errors(tmp_path):
         assert exc_info.value.line == line
 
 
+def test_parse_config_file_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfmaxlag=3\nnote=\xef\xbb\xbf\n")
+    assert parse_config_file(str(path)) == {"maxlag": "3", "note": "\ufeff"}
+
+
 def test_run_config_validation():
     RunConfig(input_path=None, synth_seed=1)
     with pytest.raises(InvalidArgumentError):

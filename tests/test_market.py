@@ -240,6 +240,14 @@ def test_analyses_invariant_under_date_relabeling():
     assert split == break_analysis(u_b, u_b.dates[8])
 
 
+def test_raw_series_share_the_frozen_columns():
+    days = make_days([(100.0, 5.0, 10.0, 20.0), (110.0, 6.0, 12.0, 24.0)])
+    for column, series in zip(("invest_i", "rate_r", "u_big_vol", "u_big_dep"),
+                              days.series().values()):
+        assert np.shares_memory(series.values, getattr(days, column))
+        assert not series.values.flags.writeable
+
+
 def test_market_day_validation():
     def one_day(**columns):
         values = dict(dates=(datetime.date(2012, 1, 3),), invest_i=[1.0],

@@ -1,5 +1,6 @@
 """Tests for the least-squares fit and its diagnostics."""
 
+import dataclasses
 import datetime
 import math
 
@@ -33,7 +34,7 @@ from specloss.ols import (
 )
 from specloss.series import TimeSeries, diff, trading_dates
 from specloss.synth import SynthConfig, gen_market_days
-from specloss.unit_root import _adf_design, _lag_search_qy, select_lag
+from specloss.unit_root import _adf_columns, _lag_search_qy, adf_regression, select_lag
 
 
 def close(a, b, rtol=1e-8, atol=1e-12):
@@ -167,7 +168,7 @@ def test_residual_orthogonality_and_refit_invariance():
             assert abs(dot) <= 1e-8 * scale * float(np.sum(np.abs(x[:, j])))
         # Refitting the fitted values reproduces the coefficients exactly
         # up to roundoff and leaves no residual.
-        refit = fit_arrays(result.fitted, x)
+        refit = fit_arrays(np.array(y) - result.residuals, x)
         for a, b in zip(refit.coefs, result.coefs):
             assert close(a, b, rtol=1e-8, atol=1e-10)
         assert refit.ssr <= 1e-16 * (1.0 + result.ssr)
@@ -277,6 +278,20 @@ def test_fit_spec_aligns_and_labels():
     assert close(result.coef_rows[1].coef, 3.0, rtol=0.05)
 
 
+def test_residuals_are_frozen_and_shared_by_the_residual_series():
+    dates = trading_dates(30)
+    rng = np.random.default_rng(44)
+    dep = TimeSeries(dates, rng.standard_normal(30), name="DEP")
+    reg = TimeSeries(dates, rng.standard_normal(30), name="REG")
+    result = fit(RegressionSpec(dependent=dep, regressors=(reg,)))
+    for values in (result.residuals, result.residual_series.values,
+                   fit_arrays(dep.values, np.ones((30, 1))).residuals):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    assert np.shares_memory(result.residual_series.values, result.residuals)
+
+
 def test_fit_without_constant():
     rng = np.random.default_rng(41)
     xv = rng.standard_normal(30)
@@ -365,13 +380,26 @@ def _reference_solve(r, z):
     return beta, np.array([float(np.sum(row * row)) for row in rinv])
 
 
+def _qr(x, y, names):
+    """(R, Q'y, norms) of the (n, k) design ``x`` through the library's work array."""
+    a = np.array([*x.T, y])
+    r, norms = _householder_qr(a, names)
+    return r, a[-1], norms
+
+
+def _adf_design(s, lag):
+    """The ADF regression at ``lag`` as (dep, x, names), x the C-ordered design."""
+    dep, cols, names = _adf_columns(s, lag)
+    return dep, np.column_stack(cols), names
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
 def _assert_same_bits_as_reference(x, y):
     names = [f"X{j}" for j in range(x.shape[1])]
-    r, z, norms = _householder_qr(x, y, names)
+    r, z, norms = _qr(x, y, names)
     beta, var = _solve_triangular(r, z)
     r_ref, z_ref, norms_ref = _reference_qr(x, y, names)
     beta_ref, var_ref = _reference_solve(r_ref, z_ref)
@@ -398,12 +426,27 @@ def _ladder_series(days):
     return levels + [diff(s) for s in levels]
 
 
+def _assert_same_fit_bits(got, want):
+    """Every field of two OlsFits holds the same bits (NaN matches NaN)."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "coef_rows":
+            assert [row.name for row in a] == [row.name for row in b]
+            a, b = ([dataclasses.astuple(row)[1:] for row in rows] for rows in (a, b))
+        if isinstance(b, (str, int)) or b is None:
+            assert a == b, f.name
+        else:
+            assert np.array_equal(_bits(a), _bits(b)), f.name
+
+
 def test_factorization_bits_match_column_loop_on_adf_designs():
     for seed in (0, 7, 23):
         for s in _ladder_series(gen_market_days(SynthConfig(seed=seed))):
             for lag in range(11):  # 2..12 columns
-                dep, x, _ = _adf_design(s, lag)
+                dep, x, names = _adf_design(s, lag)
                 _assert_same_bits_as_reference(x, dep)
+                want = fit_arrays(dep, x, dep_name=f"D({s.name or 'Y'})", reg_names=names)
+                _assert_same_fit_bits(adf_regression(s, lag), want)
 
 
 def test_singular_designs_name_the_reference_column():
@@ -420,7 +463,7 @@ def test_singular_designs_name_the_reference_column():
         with pytest.raises(SingularMatrixError) as ref:
             _reference_qr(x, y, names)
         with pytest.raises(SingularMatrixError) as got:
-            _householder_qr(x, y, names)
+            _qr(x, y, names)
         assert got.value.column == ref.value.column is not None
         assert str(got.value) == str(ref.value)
 
@@ -428,7 +471,7 @@ def test_singular_designs_name_the_reference_column():
 def _assert_lag_search_bits(s, max_lag):
     """select_lag's Q'y and lag equal those of the C-ordered design's QR."""
     dep, x, names = _adf_design(s, max_lag)
-    _, z_ref, _ = _householder_qr(x, dep, names)
+    _, z_ref, _ = _qr(x, dep, names)
     assert np.array_equal(_bits(_lag_search_qy(s, max_lag)), _bits(z_ref))
     nobs = dep.shape[0]
     scores = [schwarz_from_loglik(log_likelihood_from_ssr(

@@ -1,7 +1,9 @@
 """Tests for the TimeSeries container and its transforms."""
 
 import datetime
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,43 @@ def test_constructor_copies_and_freezes_values():
     assert not s.values.flags.writeable
     with pytest.raises(ValueError):
         s.values[0] = 5.0
+
+
+def test_constructor_copies_a_callers_array_whatever_its_flags():
+    arr = np.array([1.0, 2.0, 3.0])
+    s = TimeSeries(trading_dates(3), arr)
+    arr[0] = 99.0
+    assert list(s.values) == [1.0, 2.0, 3.0]
+    arr.flags.writeable = False
+    frozen = TimeSeries(trading_dates(3), arr)
+    arr.flags.writeable = True
+    arr[1] = 42.0
+    assert list(frozen.values) == [99.0, 2.0, 3.0]
+    for series in (s, frozen):
+        assert not np.shares_memory(series.values, arr)
+        assert not series.values.flags.writeable
+
+
+def test_library_series_share_the_arrays_they_are_built_from():
+    s = make_series([1.0, 4.0, 9.0, 16.0], name="SQ")
+    renamed = s.with_name("Y")
+    assert np.shares_memory(renamed.values, s.values)
+    assert not renamed.values.flags.writeable
+    # diff keeps the one array it makes: its peak is the sliced calendar
+    # (a pointer per date) and that array, with no copy of it.
+    n = 100_000
+    long = make_series(np.arange(n, dtype=float))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        d = diff(long)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n
+    assert not d.values.flags.writeable
+    with pytest.raises(ValueError):
+        d.values[0] = 5.0
 
 
 def test_constructor_accepts_lists_and_casts_to_float64():
