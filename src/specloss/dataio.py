@@ -27,9 +27,11 @@ underscores and non-ASCII digits.  Rows out of date order are sorted on
 either path.  In every other case (numpy raises, blank or quoted cells,
 a ``#`` line, a header-only file, any bad input) the file is read row by
 row, and that reader alone decides every error message.  Either path
-hands back a checked calendar, so the data types built on it do not walk
-the dates again.  A byte that is not UTF-8 is a parse error naming its
-line.
+hands back the dates as one ``datetime64[D]`` array, checked and frozen,
+so the data types built on it do not walk the dates again.  The writer
+formats them a block of rows at a time.  A byte-order mark before the
+header is dropped, and a byte that is not UTF-8 is a parse error naming
+its line.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     InvalidDayError,
 )
 from .market import MarketData
-from .series import TimeSeries, _CheckedDates
+from .series import TimeSeries, _Frozen
 
 __all__ = [
     "RunConfig",
@@ -146,8 +148,12 @@ def _parse_date(text: str) -> datetime.date:
 
 _NUMPY_ONLY_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _NOT_BLANK = re.compile(rb"\S")
-# The code points of YYYY-MM-DD: ASCII digits but for "-" at 4 and 7.
-_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
+# The bounds of each code point of YYYY-MM-DD read as 11 characters: an
+# ASCII digit, "-" at 4 and 7, and the NUL that pads a ten-character cell.
+_DATE_LO = np.array([48] * 4 + [45] + [48] * 2 + [45] + [48] * 2 + [0], np.uint32)
+_DATE_HI = np.array([57] * 4 + [45] + [57] * 2 + [45] + [57] * 2 + [0], np.uint32)
+# Bytes per block of the empty-cell scan in _loadtxt_may_differ.
+_SCAN_BYTES = 1 << 18
 # Python's first date, in days since 1970-01-01; year 0000 has the shape.
 _FIRST_DAY = int(np.datetime64("0001-01-01", "D").astype(np.int64))
 
@@ -168,11 +174,14 @@ def _loadtxt_may_differ(data: bytes, start: int) -> bool:
         return True
     # An empty cell is a comma followed by a comma or a line break.  One
     # numpy pass over the bytes beats searching for ",," and the like,
-    # since every row holds several commas.
-    body = np.frombuffer(data, np.uint8, offset=start)
-    after_comma = body[np.flatnonzero(body[:-1] == ord(",")) + 1]
-    if any((after_comma == ord(end)).any() for end in ",\n\r"):
-        return True
+    # since every row holds several commas.  The pass goes block by block,
+    # each block reading one byte into the next, so no mask of the whole
+    # file is ever held.
+    for lo in range(start, len(data) - 1, _SCAN_BYTES):
+        block = np.frombuffer(data, np.uint8, min(_SCAN_BYTES + 1, len(data) - lo), lo)
+        after_comma = block[np.flatnonzero(block[:-1] == ord(",")) + 1]
+        if any((after_comma == ord(end)).any() for end in ",\n\r"):
+            return True
     # From a line start, jump past the last line break within the limit;
     # a line, and so a field, can pass the limit only where there is none.
     limit = csv.field_size_limit()
@@ -187,7 +196,7 @@ def _loadtxt_may_differ(data: bytes, start: int) -> bool:
 
 def _read_body_fast(
     path: str, width: int
-) -> tuple[_CheckedDates, np.ndarray] | None:
+) -> tuple[_Frozen, np.ndarray] | None:
     """Date-sorted dates and value table of a file's body parsed in C, or None.
 
     None means "read it row by row": numpy raised, or its result might
@@ -209,29 +218,33 @@ def _read_body_fast(
         body = np.loadtxt(path, dtype=row, delimiter=",", comments=None,
                           skiprows=1, ndmin=1, encoding="utf-8")
         # The records' first 11 code points are the date text, 0-padded.
-        codes = body.view(np.uint32).reshape(len(body), -1)[:, :11]
-        if (codes[:, 10].any() or (codes[:, [4, 7]] != ord("-")).any()
-                or ((codes[:, _DATE_DIGITS] - ord("0")) > 9).any()):
+        text = body.view(np.uint32).reshape(len(body), -1)[:, :11]
+        if ((text < _DATE_LO) | (text > _DATE_HI)).any():
             return None
         days = body["date"].astype("datetime64[D]")
     except ValueError:
         return None
+    # A view of the records: the loaders copy each column out of it, so
+    # no whole table of values is made while the date texts are held.
+    values = body["values"]
     stamps = days.view(np.int64)
-    # The streaming reader's order: a repeated date declines below, and
-    # with none any sort agrees.  The stable sort is linear on sorted rows.
-    order = np.argsort(stamps, kind="stable")
-    stamps = stamps[order]
-    values = body["values"][order]
-    del body  # free the date texts before the date objects are built
-    if not (stamps.size and _FIRST_DAY <= stamps[0] and (np.diff(stamps) > 0).all()
+    increasing = (np.diff(stamps) > 0).all()
+    if not increasing:
+        # The streaming reader's order: a repeated date declines below, and
+        # with none any sort agrees.
+        order = np.argsort(stamps, kind="stable")
+        days, values = days[order], values[order]
+        stamps = days.view(np.int64)
+        increasing = (np.diff(stamps) > 0).all()
+    if not (stamps.size and _FIRST_DAY <= stamps[0] and increasing
             and not np.isnan(values).any()):
         return None
-    return _CheckedDates(days[order].tolist()), values
+    return _Frozen(days), values
 
 
 def _read_table(
     path: str, header_problem: Callable[[list[str]], str | None]
-) -> tuple[list[str], _CheckedDates, np.ndarray]:
+) -> tuple[list[str], _Frozen, np.ndarray]:
     """Header, increasing dates and a float64 (rows, columns) table of a file.
 
     ``header_problem`` sees the stripped header before any row is read and
@@ -244,8 +257,9 @@ def _read_table(
     """
     # A byte that is not UTF-8 reads as a surrogate, so that the row that
     # holds it fails with its own line number; a strict decoder would fail
-    # in the read-ahead, on no particular line.
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    # in the read-ahead, on no particular line.  A byte-order mark at the
+    # start is dropped; it sits in the header line, which the fast path skips.
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
@@ -293,12 +307,12 @@ def _read_table(
                 date=dates[again],
             )
     table = np.frombuffer(values, dtype=np.float64).reshape(len(dates), len(names))
-    return header, _CheckedDates(dates[i] for i in order), table[order]
+    calendar = np.array(dates, dtype="datetime64[D]")[order]
+    return header, _Frozen(calendar), table[order]
 
 
 def _write_table(
-    path: str, header: list[str], dates: Sequence[datetime.date],
-    columns: Sequence[np.ndarray],
+    path: str, header: list[str], dates: np.ndarray, columns: Sequence[np.ndarray],
 ) -> None:
     """Write a date column plus value columns; NaN becomes an empty cell.
 
@@ -311,7 +325,7 @@ def _write_table(
         csv.writer(handle).writerow(header)
         for start in range(0, len(dates), _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
-            cells = [[day.isoformat() for day in dates[block]]]
+            cells = [dates[block].astype(str).tolist()]  # each day's isoformat()
             # tolist() yields Python floats, whose repr is the shortest
             # round-trip form (a numpy scalar would repr as np.float64(...)).
             cells += [["" if v != v else repr(v) for v in c[block].tolist()]
@@ -360,7 +374,7 @@ def write_series_csv(series: list[TimeSeries], path: str) -> None:
         raise InvalidArgumentError("no series to write")
     dates = series[0].dates
     for s in series[1:]:
-        if s.dates != dates:
+        if not np.array_equal(s.dates, dates):
             raise InvalidArgumentError(
                 f"series {s.name!r} is not aligned with {series[0].name!r}"
             )

@@ -13,7 +13,6 @@ unit-agnostic and takes scalars or arrays; the conversions live in
 
 from __future__ import annotations
 
-import bisect
 import datetime
 import enum
 from dataclasses import dataclass, fields
@@ -73,7 +72,8 @@ class UVariant(enum.Enum):
 class MarketData:
     """Daily exchange data, one read-only float64 column per variable.
 
-    ``dates`` are strictly increasing trading days.  ``invest_i`` is the
+    ``dates`` are strictly increasing trading days, kept as a read-only
+    ``datetime64[D]`` array like a series' calendar.  ``invest_i`` is the
     money deposited within the exchange system in million rubles;
     ``rate_r`` the one-day interbank rate in percent per annum;
     ``u_big_vol`` and ``u_big_dep`` count stocks (pieces) involved in
@@ -82,7 +82,7 @@ class MarketData:
     on a day without one, or ``None`` when no day has a price column.
     """
 
-    dates: tuple[datetime.date, ...]
+    dates: np.ndarray
     invest_i: np.ndarray
     rate_r: np.ndarray
     u_big_vol: np.ndarray
@@ -90,8 +90,7 @@ class MarketData:
     mean_price: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        dates = check_dates(self.dates if isinstance(self.dates, tuple)
-                            else tuple(self.dates))
+        dates = check_dates(self.dates)
         object.__setattr__(self, "dates", dates)
         for f in fields(self)[1:]:
             if f.name == "mean_price" and self.mean_price is None:
@@ -129,7 +128,7 @@ class MarketData:
         """Raise for the first day flagged in ``bad``, if any."""
         i = _first(bad)
         if i is not None:
-            raise InvalidDayError(message(i), date=self.dates[i])
+            raise InvalidDayError(message(i), date=self.dates[i].item())
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -139,13 +138,14 @@ class MarketData:
             return NotImplemented
         pairs = [(getattr(self, f.name), getattr(other, f.name))
                  for f in fields(self)[1:]]
-        return self.dates == other.dates and all(
+        return np.array_equal(self.dates, other.dates) and all(
             a is b or np.array_equal(a, b, equal_nan=True) for a, b in pairs
         )
 
     def series(self) -> dict[str, TimeSeries]:
         """The four raw regression variables as named series on the frozen columns."""
-        return {name: TimeSeries(self.dates, _Frozen(getattr(self, column)), name=name)
+        return {name: TimeSeries(_Frozen(self.dates), _Frozen(getattr(self, column)),
+                                 name=name)
                 for column, name in _RAW_SERIES}
 
 
@@ -202,11 +202,20 @@ def u_series(days: MarketData, variant: UVariant) -> TimeSeries:
     zero = _first(u_big == 0)
     if zero is not None:
         raise DivisionDomainError(f"zero U ({variant.value}) on {days.dates[zero]}")
-    values = mean_loss_per_stock(
-        days.invest_i * MRUB_TO_KOPECKS, days.rate_r * PCT_TO_FRACTION, u_big
-    )
+    # I near the float limit, or a U near zero, can carry u past it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = mean_loss_per_stock(
+            days.invest_i * MRUB_TO_KOPECKS, days.rate_r * PCT_TO_FRACTION, u_big
+        )
+    big = _first(~np.isfinite(values))
+    if big is not None:
+        raise InvalidDayError(
+            f"u ({variant.value}) overflowed on {days.dates[big]}: I = "
+            f"{days.invest_i[big]}, R = {days.rate_r[big]}, U = {u_big[big]}",
+            date=days.dates[big].item(),
+        )
     name = "U_SMALL_VOL" if variant is UVariant.BY_VOLUME else "U_SMALL_DEP"
-    return TimeSeries(days.dates, _Frozen(values), name=name)
+    return TimeSeries(_Frozen(days.dates), _Frozen(values), name=name)
 
 
 def constancy_check(u: TimeSeries, mean_price: float) -> ConstancyResult:
@@ -231,7 +240,7 @@ def break_analysis(u: TimeSeries, break_date: datetime.date) -> BreakResult:
     The break date itself belongs to the "after" segment; both segments
     need at least two observations.
     """
-    n_before = bisect.bisect_left(u.dates, break_date)
+    n_before = int(np.searchsorted(u.dates, np.datetime64(break_date, "D")))
     n_after = len(u) - n_before
     if n_before < 2 or n_after < 2:
         raise InvalidArgumentError(

@@ -14,7 +14,10 @@ library's own callers, as separate column arrays that are never
 stacked; the column norms are a row-order fold that gives the bits of
 the C-ordered design.
 Standard errors need only the diagonal of (X'X)^-1, so only that is
-formed.  A fit keeps its residuals, frozen, and no other n-vector.
+formed.  A fit keeps no n-vector: its residuals give the SSR and the
+Durbin-Watson statistic and are then dropped.  :func:`fit` forms them
+again from the coefficients, in the same order and so with the same
+bits, for the residual series it returns.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -89,7 +92,6 @@ class OlsFit:
     coef_rows: tuple[CoefRow, ...]
     nobs: int
     n_params: int
-    residuals: np.ndarray  # read-only
     ssr: float
     r_squared: float
     adj_r_squared: float
@@ -277,6 +279,14 @@ def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
     return beta, np.add.reduce(rinv * rinv, axis=1)
 
 
+def _residuals(y: np.ndarray, columns: Sequence[np.ndarray], beta) -> np.ndarray:
+    """y minus the fitted values, summed column by column in design order."""
+    resid = np.zeros(len(y))  # the fitted values, then y minus them
+    for b, column in zip(beta, columns):
+        resid += b * column
+    return np.subtract(y, resid, out=resid)
+
+
 def fit_arrays(
     y: np.ndarray,
     x: np.ndarray,
@@ -329,12 +339,10 @@ def fit_arrays(
     beta = beta_s / norms
     var = var_s / (norms * norms)
 
-    resid = np.zeros(n)  # the fitted values, then y minus them
-    for b, column in zip(beta, columns):
-        resid += b * column
-    np.subtract(yv, resid, out=resid)
-    resid.flags.writeable = False
+    resid = _residuals(yv, columns, beta)
     ssr = float(np.add.reduce(resid * resid))
+    dw = durbin_watson(resid)
+    del resid
 
     mean_dep = float(np.add.reduce(yv)) / n
     dev = yv - mean_dep
@@ -365,7 +373,6 @@ def fit_arrays(
         coef_rows=tuple(rows),
         nobs=n,
         n_params=k,
-        residuals=resid,
         ssr=ssr,
         r_squared=r2,
         adj_r_squared=adj_r2_from_r2(r2, n, k) if not math.isnan(r2) else math.nan,
@@ -376,7 +383,7 @@ def fit_arrays(
         hannan_quinn=hannan_quinn_from_loglik(loglik, n, k),
         f_statistic=fstat,
         f_prob=fprob,
-        durbin_watson=durbin_watson(resid),
+        durbin_watson=dw,
         mean_dep=mean_dep,
         sd_dep=sd_dep,
     )
@@ -390,5 +397,6 @@ def fit(spec: RegressionSpec) -> OlsFit:
     result = fit_arrays(
         dep_a.values, x, dep_name=spec.dependent.name or "Y", reg_names=names
     )
-    resid = TimeSeries(dep_a.dates, _Frozen(result.residuals), name="RESID")
-    return replace(result, residual_series=resid)
+    resid = _residuals(dep_a.values, x, [row.coef for row in result.coef_rows])
+    series = TimeSeries(_Frozen(dep_a.dates), _Frozen(resid), name="RESID")
+    return replace(result, residual_series=series)

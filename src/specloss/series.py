@@ -2,26 +2,27 @@
 
 A :class:`TimeSeries` is an immutable pairing of strictly increasing
 calendar dates with float64 values.  All statistical modules consume and
-produce these; calendar handling stops here (dates are plain
-``datetime.date`` objects, no times, no timezone logic).
+produce these; calendar handling stops here.  A calendar is one
+read-only ``datetime64[D]`` array: days from year 1 to 9999, no times,
+no timezone logic.  A single date comes out of it as ``.item()``, a
+plain ``datetime.date``.
 
-A calendar is checked once.  :func:`check_dates` returns the dates as a
-private tuple type that records the check, and every series, difference,
-alignment and market table built from it passes it on without walking
-the dates again.
-
-Values are copied only where they come from a caller.
-``TimeSeries(dates, values)`` copies them; an array the library made
-itself, or already holds frozen, comes wrapped in the private
-:class:`_Frozen` and is kept as it is, after the same length,
-finiteness and date checks.
+Arrays are copied and checked only where they come from a caller.
+``TimeSeries(dates, values)`` type-checks the dates (``datetime.date``
+values or a ``datetime64[D]`` array), copies both and checks the dates
+once for strict increase.  An array the library made itself, or already
+holds frozen, comes wrapped in the private :class:`_Frozen` and is kept
+as it is: values after the same length and finiteness checks, a
+calendar with no check at all, since the library wraps only calendars it
+has checked.  So a difference, an alignment or a market table passes
+its calendar on as a view, without walking the dates again.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,29 +31,18 @@ from .errors import AlignmentError, InvalidArgumentError, InvalidDayError
 
 __all__ = ["TimeSeries", "diff", "mean", "stddev", "align", "trading_dates"]
 
-
-class _CheckedDates(tuple):
-    """Dates already known to be plain ``datetime.date``, strictly increasing.
-
-    A slice with a positive step keeps both properties, so it stays
-    checked; any other operation gives a plain tuple.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, key):
-        item = tuple.__getitem__(self, key)
-        if isinstance(key, slice) and (key.step is None or key.step > 0):
-            return _CheckedDates(item)
-        return item
+_DAY = np.dtype("datetime64[D]")
+_FIRST_DAY = np.datetime64(datetime.date.min, "D")
+_LAST_DAY = np.datetime64(datetime.date.max, "D")
 
 
 class _Frozen:
-    """A float64 array the library owns, frozen here, that a series keeps uncopied.
+    """An array the library owns, frozen here, that a series keeps uncopied.
 
     Only the library wraps arrays: ones it has just made (a difference, a
-    fit's residuals) or holds frozen already (a market column, another
-    series' values).  No caller keeps a writable handle on them.
+    fit's residuals, a parsed calendar) or holds frozen already (a market
+    column, another series' values or dates).  No caller keeps a writable
+    handle on them, and a wrapped calendar is one the library has checked.
     """
 
     __slots__ = ("values",)
@@ -62,59 +52,83 @@ class _Frozen:
         self.values = values
 
 
-def check_dates(dates: Sequence[datetime.date]) -> _CheckedDates:
-    """Require plain ``datetime.date`` values in strictly increasing order.
+def check_dates(dates: Sequence[datetime.date] | np.ndarray | _Frozen) -> np.ndarray:
+    """A calendar as a read-only ``datetime64[D]`` array, strictly increasing.
 
-    Returns the dates as a checked calendar, at once when they are one.
+    A caller's dates are a ``datetime64[D]`` array or a sequence of
+    ``datetime.date`` values or ``datetime64[D]`` scalars (a
+    ``datetime.datetime`` is not a date); they are copied and checked.  A
+    calendar the library wraps in :class:`_Frozen` comes back unchecked.
     """
-    if type(dates) is _CheckedDates:
-        return dates
-    for d in dates:
-        if not isinstance(d, datetime.date) or isinstance(d, datetime.datetime):
-            raise InvalidArgumentError(f"dates must be datetime.date, got {d!r}")
-    for prev, cur in zip(dates, dates[1:]):
-        if cur <= prev:
+    if type(dates) is _Frozen:
+        return dates.values
+    if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
+        if dates.dtype != _DAY:
             raise InvalidArgumentError(
-                f"dates must be strictly increasing: {prev} followed by {cur}"
+                f"dates must be datetime.date, got {dates.dtype} values"
             )
-    return _CheckedDates(dates)
+        days = np.array(dates)
+    else:
+        dates = list(dates)
+        for d in dates:
+            if not ((isinstance(d, datetime.date) and not isinstance(d, datetime.datetime))
+                    or (isinstance(d, np.datetime64) and d.dtype == _DAY)):
+                raise InvalidArgumentError(f"dates must be datetime.date, got {d!r}")
+        days = np.array(dates, dtype=_DAY)
+    if days.ndim != 1:
+        raise InvalidArgumentError("dates must be one-dimensional")
+    steps = np.diff(days) > 0  # false next to a NaT as well
+    if not steps.all():
+        i = int(np.flatnonzero(~steps)[0])
+        raise InvalidArgumentError(
+            f"dates must be strictly increasing: {days[i]} followed by {days[i + 1]}"
+        )
+    if days.size and not (_FIRST_DAY <= days[0] and days[-1] <= _LAST_DAY):
+        raise InvalidArgumentError(
+            f"dates must lie in years 1 to 9999, got {days[0]} to {days[-1]}"
+        )
+    days.flags.writeable = False
+    return days
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Immutable date-indexed series of real values.
 
     Parameters
     ----------
-    dates : sequence of datetime.date
-        Strictly increasing, no duplicates.
+    dates : sequence of datetime.date, or a datetime64[D] array
+        Strictly increasing, no duplicates; kept as a read-only
+        ``datetime64[D]`` array.
     values : sequence of float
         One finite value per date, copied.  NaN/inf are rejected: a gap
         must be handled before construction, never carried inside a series.
+
+    Two series are equal when their dates and values are; the name does
+    not count.  Series hold arrays, so they are not hashable.
     """
 
-    dates: tuple[datetime.date, ...]
+    dates: np.ndarray
     values: np.ndarray
-    name: str = field(default="", compare=False)
+    name: str = ""
 
     def __post_init__(self):
-        dates = self.dates if isinstance(self.dates, tuple) else tuple(self.dates)
         if type(self.values) is _Frozen:
             values = self.values.values
         else:
             values = np.array(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise InvalidArgumentError("values must be one-dimensional")
+        dates = check_dates(self.dates)
         if len(dates) != values.shape[0]:
             raise InvalidArgumentError(
                 f"dates ({len(dates)}) and values ({values.shape[0]}) differ in length"
             )
-        dates = check_dates(dates)
         if values.size and not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise InvalidDayError(
                 f"non-finite value at {dates[bad]}; series may not contain missing values",
-                date=dates[bad],
+                date=dates[bad].item(),
             )
         values.flags.writeable = False
         object.__setattr__(self, "dates", dates)
@@ -123,8 +137,16 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimeSeries):
+            return NotImplemented
+        return (np.array_equal(self.dates, other.dates)
+                and np.array_equal(self.values, other.values))
+
+    __hash__ = None  # equality compares arrays, which are not hashable
+
     def with_name(self, name: str) -> "TimeSeries":
-        return TimeSeries(self.dates, _Frozen(self.values), name)
+        return TimeSeries(_Frozen(self.dates), _Frozen(self.values), name)
 
 
 def diff(s: TimeSeries) -> TimeSeries:
@@ -134,7 +156,7 @@ def diff(s: TimeSeries) -> TimeSeries:
             f"first difference needs at least 2 values, got {len(s)}"
         )
     name = f"D({s.name})" if s.name else ""
-    return TimeSeries(s.dates[1:], _Frozen(s.values[1:] - s.values[:-1]), name)
+    return TimeSeries(_Frozen(s.dates[1:]), _Frozen(s.values[1:] - s.values[:-1]), name)
 
 
 def mean(s: TimeSeries) -> float:
@@ -166,29 +188,27 @@ def align(*series: TimeSeries) -> list[TimeSeries]:
     if not series:
         raise InvalidArgumentError("align requires at least one series")
     first = series[0].dates
-    if first and all(s.dates is first or s.dates == first for s in series[1:]):
+    if first.size and all(s.dates is first or np.array_equal(s.dates, first)
+                          for s in series[1:]):
         return list(series)
-    common = set(first)
+    common = first
     for s in series[1:]:
-        common &= set(s.dates)
-    if not common:
+        common = np.intersect1d(common, s.dates, assume_unique=True)
+    if not common.size:
         raise AlignmentError("series have no dates in common")
     out = []
     for s in series:
-        keep = [i for i, d in enumerate(s.dates) if d in common]
-        if len(keep) == len(s):
+        if len(s) == common.size:  # every date of s is common
             out.append(s)
         else:
             # An increasing subsequence of a checked calendar is checked.
-            dates = _CheckedDates(s.dates[i] for i in keep)
-            out.append(TimeSeries(dates, _Frozen(s.values[keep]), s.name))
+            keep = np.isin(s.dates, common, assume_unique=True)
+            out.append(TimeSeries(_Frozen(s.dates[keep]), _Frozen(s.values[keep]), s.name))
     return out
 
 
-def trading_dates(
-    n: int, start: datetime.date = datetime.date(2012, 1, 3)
-) -> _CheckedDates:
-    """First ``n`` weekdays (Mon-Fri) from ``start`` onward, as a checked calendar.
+def trading_dates(n: int, start: datetime.date = datetime.date(2012, 1, 3)) -> np.ndarray:
+    """First ``n`` weekdays (Mon-Fri) from ``start`` onward, a ``datetime64[D]`` array.
 
     A stand-in trading calendar for generated data; real calendars arrive
     with the data files and are never hardcoded in the statistics.
@@ -196,6 +216,6 @@ def trading_dates(
     if n < 1:
         raise InvalidArgumentError(f"need at least one date, got n={n}")
     days = np.busday_offset(start, np.arange(n), roll="forward")
-    if days[-1] > np.datetime64(datetime.date.max):
+    if days[-1] > _LAST_DAY:
         raise InvalidArgumentError(f"{n} weekdays from {start} pass {datetime.date.max}")
-    return _CheckedDates(days.tolist())
+    return days

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .market import MarketData
 from .ols import RegressionSpec
-from .series import TimeSeries, trading_dates
+from .series import TimeSeries, _Frozen, trading_dates
 
 __all__ = [
     "NormalStream",
@@ -224,7 +224,7 @@ def gen_random_walk(
     for shock in (scale * NormalStream(seed, label).normals(n)).tolist():
         level = level + drift + shock
         values.append(level)
-    return TimeSeries(trading_dates(n), values, name=label)
+    return TimeSeries(_Frozen(trading_dates(n)), values, name=label)
 
 
 def gen_ar1(
@@ -243,7 +243,7 @@ def gen_ar1(
     if scale < 0:
         raise InvalidArgumentError(f"scale must be >= 0, got {scale}")
     values = _ar1(NormalStream(seed, label), n, phi, scale)
-    return TimeSeries(trading_dates(n), values, name=label)
+    return TimeSeries(_Frozen(trading_dates(n)), values, name=label)
 
 
 def gen_market_days(config: SynthConfig) -> MarketData:
@@ -265,7 +265,7 @@ def gen_market_days(config: SynthConfig) -> MarketData:
         NormalStream(config.seed, "price"), n, _PRICE0, _PRICE_PHI, ns * _PRICE_SCALE
     )
     return MarketData(
-        dates=trading_dates(n),
+        dates=_Frozen(trading_dates(n)),
         invest_i=invest,
         rate_r=rate,
         u_big_vol=u_vol,
@@ -288,5 +288,5 @@ def gen_cointegrated(seed: int, n: int = 255) -> RegressionSpec:
     x3 = gen_ar1(seed, n, phi=0.4, scale=1.0, label="COINT_X3").with_name("X3")
     noise = gen_ar1(seed, n, phi=0.3, scale=0.5, label="COINT_NOISE")
     values = 1.0 + 0.5 * w1.values - 0.3 * w2.values + 2.0 * x3.values + noise.values
-    dep = TimeSeries(w1.dates, values, name="Y")
+    dep = TimeSeries(_Frozen(w1.dates), values, name="Y")
     return RegressionSpec(dependent=dep, regressors=(w1, w2, x3))

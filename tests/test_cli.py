@@ -1,12 +1,18 @@
 """End-to-end CLI tests, run in-process through ``specloss.cli.main``."""
 
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
 
 from specloss.cli import build_parser, main
-from specloss.dataio import load_series_csv, write_series_csv
+from specloss.dataio import (
+    load_market_csv,
+    load_series_csv,
+    write_market_csv,
+    write_series_csv,
+)
 from specloss.ols import RegressionSpec, fit
 from specloss.report import render_adf_block, render_regression
 from specloss.series import TimeSeries, trading_dates
@@ -97,6 +103,20 @@ def test_analyze_skips_break_outside_sample(tmp_path, capsys):
     assert code == 0
     assert "\nbreak." not in csv_out
     assert "\ncoverage,stock_utilization," in csv_out
+
+
+def test_analyze_names_the_variant_and_day_where_u_overflows(tmp_path, capsys):
+    data = tmp_path / "m.csv"
+    code, _, _ = run_cli(["synth", "--seed", "3", "--days", "60", "--out", str(data)], capsys)
+    assert code == 0
+    days = load_market_csv(str(data))
+    invest = days.invest_i.copy()
+    invest[[4, 9]] = 1e308
+    write_market_csv(dataclasses.replace(days, invest_i=invest), str(data))
+    code, out, err = run_cli(["analyze", "--input", str(data)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"specloss: error: u (by_volume) overflowed on {days.dates[4]}: " \
+                  f"I = 1e+308, R = {days.rate_r[4]}, U = {days.u_big_vol[4]}\n"
 
 
 def test_synth_reruns_identical(tmp_path, capsys):

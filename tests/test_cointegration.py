@@ -66,7 +66,7 @@ def test_engle_granger_stage_two_consumes_stage_one_residuals():
     spec = gen_cointegrated(5)
     result = engle_granger(spec)
     stage1 = fit(spec)
-    assert np.array_equal(result.stage1.residuals, stage1.residuals)
+    assert result.stage1.residual_series == stage1.residual_series
     replay = adf_test(stage1.residual_series.with_name("RESID"))
     assert result.residual_test.t_statistic == replay.t_statistic
     assert result.residual_test.chosen_lag == replay.chosen_lag

@@ -27,7 +27,7 @@ from specloss.errors import (
     InvalidArgumentError,
 )
 from specloss.market import MarketData
-from specloss.series import TimeSeries, _CheckedDates, trading_dates
+from specloss.series import TimeSeries, _Frozen, trading_dates
 from specloss.synth import SynthConfig, gen_market_days, gen_random_walk
 
 
@@ -167,7 +167,7 @@ def test_series_round_trip_is_exact(tmp_path):
     write_series_csv([a, b], path)
     loaded = load_series_csv(path)
     assert [s.name for s in loaded] == ["A", "B"]
-    assert loaded[0].dates == a.dates
+    assert np.array_equal(loaded[0].dates, a.dates)
     assert np.array_equal(loaded[0].values, a.values)
     assert np.array_equal(loaded[1].values, b.values)
 
@@ -208,9 +208,7 @@ def test_series_load_sorts_rows(tmp_path):
     )
     series = load_series_csv(path)[0]
     assert list(series.values) == [1.0, 2.0, 3.0]
-    assert series.dates == tuple(
-        datetime.date(2012, 1, d) for d in (3, 4, 5)
-    )
+    assert series.dates.tolist() == [datetime.date(2012, 1, d) for d in (3, 4, 5)]
 
 
 def test_parse_config_file(tmp_path):
@@ -250,6 +248,23 @@ def test_parse_config_file_drops_a_leading_byte_order_mark(tmp_path):
     path = tmp_path / "bom.cfg"
     path.write_bytes(b"\xef\xbb\xbfmaxlag=3\nnote=\xef\xbb\xbf\n")
     assert parse_config_file(str(path)) == {"maxlag": "3", "note": "\ufeff"}
+
+
+def test_data_csv_may_start_with_a_byte_order_mark_and_keeps_the_fast_path(tmp_path):
+    days = gen_market_days(SynthConfig(seed=4, n_days=300))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_market_csv(days, str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    # The C parser reads the body: no row goes through the row reader.
+    with mock.patch.object(dataio, "_parse_date", side_effect=AssertionError("streamed")):
+        assert load_market_csv(str(marked)) == days == load_market_csv(str(plain))
+    # The row reader takes a marked file too, and so does the series loader.
+    assert _streaming(load_market_csv, str(marked)) == days
+    series = [TimeSeries(days.dates, days.rate_r, name="R")]
+    write_series_csv(series, str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert [s.name for s in load_series_csv(str(marked))] == ["R"]
+    assert load_series_csv(str(marked)) == series
 
 
 def test_run_config_validation():
@@ -417,7 +432,7 @@ def test_market_round_trip_is_bit_exact(tmp_path_factory, days):
     path = str(tmp_path_factory.mktemp("market") / "m.csv")
     write_market_csv(days, path)
     loaded = load_market_csv(path)
-    assert loaded.dates == days.dates
+    assert np.array_equal(loaded.dates, days.dates)
     for name in ("invest_i", "rate_r", "u_big_vol", "u_big_dep"):
         assert _bits(getattr(loaded, name)) == _bits(getattr(days, name)), name
     if days.mean_price is None:
@@ -439,7 +454,7 @@ def test_series_round_trip_is_bit_exact(tmp_path_factory, dates, data, names):
     loaded = load_series_csv(path)
     assert [s.name for s in loaded] == names
     for want, got in zip(series, loaded):
-        assert got.dates == dates
+        assert got.dates.tolist() == list(dates)
         assert _bits(got.values) == _bits(want.values), want.name
 
 
@@ -461,7 +476,7 @@ def _outcome(path):
     columns = [days.invest_i, days.rate_r, days.u_big_vol, days.u_big_dep]
     if days.mean_price is not None:
         columns.append(days.mean_price)
-    return None, days.dates, [_bits(c) for c in columns]
+    return None, days.dates.tolist(), [_bits(c) for c in columns]
 
 
 _SPACE = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\u2003", "\u3000"])
@@ -492,13 +507,13 @@ def test_fast_path_parses_like_the_streaming_reader(tmp_path_factory, dates, wid
     fast = dataio._read_table(path, dataio._series_header_problem)
     slow = _streaming(lambda p: dataio._read_table(p, dataio._series_header_problem), path)
     assert fast[0] == slow[0]
-    assert fast[1] == slow[1] == dates
+    assert fast[1].values.tolist() == slow[1].values.tolist() == list(dates)
     assert _bits(fast[2]) == _bits(slow[2])
 
 
 PRICE_HEADER = HEADER + ",mean_price_rub"
 # 8,000 rows, 152 KB: longer than the csv module's default field size limit.
-_LONG_BODY = "".join(f"{day.isoformat()},1,1,1,2\n" for day in trading_dates(8000))
+_LONG_BODY = "".join(f"{day.isoformat()},1,1,1,2\n" for day in trading_dates(8000).tolist())
 _LIMIT = csv.field_size_limit()
 
 
@@ -575,8 +590,8 @@ def test_fast_path_sorts_rows_itself(tmp_path):
     path.write_text(HEADER + "\n2012-01-05,3,1,1,2\n2012-01-03,1,1,1,2\n2012-01-04,2,1,1,2\n",
                     encoding="utf-8")
     dates, table = dataio._read_body_fast(str(path), 5)
-    assert isinstance(dates, _CheckedDates)
-    assert dates == tuple(datetime.date(2012, 1, d) for d in (3, 4, 5))
+    assert type(dates) is _Frozen and not dates.values.flags.writeable
+    assert dates.values.tolist() == [datetime.date(2012, 1, d) for d in (3, 4, 5)]
     assert table[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
@@ -598,7 +613,7 @@ def test_fast_path_declines_blank_bodies_and_cells_before_parsing(tmp_path, text
 
 # -- Bytes that are not UTF-8 ---------------------------------------------------
 
-_GOOD_ROWS = "".join(f"{day.isoformat()},1,1,1,2\n" for day in trading_dates(3000))
+_GOOD_ROWS = "".join(f"{day.isoformat()},1,1,1,2\n" for day in trading_dates(3000).tolist())
 
 
 @pytest.mark.parametrize("text, line, where", [

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from specloss.errors import DivisionDomainError, InvalidArgumentError
+from specloss.errors import DivisionDomainError, InvalidArgumentError, InvalidDayError
 from specloss.market import (
     MarketData,
     UVariant,
@@ -17,7 +17,7 @@ from specloss.market import (
     mean_loss_per_stock,
     u_series,
 )
-from specloss.series import TimeSeries, check_dates, stddev, trading_dates
+from specloss.series import TimeSeries, stddev, trading_dates
 
 
 def make_days(rows, start=datetime.date(2012, 1, 3), price=None):
@@ -74,7 +74,7 @@ def test_u_series_values_names_units():
     assert u_vol.name == "U_SMALL_VOL" and u_dep.name == "U_SMALL_DEP"
     assert np.allclose(u_vol.values, [1.0, 2.0], rtol=1e-12)
     assert np.allclose(u_dep.values, [0.5, 1.0], rtol=1e-12)
-    assert u_vol.dates == days.dates
+    assert u_vol.dates is days.dates
 
 
 def test_u_series_constant_days_have_zero_stddev():
@@ -91,6 +91,23 @@ def test_u_series_zero_u_names_date():
     u_series(days, UVariant.BY_DEPOSIT)
     with pytest.raises(InvalidArgumentError):
         u_series(make_days([]), UVariant.BY_VOLUME)
+
+
+def test_u_series_that_overflows_names_the_variant_and_the_day():
+    # I = 1e308 million rubles overflows the kopeck conversion; pytest turns
+    # a numpy overflow warning into an error, so none may be raised.
+    days = make_days([(1.0, 5.0, 1e6, 2e6), (1e308, 5.0, 1e6, 2e6), (1e308, 5.0, 1e6, 2e6)])
+    for variant in UVariant:
+        with pytest.raises(InvalidDayError, match=f"u \\({variant.value}\\) overflowed "
+                                                  f"on {days.dates[1]}") as exc_info:
+            u_series(days, variant)
+        assert exc_info.value.date == datetime.date(2012, 1, 4)
+        assert type(exc_info.value.date) is datetime.date
+    # A stock count near zero carries u past the float range by division.
+    tiny = make_days([(1.0, 5.0, 1e6, 2e6), (2e4, 5.0, 1e-320, 2e6)])
+    with pytest.raises(InvalidDayError, match=f"u \\(by_volume\\) overflowed on {tiny.dates[1]}"):
+        u_series(tiny, UVariant.BY_VOLUME)
+    assert np.isfinite(u_series(tiny, UVariant.BY_DEPOSIT).values).all()
 
 
 def test_u_series_homogeneity():
@@ -273,7 +290,8 @@ def test_market_day_validation():
     with pytest.raises(InvalidArgumentError, match=str(dates[1])) as exc_info:
         one_day(dates=dates, invest_i=[1.0, -1.0, -2.0], rate_r=[1.0] * 3,
                 u_big_vol=[1.0] * 3, u_big_dep=[1.0] * 3)
-    assert exc_info.value.date == dates[1]
+    assert exc_info.value.date == dates[1].item()
+    assert type(exc_info.value.date) is datetime.date
     with pytest.raises(InvalidArgumentError, match="one value per date"):
         one_day(rate_r=[1.0, 2.0])
     with pytest.raises(ValueError):
@@ -293,6 +311,6 @@ def test_market_data_rejects_bad_calendars_with_their_messages():
             MarketData(dates, **columns)
     # A checked calendar is not walked again, here or in the series built on it.
     days = MarketData(list(d), **columns)
-    assert check_dates(days.dates) is days.dates
+    assert days.dates.dtype == np.dtype("datetime64[D]") and not days.dates.flags.writeable
     assert all(s.dates is days.dates for s in days.series().values())
     assert u_series(days, UVariant.BY_VOLUME).dates is days.dates

@@ -20,6 +20,7 @@ from specloss.market import UVariant, u_series
 from specloss.ols import (
     RegressionSpec,
     _householder_qr,
+    _residuals,
     _solve_triangular,
     durbin_watson,
     fit,
@@ -41,6 +42,16 @@ def close(a, b, rtol=1e-8, atol=1e-12):
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
     return abs(a - b) <= atol + rtol * abs(b)
+
+
+def residuals_of(result, y, x):
+    """The residuals a fit of y on the (n, k) matrix x formed, with their bits.
+
+    A fit keeps none; they are y minus the fitted values, summed column by
+    column in design order as the fit sums them.
+    """
+    return _residuals(np.asarray(y, dtype=np.float64),
+                      np.asarray(x, dtype=np.float64).T, result.coefs)
 
 
 def fit_to_dict(result):
@@ -134,8 +145,11 @@ def test_matches_oracle_on_seeded_instances():
 def test_diagnostics_consistent_with_helper_functions():
     rng = np.random.default_rng(33)
     y, cols = random_instance(rng)
-    result = fit_arrays(np.array(y), np.column_stack(cols))
+    cols_matrix = np.column_stack(cols)
+    result = fit_arrays(np.array(y), cols_matrix)
     n, k = len(y), len(cols)
+    resid = residuals_of(result, y, cols_matrix)
+    assert result.ssr == float(np.add.reduce(resid * resid))
     assert result.log_likelihood == log_likelihood_from_ssr(result.ssr, n)
     assert result.aic == aic_from_loglik(result.log_likelihood, n, k)
     assert result.schwarz == schwarz_from_loglik(result.log_likelihood, n, k)
@@ -143,7 +157,7 @@ def test_diagnostics_consistent_with_helper_functions():
     assert result.adj_r_squared == adj_r2_from_r2(result.r_squared, n, k)
     assert result.f_statistic == f_statistic_from_r2(result.r_squared, n, k)
     assert result.se_regression == se_regression_from_ssr(result.ssr, n, k)
-    assert result.durbin_watson == durbin_watson(result.residuals)
+    assert result.durbin_watson == durbin_watson(residuals_of(result, y, cols_matrix))
     assert result.df_resid == n - k
 
 
@@ -162,13 +176,14 @@ def test_residual_orthogonality_and_refit_invariance():
         y, cols = random_instance(rng)
         x = np.column_stack(cols)
         result = fit_arrays(np.array(y), x)
+        resid = residuals_of(result, y, x)
         scale = float(np.max(np.abs(np.array(y)))) + 1.0
         for j in range(x.shape[1]):
-            dot = float(np.dot(x[:, j], result.residuals))
+            dot = float(np.dot(x[:, j], resid))
             assert abs(dot) <= 1e-8 * scale * float(np.sum(np.abs(x[:, j])))
         # Refitting the fitted values reproduces the coefficients exactly
         # up to roundoff and leaves no residual.
-        refit = fit_arrays(np.array(y) - result.residuals, x)
+        refit = fit_arrays(np.array(y) - resid, x)
         for a, b in zip(refit.coefs, result.coefs):
             assert close(a, b, rtol=1e-8, atol=1e-10)
         assert refit.ssr <= 1e-16 * (1.0 + result.ssr)
@@ -273,23 +288,30 @@ def test_fit_spec_aligns_and_labels():
     assert result.nobs == 35
     assert result.residual_series is not None
     assert result.residual_series.name == "RESID"
-    assert result.residual_series.dates == dates[5:]
-    assert np.array_equal(result.residual_series.values, result.residuals)
+    assert np.array_equal(result.residual_series.dates, dates[5:])
+    resid = result.residual_series.values
+    # The series holds the residuals the fit's SSR and Durbin-Watson came from.
+    assert result.ssr == float(np.add.reduce(resid * resid))
+    assert result.durbin_watson == durbin_watson(resid)
+    assert np.allclose(resid, yv[5:] - result.coefs[0] - result.coefs[1] * xv[5:],
+                       rtol=0, atol=1e-12)
     assert close(result.coef_rows[1].coef, 3.0, rtol=0.05)
 
 
-def test_residuals_are_frozen_and_shared_by_the_residual_series():
+def test_fits_keep_no_residuals_and_the_residual_series_is_frozen():
     dates = trading_dates(30)
     rng = np.random.default_rng(44)
     dep = TimeSeries(dates, rng.standard_normal(30), name="DEP")
     reg = TimeSeries(dates, rng.standard_normal(30), name="REG")
     result = fit(RegressionSpec(dependent=dep, regressors=(reg,)))
-    for values in (result.residuals, result.residual_series.values,
-                   fit_arrays(dep.values, np.ones((30, 1))).residuals):
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0] = 0.0
-    assert np.shares_memory(result.residual_series.values, result.residuals)
+    for ols_fit in (result, fit_arrays(dep.values, np.ones((30, 1)))):
+        assert not any(isinstance(getattr(ols_fit, f.name), np.ndarray)
+                       for f in dataclasses.fields(ols_fit))
+    values = result.residual_series.values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0.0
+    assert result.residual_series.dates is dep.dates
 
 
 def test_fit_without_constant():
@@ -549,10 +571,11 @@ def test_fit_is_affine_equivariant(design, a, negate, c_units):
     y2 = a * y + x @ c
     base = fit_arrays(y, x)
     moved = fit_arrays(y2, x)
+    base_resid, moved_resid = residuals_of(base, y, x), residuals_of(moved, y2, x)
     scale = abs(a) * y_norm + float(np.linalg.norm(y2))
     beta_gap = norms * (moved.coefs - (a * base.coefs + c))
     assert float(np.linalg.norm(beta_gap)) <= tol * scale
-    assert float(np.linalg.norm(moved.residuals - a * base.residuals)) <= tol * scale
+    assert float(np.linalg.norm(moved_resid - a * base_resid)) <= tol * scale
     assert abs(math.sqrt(moved.ssr) - abs(a) * math.sqrt(base.ssr)) <= tol * scale
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from specloss.cli import main
-from specloss.dataio import RunConfig
+from specloss.dataio import RunConfig, load_market_csv, write_market_csv
 from specloss.pipeline import build_analysis
 
 _PINNED = Path(__file__).parent / "data" / "analyze_csv_sha256.txt"
@@ -39,16 +39,43 @@ def test_analyze_csv_keeps_its_pinned_bytes(tmp_path, digest, command):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
-def test_analysis_heap_at_25500_days_stays_under_10_mb(tmp_path):
-    path = tmp_path / "market.csv"
-    _synth("synth --seed 0 --days 25500", path)
-    config = RunConfig(input_path=str(path))
-    build_analysis(config)  # the first run loads the coefficient tables
+def _peak_bytes(run):
+    """The tracemalloc peak of ``run()``, after one warm-up call."""
+    run()  # the first call loads the coefficient tables and the like
     gc.collect()
     tracemalloc.start()
     try:
-        build_analysis(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.fixture(scope="module")
+def market_25500(tmp_path_factory):
+    path = tmp_path_factory.mktemp("heap") / "market.csv"
+    _synth("synth --seed 0 --days 25500", path)
+    return str(path)
+
+
+def test_analysis_heap_at_25500_days_stays_under_6_5_mb(market_25500):
+    # 5.75 MB: the peak is the last ADF refit.  The calendar is one
+    # datetime64[D] array and no finished ADF fit keeps its residuals.
+    peak = _peak_bytes(lambda: build_analysis(RunConfig(input_path=market_25500)))
+    assert peak <= 6.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_loading_25500_days_stays_under_3_5_mb(market_25500):
+    # 3.45 MB: the parsed records and the columns copied out of them.  The
+    # file's bytes are scanned for empty cells in blocks; a mask of the
+    # whole file would put the peak at 6.3 MB.
+    peak = _peak_bytes(lambda: load_market_csv(market_25500))
+    assert peak <= 3.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_writing_25500_days_stays_under_1_5_mb(market_25500, tmp_path):
+    # 0.73 MB: rows go out in blocks, dates formatted a block at a time;
+    # the whole date column as text would put the peak at 4.6 MB.
+    days = load_market_csv(market_25500)
+    peak = _peak_bytes(lambda: write_market_csv(days, str(tmp_path / "out.csv")))
+    assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"

@@ -11,7 +11,7 @@ import pytest
 from specloss.errors import AlignmentError, InvalidArgumentError
 from specloss.series import (
     TimeSeries,
-    _CheckedDates,
+    _Frozen,
     align,
     check_dates,
     diff,
@@ -56,8 +56,8 @@ def test_library_series_share_the_arrays_they_are_built_from():
     renamed = s.with_name("Y")
     assert np.shares_memory(renamed.values, s.values)
     assert not renamed.values.flags.writeable
-    # diff keeps the one array it makes: its peak is the sliced calendar
-    # (a pointer per date) and that array, with no copy of it.
+    # diff keeps the one array it makes, with no copy of it, on a view of
+    # the calendar.
     n = 100_000
     long = make_series(np.arange(n, dtype=float))
     gc.collect()
@@ -67,7 +67,7 @@ def test_library_series_share_the_arrays_they_are_built_from():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * n
+    assert peak < 1.5 * 8 * n
     assert not d.values.flags.writeable
     with pytest.raises(ValueError):
         d.values[0] = 5.0
@@ -115,7 +115,7 @@ def test_with_name_keeps_data():
     s = make_series([1.0, 2.0], name="A")
     t = s.with_name("B")
     assert t.name == "B"
-    assert t.dates == s.dates
+    assert t.dates is s.dates
     assert np.array_equal(t.values, s.values)
 
 
@@ -123,7 +123,7 @@ def test_diff_values_dates_and_name():
     s = make_series([1.0, 4.0, 9.0, 16.0], name="SQ")
     d = diff(s)
     assert list(d.values) == [3.0, 5.0, 7.0]
-    assert d.dates == s.dates[1:]
+    assert np.array_equal(d.dates, s.dates[1:])
     assert d.name == "D(SQ)"
 
 
@@ -167,10 +167,12 @@ def test_mean_stddev_degenerate_inputs():
 def test_align_restricts_to_common_dates():
     a = make_series([1.0, 2.0, 3.0, 4.0])
     # b starts one trading day later, so its last date is past a's range.
-    b = TimeSeries(a.dates[1:] + trading_dates(1, a.dates[-1] + datetime.timedelta(days=1)),
+    later = trading_dates(1, a.dates[-1].item() + datetime.timedelta(days=1))
+    b = TimeSeries(np.concatenate([a.dates[1:], later]),
                    np.array([20.0, 30.0, 40.0, 50.0]), name="B")
     out_a, out_b = align(a, b)
-    assert out_a.dates == out_b.dates == a.dates[1:]
+    assert np.array_equal(out_a.dates, a.dates[1:])
+    assert np.array_equal(out_b.dates, a.dates[1:])
     assert list(out_a.values) == [2.0, 3.0, 4.0]
     assert list(out_b.values) == [20.0, 30.0, 40.0]
 
@@ -197,14 +199,15 @@ def test_align_shared_empty_calendar_raises():
 
 def test_trading_dates_skip_weekends():
     dates = trading_dates(5)
-    assert dates == (
+    assert dates.dtype == np.dtype("datetime64[D]")
+    assert dates.tolist() == [
         datetime.date(2012, 1, 3),
         datetime.date(2012, 1, 4),
         datetime.date(2012, 1, 5),
         datetime.date(2012, 1, 6),
         datetime.date(2012, 1, 9),
-    )
-    assert all(d.weekday() < 5 for d in trading_dates(100))
+    ]
+    assert all(d.weekday() < 5 for d in trading_dates(100).tolist())
 
 
 def test_trading_dates_needs_positive_n():
@@ -214,17 +217,54 @@ def test_trading_dates_needs_positive_n():
 
 def test_checked_calendar_is_checked_once_and_kept_by_transforms():
     s = make_series([1.0, 4.0, 9.0, 16.0, 25.0])
-    assert type(s.dates) is _CheckedDates
-    assert check_dates(s.dates) is s.dates
-    # Slices with a positive step stay increasing, so they stay checked.
-    for part in (s.dates[1:], s.dates[:-1], s.dates[::2]):
-        assert type(part) is _CheckedDates
-    assert type(s.dates[::-1]) is tuple and type(s.dates[0]) is datetime.date
-    assert diff(s).dates == s.dates[1:] and type(diff(s).dates) is _CheckedDates
+    assert s.dates.dtype == np.dtype("datetime64[D]") and s.dates.ndim == 1
+    assert not s.dates.flags.writeable
+    # A calendar the library wraps is its own, so it is kept unchecked.
+    assert check_dates(_Frozen(s.dates)) is s.dates
     assert s.with_name("Y").dates is s.dates
-    other = make_series([1.0, 2.0, 3.0], start=s.dates[2])
+    d = diff(s).dates
+    assert np.shares_memory(d, s.dates) and np.array_equal(d, s.dates[1:])
+    other = make_series([1.0, 2.0, 3.0], start=s.dates[2].item())
     a, b = align(s, other)
-    assert type(a.dates) is _CheckedDates and a.dates == b.dates == other.dates
+    assert b is other and np.array_equal(a.dates, other.dates)
+    assert not a.dates.flags.writeable
+
+
+def test_a_callers_calendar_is_copied_and_checked():
+    days = trading_dates(3)
+    s = TimeSeries(days, np.zeros(3))
+    assert not np.shares_memory(s.dates, days)
+    days[0] = days[2]
+    assert s.dates.tolist()[0] == datetime.date(2012, 1, 3)
+    assert TimeSeries(list(s.dates), np.zeros(3)) == s  # datetime64[D] scalars
+    assert TimeSeries(s.dates.tolist(), np.zeros(3)) == s  # datetime.date values
+    for dates, match in [
+        (s.dates.astype("datetime64[s]"), "datetime.date, got datetime64\\[s\\]"),
+        (np.array(["2012-01-03", "NaT", "2012-01-05"], dtype="datetime64[D]"),
+         "strictly increasing: 2012-01-03 followed by NaT"),
+        (np.array(["0000-12-30", "0001-01-01", "0001-01-02"], dtype="datetime64[D]"),
+         "years 1 to 9999, got 0000-12-30 to 0001-01-02"),
+        (np.array(["9999-12-30", "9999-12-31", "10000-01-01"], dtype="datetime64[D]"),
+         "years 1 to 9999, got 9999-12-30 to 10000-01-01"),
+        (s.dates.reshape(3, 1), "one-dimensional"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=match):
+            TimeSeries(dates, np.zeros(3))
+    with pytest.raises(InvalidArgumentError, match="got NaT to NaT"):
+        TimeSeries(np.array(["NaT"], dtype="datetime64[D]"), [1.0])
+
+
+def test_series_compare_by_dates_and_values_and_are_unhashable():
+    d = trading_dates(3)
+    a = TimeSeries(d, [1.0, 2.0, 3.0], name="A")
+    assert a == TimeSeries(d, [1.0, 2.0, 3.0])  # the name does not count
+    assert a != TimeSeries(d, [1.0, 2.0, 4.0])
+    assert a != TimeSeries(trading_dates(3, datetime.date(2013, 1, 3)), [1.0, 2.0, 3.0])
+    assert a != TimeSeries(d[:2], [1.0, 2.0])
+    assert a != (d, [1.0, 2.0, 3.0])
+    assert TimeSeries((), []) == TimeSeries((), [])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
 
 
 def test_plain_dates_keep_every_check_and_message():

@@ -126,7 +126,7 @@ def test_market_days_shape_and_invariants():
     config = SynthConfig(seed=13, n_days=120)
     days = gen_market_days(config)
     assert len(days) == 120
-    assert days.dates == trading_dates(120)
+    assert np.array_equal(days.dates, trading_dates(120))
     assert np.all(days.invest_i >= 0.0)
     assert np.all(days.rate_r >= 0.0)
     assert np.all((0.0 <= days.u_big_vol) & (days.u_big_vol <= days.u_big_dep))
@@ -187,7 +187,7 @@ def test_gen_cointegrated_layout():
     assert spec.dependent.name == "Y"
     assert [s.name for s in spec.regressors] == ["X1", "X2", "X3"]
     assert len(spec.dependent) == 100
-    assert all(s.dates == spec.dependent.dates for s in spec.regressors)
+    assert all(np.array_equal(s.dates, spec.dependent.dates) for s in spec.regressors)
     with pytest.raises(InvalidArgumentError):
         gen_cointegrated(2, n=10)
 
@@ -222,12 +222,12 @@ def _weekday_walk(n, start):
 def test_trading_dates_are_the_weekday_walk(n, start_day):
     start = datetime.date(2012, 1, start_day)
     dates = trading_dates(n, start)
-    assert dates == _weekday_walk(n, start)
-    assert all(type(d) is datetime.date for d in dates)
+    assert dates.dtype == np.dtype("datetime64[D]")
+    assert tuple(dates.tolist()) == _weekday_walk(n, start)
 
 
 def test_trading_dates_stop_at_the_last_date():
-    assert trading_dates(1, datetime.date(9999, 12, 31)) == (datetime.date(9999, 12, 31),)
+    assert trading_dates(1, datetime.date(9999, 12, 31)).tolist() == [datetime.date(9999, 12, 31)]
     with pytest.raises(InvalidArgumentError, match="9999-12-31"):
         trading_dates(3, datetime.date(9999, 12, 30))
     with pytest.raises(InvalidArgumentError):
