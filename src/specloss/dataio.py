@@ -16,13 +16,14 @@ boundary's callers.
 
 The reader has two paths and one behaviour.  After the header is checked
 the body is first parsed in C by one ``np.loadtxt`` call, a record of
-date text and value floats per row.  That result stands only when the
-row-by-row reader would return the same: the body is not blank and holds
-no empty cell, no NUL, none of the separators U+001C..U+001F and no line
-over the ``csv`` field size limit, every row has the header's width
-(``loadtxt`` enforces it), every date text has the shape YYYY-MM-DD in
-ASCII digits and parses as a date from year 1 on, no date repeats, and
-no value is NaN.  numpy parses a number as ``float()`` does, but rejects
+the date's 11 bytes and the value floats per row.  That result stands
+only when the row-by-row reader would return the same: the body is not
+blank and holds no empty cell, no NUL, none of the separators
+U+001C..U+001F and no line over the ``csv`` field size limit, every row
+has the header's width (``loadtxt`` enforces it), every date text has
+the shape YYYY-MM-DD in ASCII digits and is a date from year 1 on, no
+date repeats, and no value is NaN.  The days are worked out from the
+checked digits.  numpy parses a number as ``float()`` does, but rejects
 underscores and non-ASCII digits.  Rows out of date order are sorted on
 either path.  In every other case (numpy raises, blank or quoted cells,
 a ``#`` line, a header-only file, any bad input) the file is read row by
@@ -148,10 +149,10 @@ def _parse_date(text: str) -> datetime.date:
 
 _NUMPY_ONLY_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _NOT_BLANK = re.compile(rb"\S")
-# The bounds of each code point of YYYY-MM-DD read as 11 characters: an
-# ASCII digit, "-" at 4 and 7, and the NUL that pads a ten-character cell.
-_DATE_LO = np.array([48] * 4 + [45] + [48] * 2 + [45] + [48] * 2 + [0], np.uint32)
-_DATE_HI = np.array([57] * 4 + [45] + [57] * 2 + [45] + [57] * 2 + [0], np.uint32)
+# The bounds of each byte of YYYY-MM-DD read as 11 bytes: an ASCII
+# digit, "-" at 4 and 7, and the NUL that pads a ten-character cell.
+_DATE_LO = np.array([48] * 4 + [45] + [48] * 2 + [45] + [48] * 2 + [0], np.uint8)
+_DATE_HI = np.array([57] * 4 + [45] + [57] * 2 + [45] + [57] * 2 + [0], np.uint8)
 # Bytes per block of the empty-cell scan in _loadtxt_may_differ.
 _SCAN_BYTES = 1 << 18
 # Python's first date, in days since 1970-01-01; year 0000 has the shape.
@@ -194,17 +195,44 @@ def _loadtxt_may_differ(data: bytes, start: int) -> bool:
     return False
 
 
+def _calendar(text: np.ndarray) -> np.ndarray | None:
+    """The ``datetime64[D]`` days of (n, 11) date texts, or None.
+
+    Every row of ``text`` holds the bytes of YYYY-MM-DD in ASCII digits,
+    so each field is read from its digits, one n-vector at a time.  None
+    stands where numpy's date parser would raise: a month outside 1..12,
+    or a day 0 or past the end of its month, which rolls into another.
+    """
+    def number(lo: int, hi: int) -> np.ndarray:
+        value = np.zeros(len(text), np.int32)
+        for i in range(lo, hi):
+            value *= 10
+            value += text[:, i]
+            value -= ord("0")
+        return value
+
+    month, day = number(5, 7), number(8, 10)
+    if not ((month >= 1) & (month <= 12)).all():
+        return None
+    months = number(0, 4) * 12 + month - (1970 * 12 + 1)  # since 1970-01
+    days = months.astype("datetime64[M]").astype("datetime64[D]") + (day - 1)
+    if (days.astype("datetime64[M]").view(np.int64) != months).any():
+        return None
+    return days
+
+
 def _read_body_fast(
     path: str, width: int
 ) -> tuple[_Frozen, np.ndarray] | None:
     """Date-sorted dates and value table of a file's body parsed in C, or None.
 
     None means "read it row by row": numpy raised, or its result might
-    differ from the streaming reader's.  The date column is read one
-    character wider than an ISO date, so a longer cell fails the shape
-    check.  Only texts of that shape reach numpy's date parser, which
-    rejects a month or day out of range; so a parsed date's own text is
-    the cell.
+    differ from the streaming reader's.  The date column is read as 11
+    bytes, one more than an ISO date, so a longer cell fails the shape
+    check; a character past Latin-1 makes numpy raise, and any other one
+    fails that check too.  The calendar is then worked out from the
+    checked digits, declining wherever numpy's date parser would raise,
+    so a date's own text is the cell.
     """
     with open(path, "rb") as raw:
         data = raw.read()
@@ -213,16 +241,18 @@ def _read_body_fast(
     if _loadtxt_may_differ(data, header_end + 1):
         return None
     del data
-    row = np.dtype([("date", "U11"), ("values", np.float64, (width - 1,))])
+    row = np.dtype([("date", "S11"), ("values", np.float64, (width - 1,))])
     try:
         body = np.loadtxt(path, dtype=row, delimiter=",", comments=None,
                           skiprows=1, ndmin=1, encoding="utf-8")
-        # The records' first 11 code points are the date text, 0-padded.
-        text = body.view(np.uint32).reshape(len(body), -1)[:, :11]
-        if ((text < _DATE_LO) | (text > _DATE_HI)).any():
-            return None
-        days = body["date"].astype("datetime64[D]")
     except ValueError:
+        return None
+    # The records' first 11 bytes are the date text, NUL-padded.
+    text = body.view(np.uint8).reshape(len(body), -1)[:, :11]
+    if ((text < _DATE_LO) | (text > _DATE_HI)).any():
+        return None
+    days = _calendar(text)
+    if days is None:
         return None
     # A view of the records: the loaders copy each column out of it, so
     # no whole table of values is made while the date texts are held.

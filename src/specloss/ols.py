@@ -8,11 +8,14 @@ volumes in pieces meet rates in fractions.  Reductions call the
 ``np.add.reduce`` ufunc on elementwise products, not BLAS, so results
 are bit-stable on a platform: numpy sums each contiguous row pairwise
 like a 1-D reduction, which ``tests/test_ols.py`` checks against column
-loops.  The design's columns are copied straight into that transposed
+loops.  Each reflection goes over groups of rows that fit in cache
+together with their products, a row at a time at 25,500 days and all
+rows at once at a few hundred; a row's sum does not depend on its
+group.  The design's columns are copied straight into that transposed
 work array, whether they come as an (n, k) matrix or, from the
 library's own callers, as separate column arrays that are never
-stacked; the column norms are a row-order fold that gives the bits of
-the C-ordered design.
+stacked; the column norms are a row-order fold, block by block in the
+reflections' scratch, that gives the bits of the C-ordered design.
 Standard errors need only the diagonal of (X'X)^-1, so only that is
 formed.  A fit keeps no n-vector: its residuals give the SSR and the
 Durbin-Watson statistic and are then dropped.  :func:`fit` forms them
@@ -54,6 +57,10 @@ __all__ = [
 
 # Relative pivot threshold for declaring the (equilibrated) design singular.
 _RANK_RTOL = 1e-10
+# Bytes of the rows that one pass of a reflection updates.  The scratch
+# for their products is as large, and the two together fit in a typical
+# L2 cache.
+_REFLECT_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -176,15 +183,28 @@ def durbin_watson(residuals: np.ndarray) -> float:
     return float(np.add.reduce(steps * steps)) / denom
 
 
-def _column_norms(x: np.ndarray, names: Sequence[str]) -> np.ndarray:
+def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Euclidean norms of the columns of the (n, k) design ``x``.
 
-    The squares are laid out C-ordered whatever the layout of ``x``, so
-    every norm is a row-order fold down its column and a transposed view
-    of a work array gives the bits of the C-ordered design.  A zero
-    column raises, naming the first one.
+    The squares go into ``scratch`` C-ordered whatever the layout of
+    ``x``, a block of as many rows as it holds, and the running sums are
+    added into each later block's first row, so every norm is one
+    row-order fold down its column and a transposed view of a work array
+    gives the bits of the C-ordered design.  Squares are never -0.0, so
+    adding the sums in changes no bit.  A single column's squares fill
+    one block, which numpy sums pairwise like a 1-D row, as it sums an
+    (n, 1) design.  A zero column raises, naming the first one.
     """
-    norms = np.sqrt(np.add.reduce(np.square(x, order="C"), axis=0))
+    n, k = x.shape
+    rows = scratch.size // k
+    squares = scratch.reshape(-1)[: rows * k].reshape(rows, k)
+    for lo in range(0, n, rows):
+        block = x[lo : lo + rows]
+        sq = np.square(block, out=squares[: len(block)])
+        if lo:
+            sq[0] += sums
+        sums = np.add.reduce(sq, axis=0)
+    norms = np.sqrt(sums)
     if not norms.all():
         j = int(norms.argmin())  # the first zero column
         raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
@@ -213,20 +233,24 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
     touches columns j and later, so the leading p columns of R and
     entries of Q'y are those of the first p columns alone, and
     ||(Q'y)[p:]||^2 is that prefix's SSR.  Each reflection updates the
-    rows below the pivot in one ``np.add.reduce(..., axis=1)``; the pivot
-    row itself holds the reflector v while it is applied and then column
-    j of R, so it is never reflected.  ||v||^2 reuses the squares of the
-    column's norm, as v differs from the column in its first entry only.
-    The rank test compares diagonal magnitudes of R, which is only fair
-    at unit column norms.
+    rows below the pivot a group at a time, ``_REFLECT_BYTES`` of them
+    with a scratch array of the same size for their products, so neither
+    leaves cache before it is used again; every row is still summed by
+    one contiguous ``np.add.reduce``, which gives the same bits in a
+    group of any size.  The pivot row itself holds the reflector v while
+    it is applied and then column j of R, so it is never reflected.
+    ||v||^2 reuses the squares of the column's norm, as v differs from
+    the column in its first entry only.  The rank test compares diagonal
+    magnitudes of R, which is only fair at unit column norms.
     """
     k, n = a.shape[0] - 1, a.shape[1]
-    norms = _column_norms(a[:k].T, names)
+    group = max(1, _REFLECT_BYTES // (8 * n))
+    scratch = np.empty((min(group, k), n))  # the norms' squares, then products
+    norms = _column_norms(a[:k].T, scratch, names)
     a[:k] /= norms[:, None]
-    scratch = np.empty((k, n))  # both products of the largest reflection
     for j in range(k):
         v = a[j, j:]
-        sq = v * v
+        sq = np.multiply(v, v, out=scratch[0, j:])
         norm = math.sqrt(float(np.add.reduce(sq)))
         if norm == 0.0:
             raise SingularMatrixError(
@@ -239,11 +263,12 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
         sq[0] = v0 * v0
         scale = 2.0 / float(np.add.reduce(sq))
         v[0] = v0
-        block = a[j + 1 :, j:]
-        prod = scratch[: k - j, : n - j]
-        w = np.add.reduce(np.multiply(v, block, out=prod), axis=1, keepdims=True)
-        w *= scale
-        block -= np.multiply(w, v, out=prod)
+        for lo in range(j + 1, k + 1, group):
+            block = a[lo : lo + group, j:]
+            prod = scratch[: len(block), j:]
+            w = np.add.reduce(np.multiply(v, block, out=prod), axis=1, keepdims=True)
+            w *= scale
+            block -= np.multiply(w, v, out=prod)
         v[0] = alpha
         v[1 : k - j] = 0.0
     diag = np.abs(np.diagonal(a)[:k])

@@ -2,10 +2,12 @@
 
 import dataclasses
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from specloss import dataio
 from specloss.cli import build_parser, main
 from specloss.dataio import (
     load_market_csv,
@@ -235,6 +237,24 @@ def test_data_errors_exit_1(tmp_path, capsys):
         ["analyze", "--synth-seed", "1", "--config", str(latin1)], capsys)
     assert (code, out) == (1, "")
     assert err == "specloss: error: config line 1 holds the byte 0xe9, which is not UTF-8\n"
+
+
+def test_impossible_date_exits_1_with_the_row_readers_message(tmp_path, capsys):
+    # 60 days in order, one of them 2012-02-30 in place of 2012-03-01: every
+    # date has the ISO shape, so only the calendar declines the fast path.
+    days = [d.isoformat() for d in trading_dates(60).tolist()]
+    assert days[42] == "2012-03-01"
+    days[42] = "2012-02-30"
+    path = tmp_path / "m.csv"
+    path.write_text("date,i_mrub,r_pct,u_big_vol,u_big_dep\n" + "".join(
+        f"{day},{100 + i},7.5,{50 + i},{60 + i}\n" for i, day in enumerate(days)),
+        encoding="utf-8")
+    argv = ["analyze", "--input", str(path)]
+    got = run_cli(argv, capsys)
+    with mock.patch.object(dataio, "_read_body_fast", return_value=None):
+        streamed = run_cli(argv, capsys)
+    assert got == streamed == (
+        1, "", "specloss: error: column 'date' has invalid ISO date '2012-02-30'\n")
 
 
 def test_break_date_must_be_iso_text(tmp_path, capsys):

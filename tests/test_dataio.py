@@ -595,6 +595,31 @@ def test_fast_path_sorts_rows_itself(tmp_path):
     assert table[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
+def _date_bytes(texts):
+    """Date texts as the fast path's (n, 11) NUL-padded bytes."""
+    return np.array([t.encode("ascii") for t in texts], "S11").view(np.uint8).reshape(-1, 11)
+
+
+def test_calendar_from_digits_is_numpys_or_declines_where_numpy_raises():
+    valid, parsed = [], []
+    for year in ("0000", "0001", "1900", "2000", "2012", "2013", "2100", "9999"):
+        for month in range(20):
+            for day in range(40):
+                text = f"{year}-{month:02d}-{day:02d}"
+                got = dataio._calendar(_date_bytes([text]))
+                try:
+                    want = np.array([text]).astype("datetime64[D]")
+                except ValueError:
+                    assert got is None, text
+                    continue
+                assert got.dtype == want.dtype and got.view(np.int64) == want.view(np.int64), text
+                valid.append(text)
+                parsed.append(want[0])
+    assert len(valid) == 8 * 365 + 3  # leap days in 0000, 2000 and 2012, not 1900 or 2100
+    assert np.array_equal(dataio._calendar(_date_bytes(valid)), np.array(parsed))
+    assert dataio._calendar(_date_bytes(valid + ["2013-02-29"])) is None
+
+
 @pytest.mark.parametrize("text", [
     HEADER + "\n",
     HEADER + "\n\n\r\n \n",

@@ -3,6 +3,7 @@
 import dataclasses
 import datetime
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from specloss.errors import (
     InvalidArgumentError,
     SingularMatrixError,
 )
+from specloss import ols
 from specloss.market import UVariant, u_series
 from specloss.ols import (
     RegressionSpec,
@@ -440,6 +442,46 @@ def test_factorization_bits_match_column_loop_on_wild_scales():
             x[:, 0] = 1.0
         y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 6.0)
         _assert_same_bits_as_reference(x, y)
+
+
+def test_factorization_bits_hold_in_row_groups_of_any_size(monkeypatch):
+    # Reflection j updates the k - j rows below its pivot, y included,
+    # ``group`` rows at a time: one row per group, groups that end just
+    # before, at and just after the last row, and every row in one group.
+    # The norms square as many design rows as that scratch holds, n *
+    # group // k; at one row per group, n = k*m, k*m + 1 and k*m + m - 1
+    # end the last block at n, one row past a block and one row short of
+    # one.  A single wild column is summed pairwise, not folded row by row.
+    rng = np.random.default_rng(44)
+    cases = [(1, 301), (1, 4001)] + [(k, n) for k in (2, 5, 8, 12)
+                                     for n in (k * k, k * k + 1, k * k + k - 1)]
+    for k, n in cases:
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6.0, 8.0, size=k)
+        if k > 2:
+            x[:, 0] = 1.0
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 6.0)
+        for group in sorted({1, 2, max(1, k - 1), k, k + 1, 2 * k}):
+            monkeypatch.setattr(ols, "_REFLECT_BYTES", 8 * n * group)
+            _assert_same_bits_as_reference(x, y)
+        monkeypatch.setattr(ols, "_REFLECT_BYTES", 0)  # still one row per group
+        _assert_same_bits_as_reference(x, y)
+
+
+def test_factorization_at_25494_rows_allocates_one_row_group():
+    # The lag-6 refit of the 25,500-day analyze: k = 8 columns of 25,494
+    # rows, 8 * n bytes a row, reflected and squared a row at a time.
+    rng = np.random.default_rng(45)
+    columns = rng.standard_normal((9, 25_494))
+    names = [f"X{j}" for j in range(8)]
+    _householder_qr(columns.copy(), names)  # warm-up
+    tracemalloc.start()
+    try:
+        a = np.array(columns)
+        _householder_qr(a, names)
+        extra = tracemalloc.get_traced_memory()[1] - a.nbytes
+    finally:
+        tracemalloc.stop()
+    assert extra <= 0.3e6, f"{extra / 1e6:.2f} MB beside the work array"
 
 
 def _ladder_series(days):

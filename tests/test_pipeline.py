@@ -58,19 +58,23 @@ def market_25500(tmp_path_factory):
     return str(path)
 
 
-def test_analysis_heap_at_25500_days_stays_under_6_5_mb(market_25500):
-    # 5.75 MB: the peak is the last ADF refit.  The calendar is one
-    # datetime64[D] array and no finished ADF fit keeps its residuals.
+def test_analysis_heap_at_25500_days_stays_under_4_4_mb(market_25500):
+    # 4.19 MB: the peak is the factorization in the last ADF refit, its
+    # 1.84 MB work array and one 0.20 MB row of scratch beside what the
+    # run holds.  The calendar is one datetime64[D] array, no finished
+    # ADF fit keeps its residuals, and the QR reflects one row at a time,
+    # so its scratch is one row, not a second design.
     peak = _peak_bytes(lambda: build_analysis(RunConfig(input_path=market_25500)))
-    assert peak <= 6.5e6, f"peak {peak / 1e6:.2f} MB"
+    assert peak <= 4.4e6, f"peak {peak / 1e6:.2f} MB"
 
 
-def test_loading_25500_days_stays_under_3_5_mb(market_25500):
-    # 3.45 MB: the parsed records and the columns copied out of them.  The
-    # file's bytes are scanned for empty cells in blocks; a mask of the
-    # whole file would put the peak at 6.3 MB.
+def test_loading_25500_days_stays_under_3_1_mb(market_25500):
+    # 3.03 MB: the file's 2.62 MB of bytes while they are scanned for
+    # empty cells in blocks; a mask of the whole file would put the peak
+    # at 6.3 MB.  The parsed records hold each date as 11 bytes, 1.30 MB
+    # in all, so they and the columns copied out of them stay below it.
     peak = _peak_bytes(lambda: load_market_csv(market_25500))
-    assert peak <= 3.5e6, f"peak {peak / 1e6:.2f} MB"
+    assert peak <= 3.1e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_writing_25500_days_stays_under_1_5_mb(market_25500, tmp_path):
