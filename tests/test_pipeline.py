@@ -30,7 +30,7 @@ def _pinned_runs():
 @pytest.mark.parametrize("digest, command", _pinned_runs())
 def test_analyze_csv_keeps_its_pinned_bytes(tmp_path, digest, command):
     # The CSV report prints repr of every statistic, so one changed bit in
-    # any fit at 2,550 or 25,500 days changes the digest.
+    # any fit at 255, 2,550 or 25,500 days changes the digest.
     path = tmp_path / "market.csv"
     _synth(command, path)
     out = io.StringIO()
