@@ -26,7 +26,7 @@ from .dataio import (
     parse_config_file,
     write_market_csv,
 )
-from .errors import InvalidArgumentError, SingularMatrixError, SpeclossError
+from .errors import CsvParseError, InvalidArgumentError, SingularMatrixError, SpeclossError
 from .ols import RegressionSpec, fit
 from .pipeline import build_analysis
 from .report import (
@@ -256,7 +256,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (SpeclossError, OSError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        line = exc.line if isinstance(exc, CsvParseError) else None
+        where = "" if line is None else f"line {line}: "
+        print(f"{parser.prog}: error: {where}{exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -446,7 +446,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            _reject_undecodable(raw, f"config line {line_no}", line_no)
+            _reject_undecodable(raw, "config line", line_no)
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

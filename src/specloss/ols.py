@@ -17,10 +17,11 @@ library's own callers, as separate column arrays that are never
 stacked; the column norms are a row-order fold, block by block in the
 reflections' scratch, that gives the bits of the C-ordered design.
 Standard errors need only the diagonal of (X'X)^-1, so only that is
-formed.  A fit keeps no n-vector: its residuals give the SSR and the
-Durbin-Watson statistic and are then dropped.  :func:`fit` forms them
-again from the coefficients, in the same order and so with the same
-bits, for the residual series it returns.
+formed.  One private kernel solves and forms the residuals for
+:func:`fit_arrays` and for the ADF test's t-statistic alike.  A fit
+keeps no n-vector: its residuals give the SSR and the Durbin-Watson
+statistic and are dropped, except that a dependent given as a dated
+series, as :func:`fit` gives it, keeps them as the residual series.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -30,7 +31,7 @@ log-likelihood evaluated at the ML variance estimate SSR/T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -312,8 +313,29 @@ def _residuals(y: np.ndarray, columns: Sequence[np.ndarray], beta) -> np.ndarray
     return np.subtract(y, resid, out=resid)
 
 
+def _solve(
+    y: np.ndarray, columns: Sequence[np.ndarray], names: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares of y on the columns: (beta, diag (X'X)^-1, residuals)."""
+    a = np.array([*columns, y])  # the work array, the only copy of the design
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError("regression inputs must be finite")
+    r, norms = _householder_qr(a, names)
+    beta_s, var_s = _solve_triangular(r, a[-1])
+    del a, r  # the work array goes before the residuals are formed
+    beta = beta_s / norms
+    return beta, var_s / (norms * norms), _residuals(y, columns, beta)
+
+
+def _t_ratio(b: float, se: float) -> float:
+    """b / se; a zero standard error leaves nan for b == 0, else +-inf."""
+    if se > 0.0:
+        return b / se
+    return math.nan if b == 0.0 else math.copysign(math.inf, b)
+
+
 def fit_arrays(
-    y: np.ndarray,
+    y: np.ndarray | TimeSeries,
     x: np.ndarray,
     *,
     dep_name: str = "Y",
@@ -323,12 +345,14 @@ def fit_arrays(
 
     Parameters
     ----------
-    y : (n,) array of the dependent variable.
+    y : (n,) array of the dependent variable, or a series on the rows'
+        dates; the fit then keeps its residuals as ``residual_series``.
     x : (n, k) design matrix, one column per regressor.
     dep_name : label for reports.
     reg_names : k labels; defaults to X0..X{k-1}.
     """
-    yv = np.asarray(y, dtype=np.float64)
+    dated = isinstance(y, TimeSeries)
+    yv = y.values if dated else np.asarray(y, dtype=np.float64)
     if type(x) is _Columns:
         columns = x
         n, k = len(x[0]), len(x)
@@ -354,19 +378,11 @@ def fit_arrays(
         raise InvalidArgumentError(
             f"got {len(reg_names)} regressor names for {k} columns"
         )
-    a = np.array([*columns, yv])  # the work array, the only copy of the design
-    if not np.isfinite(a).all():
-        raise InvalidArgumentError("regression inputs must be finite")
-
-    r, norms = _householder_qr(a, reg_names)
-    beta_s, var_s = _solve_triangular(r, a[k])
-    del a, r  # the work array goes before the residuals are formed
-    beta = beta_s / norms
-    var = var_s / (norms * norms)
-
-    resid = _residuals(yv, columns, beta)
+    beta, var, resid = _solve(yv, columns, reg_names)
     ssr = float(np.add.reduce(resid * resid))
     dw = durbin_watson(resid)
+    series = (TimeSeries(_Frozen(y.dates), _Frozen(resid), name="RESID")
+              if dated else None)
     del resid
 
     mean_dep = float(np.add.reduce(yv)) / n
@@ -381,12 +397,8 @@ def fit_arrays(
     rows = []
     for name, b, v in zip(reg_names, beta.tolist(), var.tolist()):
         se = math.sqrt(s2 * v)
-        if se > 0.0:
-            t = b / se
-            p = 2.0 * student_t_sf(abs(t), df)
-        else:
-            t = math.nan if b == 0.0 else math.copysign(math.inf, b)
-            p = math.nan if b == 0.0 else 0.0
+        t = _t_ratio(b, se)
+        p = 2.0 * student_t_sf(abs(t), df)  # nan for a nan t, 0 for an infinite one
         rows.append(CoefRow(name=str(name), coef=b, std_err=se, t_stat=t, p_value=p))
 
     # R^2 < 0 (no constant) leaves no F test against the mean-only model.
@@ -411,6 +423,7 @@ def fit_arrays(
         durbin_watson=dw,
         mean_dep=mean_dep,
         sd_dep=sd_dep,
+        residual_series=series,
     )
 
 
@@ -419,9 +432,4 @@ def fit(spec: RegressionSpec) -> OlsFit:
     dep_a, *regs_a = align(spec.dependent, *spec.regressors)
     names = ["C"] + [s.name or f"X{j}" for j, s in enumerate(regs_a, start=1)]
     x = _Columns([_ONES[: len(dep_a)]] + [s.values for s in regs_a])
-    result = fit_arrays(
-        dep_a.values, x, dep_name=spec.dependent.name or "Y", reg_names=names
-    )
-    resid = _residuals(dep_a.values, x, [row.coef for row in result.coef_rows])
-    series = TimeSeries(_Frozen(dep_a.dates), _Frozen(resid), name="RESID")
-    return replace(result, residual_series=series)
+    return fit_arrays(dep_a, x, dep_name=spec.dependent.name or "Y", reg_names=names)

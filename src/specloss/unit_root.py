@@ -7,9 +7,9 @@ values.  Lag length is picked automatically by the Schwarz criterion over
 max_lag so the criteria are comparable.  On that sample each candidate's
 design is a column prefix of the max_lag design, so one Householder QR
 of the max_lag design yields every candidate's SSR and no candidate is
-fitted; only the winning lag is fitted, on its own longest sample.  The
-regression always carries a constant and no trend, the only case the
-shipped tables cover.
+fitted.  Only the winning lag is refitted, on its own longest sample,
+and only for the t-statistic on γ.  The regression always carries a
+constant and no trend, the only case the shipped tables cover.
 
 Critical values use the MacKinnon (2010) response surface evaluated at
 the regression's included observations, T_eff = N − 1 − lag.  P-values
@@ -39,6 +39,8 @@ from .ols import (
     _Columns,
     _ONES,
     _householder_qr,
+    _solve,
+    _t_ratio,
     fit_arrays,
     log_likelihood_from_ssr,
     schwarz_from_loglik,
@@ -89,7 +91,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class AdfResult:
-    """ADF test outcome with its auxiliary regression."""
+    """ADF test outcome; ``adf_regression(y, chosen_lag)`` gives its regression."""
 
     series_name: str
     t_statistic: float
@@ -99,7 +101,6 @@ class AdfResult:
     effective_obs: int
     critical_values: Mapping[int, float]
     verdict: Verdict
-    regression: OlsFit
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -267,11 +268,17 @@ def verdict_from_t(t_stat: float, critical_values: Mapping[int, float]) -> Verdi
 
 
 def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
-    """Run the ADF test: lag choice by SIC, regression, critical values, verdict."""
+    """Run the ADF test: lag choice by SIC, t-statistic, critical values, verdict.
+
+    The t-statistic takes the float operations of :func:`fit_arrays` on
+    the same solve, so it has the bits of ``adf_regression``'s.
+    """
     lag = select_lag(y, max_lag)
-    reg = adf_regression(y, lag)
-    t_stat = reg.coef_rows[1].t_stat
-    t_eff = reg.nobs
+    dep, cols, names = _adf_columns(y, lag)
+    beta, var, resid = _solve(dep, cols, names)
+    t_eff = len(dep)
+    s2 = float(np.add.reduce(resid * resid)) / (t_eff - len(cols))
+    t_stat = _t_ratio(float(beta[1]), math.sqrt(s2 * float(var[1])))
     cvs = {
         level: mackinnon_critical_values(level, t_eff) for level in LEVELS
     }
@@ -284,7 +291,6 @@ def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
         effective_obs=t_eff,
         critical_values=cvs,
         verdict=verdict_from_t(t_stat, cvs),
-        regression=reg,
     )
 
 

@@ -236,12 +236,27 @@ def test_data_errors_exit_1(tmp_path, capsys):
     code, out, err = run_cli(
         ["analyze", "--synth-seed", "1", "--config", str(latin1)], capsys)
     assert (code, out) == (1, "")
-    assert err == "specloss: error: config line 1 holds the byte 0xe9, which is not UTF-8\n"
+    assert err == "specloss: error: line 1: config line holds the byte 0xe9, which is not UTF-8\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param("maxlag=2\n\noops\n", 3, "config line is not key=value: 'oops'",
+                 id="not-key-value"),
+    pytest.param("# lags\n = 3\n", 2, "config line has empty key", id="empty-key"),
+    pytest.param("maxlag=2\nmaxlag=3\n", 2, "duplicate config key 'maxlag'",
+                 id="duplicate-key"),
+])
+def test_config_parse_errors_name_their_line(tmp_path, capsys, text, line, message):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(text, encoding="utf-8")
+    got = run_cli(["analyze", "--synth-seed", "1", "--config", str(conf)], capsys)
+    assert got == (1, "", f"specloss: error: line {line}: {message}\n")
 
 
 def test_impossible_date_exits_1_with_the_row_readers_message(tmp_path, capsys):
     # 60 days in order, one of them 2012-02-30 in place of 2012-03-01: every
     # date has the ISO shape, so only the calendar declines the fast path.
+    # The row reader then names the bad date's line under the header.
     days = [d.isoformat() for d in trading_dates(60).tolist()]
     assert days[42] == "2012-03-01"
     days[42] = "2012-02-30"
@@ -254,7 +269,7 @@ def test_impossible_date_exits_1_with_the_row_readers_message(tmp_path, capsys):
     with mock.patch.object(dataio, "_read_body_fast", return_value=None):
         streamed = run_cli(argv, capsys)
     assert got == streamed == (
-        1, "", "specloss: error: column 'date' has invalid ISO date '2012-02-30'\n")
+        1, "", "specloss: error: line 44: column 'date' has invalid ISO date '2012-02-30'\n")
 
 
 def test_break_date_must_be_iso_text(tmp_path, capsys):

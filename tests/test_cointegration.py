@@ -7,7 +7,7 @@ from specloss.cointegration import CointVerdict, dm_critical_values, engle_grang
 from specloss.errors import InvalidArgumentError, UnsupportedConfigError
 from specloss.ols import RegressionSpec, fit
 from specloss.synth import gen_cointegrated, gen_random_walk
-from specloss.unit_root import adf_test
+from specloss.unit_root import adf_regression, adf_test
 
 # Davidson-MacKinnon (1993) asymptotic critical values for the
 # residual-based test with constant term, by number of variables.
@@ -95,9 +95,14 @@ def test_engle_granger_verdict_agrees_with_dm_ladder():
 
 
 def test_engle_granger_resid_name_and_spec_passthrough():
-    result = engle_granger(gen_cointegrated(3), resid_name="RESID2")
+    spec = gen_cointegrated(3)
+    result = engle_granger(spec, resid_name="RESID2")
     assert result.residual_test.series_name == "RESID2"
-    assert result.residual_test.regression.dep_name == "D(RESID2)"
+    # The residual test ran on the stage-one residuals under that name.
+    resid = fit(spec).residual_series.with_name("RESID2")
+    assert result.residual_test == adf_test(resid)
+    lag = result.residual_test.chosen_lag
+    assert adf_regression(resid, lag).dep_name == "D(RESID2)"
     fixed = engle_granger(gen_cointegrated(3), max_lag=0)
     assert fixed.residual_test.chosen_lag == 0 and fixed.residual_test.max_lag == 0
     with pytest.raises(InvalidArgumentError, match="max_lag must be >= 0"):

@@ -1,6 +1,7 @@
 """Tests for the ADF machinery: lag choice, surfaces, verdicts."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from specloss.errors import (
     SingularMatrixError,
     UnsupportedConfigError,
 )
+from specloss import ols, special, unit_root
 from specloss.market import UVariant, u_series
 from specloss.ols import fit_arrays
 from specloss.series import TimeSeries, diff, trading_dates
@@ -260,8 +262,9 @@ def test_adf_test_fields_are_consistent():
     assert result.max_lag == 5
     assert 0 <= result.chosen_lag <= 5
     assert result.effective_obs == 255 - 1 - result.chosen_lag
-    assert result.effective_obs == result.regression.nobs
-    assert result.t_statistic == result.regression.coef_rows[1].t_stat
+    reg = adf_regression(s, result.chosen_lag)
+    assert result.effective_obs == reg.nobs
+    assert result.t_statistic == reg.coef_rows[1].t_stat
     assert result.p_value == mackinnon_pvalue(result.t_statistic)
     assert set(result.critical_values) == {1, 5, 10}
     for level in (1, 5, 10):
@@ -271,6 +274,71 @@ def test_adf_test_fields_are_consistent():
                                             result.critical_values)
     with pytest.raises(TypeError):
         result.critical_values[1] = 0.0
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _ar2_in_differences(seed, n):
+    """A walk whose steps follow an AR(2), so SIC picks a lag above 0."""
+    e = np.random.default_rng(seed).standard_normal(n)
+    dy = np.zeros(n)
+    for t in range(2, n):
+        dy[t] = 0.6 * dy[t - 1] - 0.3 * dy[t - 2] + e[t]
+    return np.cumsum(dy)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+@pytest.mark.parametrize("n", [255, 2550, 25500])
+def test_adf_t_statistic_has_the_bits_of_the_auxiliary_regression(n, scale):
+    walk = gen_random_walk(21, n, label="LEAN").values
+    lags = []
+    for values in (walk, _ar2_in_differences(n, n)):
+        level = TimeSeries(trading_dates(n), scale * values, name="L")
+        for s in (level, diff(level)):
+            result = adf_test(s)
+            reg = adf_regression(s, result.chosen_lag)
+            assert _bits(result.t_statistic) == _bits(reg.coef_rows[1].t_stat)
+            assert result.effective_obs == reg.nobs
+            lags.append(result.chosen_lag)
+    assert max(lags) > 0
+
+
+@pytest.mark.parametrize("values, t_stat", [
+    pytest.param(np.arange(17.0), math.nan, id="zero-coef-nan"),
+    pytest.param(np.tile([1.0, 2.0], 3), -math.inf, id="minus-inf"),
+    pytest.param(np.arange(58.0), math.inf, id="plus-inf"),
+])
+def test_exact_adf_fit_takes_the_zero_standard_error_branch(values, t_stat):
+    # Residuals of exactly zero leave a zero S.E., so the t-statistic is
+    # nan for a zero coefficient and an infinity of its sign otherwise.
+    s = TimeSeries(trading_dates(len(values)), values, name="E")
+    result = adf_test(s, max_lag=0)
+    reg = adf_regression(s, 0)
+    assert reg.ssr == 0.0 and reg.coef_rows[1].std_err == 0.0
+    assert _bits(result.t_statistic) == _bits(reg.coef_rows[1].t_stat)
+    if math.isnan(t_stat):
+        assert math.isnan(result.t_statistic) and reg.coef_rows[1].coef == 0.0
+    else:
+        assert result.t_statistic == t_stat
+
+
+def test_adf_test_forms_no_tail_diagnostic_or_full_fit(monkeypatch):
+    walk = gen_random_walk(11, 255, label="LADD").with_name("W")
+    stat = gen_ar1(12, 255, phi=0.3, label="STAT").with_name("A")
+    want = [stationarity_ladder(walk), stationarity_ladder(stat), adf_test(walk, 3)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ADF test formed what it does not report")
+
+    for module, name in ((special, "student_t_sf"), (special, "f_sf"),
+                         (ols, "student_t_sf"), (ols, "f_sf"), (ols, "durbin_watson"),
+                         (ols, "OlsFit"), (ols, "fit_arrays"), (unit_root, "fit_arrays")):
+        monkeypatch.setattr(module, name, forbidden)
+    got = [stationarity_ladder(walk), stationarity_ladder(stat), adf_test(walk, 3)]
+    assert got == want
+    assert got[0].diff_result is not None and got[1].diff_result is None
 
 
 def test_adf_test_fixed_lag():
