@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedConfigError,
 )
 from .series import TimeSeries, align, diff, mean, stddev, trading_dates
-from .special import betainc_regularized, f_sf, student_t_sf
+from .special import f_sf, student_t_sf
 from .ols import CoefRow, OlsFit, RegressionSpec, fit, fit_arrays
 from .unit_root import (
     AdfResult,
@@ -50,21 +50,13 @@ from .market import (
     mean_loss_per_stock,
     u_series,
 )
-from .synth import (
-    NormalStream,
-    SynthConfig,
-    gen_ar1,
-    gen_cointegrated,
-    gen_market_days,
-    gen_random_walk,
-)
+from .synth import SynthConfig, gen_market_days
 from .dataio import (
     RunConfig,
     load_market_csv,
     load_series_csv,
     parse_config_file,
     write_market_csv,
-    write_series_csv,
 )
 from .report import AnalysisReport, fmt_stat, render_analysis_csv, render_analysis_text
 
@@ -87,7 +79,6 @@ __all__ = [
     "stddev",
     "align",
     "trading_dates",
-    "betainc_regularized",
     "student_t_sf",
     "f_sf",
     "RegressionSpec",
@@ -121,17 +112,12 @@ __all__ = [
     "constancy_check",
     "break_analysis",
     "coverage_ratios",
-    "NormalStream",
     "SynthConfig",
-    "gen_random_walk",
-    "gen_ar1",
     "gen_market_days",
-    "gen_cointegrated",
     "RunConfig",
     "load_market_csv",
     "write_market_csv",
     "load_series_csv",
-    "write_series_csv",
     "parse_config_file",
     "AnalysisReport",
     "fmt_stat",

@@ -3,10 +3,10 @@
 Two file shapes exist.  Market files hold one validated MarketData, a
 trading day per row, under the fixed header
 ``date,i_mrub,r_pct,u_big_vol,u_big_dep`` with an optional trailing
-``mean_price_rub``.  Series files are generic: a ``date`` column plus one
-named column per series, written in shortest round-trip decimal form so
-load(write(x)) is bit-exact.  Both shapes go through one reader and one
-writer.  An empty value cell reads as NaN and a NaN writes as an empty
+``mean_price_rub``, written in shortest round-trip decimal form so
+load(write(x)) is bit-exact.  Series files are generic input: a ``date``
+column plus one named column per series.  Both shapes go through one
+reader.  An empty value cell reads as NaN and a NaN writes as an empty
 cell; the text ``nan`` is never a value.  Whether a NaN may stand is the
 data type's decision: MarketData allows it only as a missing price,
 TimeSeries nowhere, and either names the date of a cell it rejects.  All
@@ -43,7 +43,7 @@ import datetime
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -62,13 +62,12 @@ __all__ = [
     "load_market_csv",
     "write_market_csv",
     "load_series_csv",
-    "write_series_csv",
     "parse_config_file",
 ]
 
 MARKET_COLUMNS = ("date", "i_mrub", "r_pct", "u_big_vol", "u_big_dep")
 MARKET_PRICE_COLUMN = "mean_price_rub"
-# Rows per write call of _write_table.  The whole file in one string
+# Rows per write call of write_market_csv.  The whole file in one string
 # would hold every cell's text at once (a 17.9 MB peak at 25,500 days).
 _WRITE_ROWS = 1024
 
@@ -333,34 +332,13 @@ def _read_table(
     for first, again in zip(order, order[1:]):
         if dates[first] == dates[again]:
             raise CsvValidationError(
-                f"duplicate date (first seen on line {lines[first]})",
+                f"duplicate date {dates[again]} on line {lines[again]} "
+                f"(first seen on line {lines[first]})",
                 date=dates[again],
             )
     table = np.frombuffer(values, dtype=np.float64).reshape(len(dates), len(names))
     calendar = np.array(dates, dtype="datetime64[D]")[order]
     return header, _Frozen(calendar), table[order]
-
-
-def _write_table(
-    path: str, header: list[str], dates: np.ndarray, columns: Sequence[np.ndarray],
-) -> None:
-    """Write a date column plus value columns; NaN becomes an empty cell.
-
-    The body goes out in blocks of ``_WRITE_ROWS`` rows, one ``write``
-    each, in the bytes ``csv.writer`` gives: an ISO date, a float's
-    ``repr`` or an empty cell never needs quoting, and every row has at
-    least two cells.  Only the header, whose names may, goes through it.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(header)
-        for start in range(0, len(dates), _WRITE_ROWS):
-            block = slice(start, start + _WRITE_ROWS)
-            cells = [dates[block].astype(str).tolist()]  # each day's isoformat()
-            # tolist() yields Python floats, whose repr is the shortest
-            # round-trip form (a numpy scalar would repr as np.float64(...)).
-            cells += [["" if v != v else repr(v) for v in c[block].tolist()]
-                      for c in columns]
-            handle.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
 def _market_header_problem(header: list[str]) -> str | None:
@@ -387,7 +365,13 @@ def load_market_csv(path: str) -> MarketData:
 
 
 def write_market_csv(days: MarketData, path: str) -> None:
-    """Write market data in the market schema (price column if any)."""
+    """Write market data in the market schema (price column if any).
+
+    NaN, a missing price, becomes an empty cell.  The body goes out in
+    blocks of ``_WRITE_ROWS`` rows, one ``write`` each, in the bytes
+    ``csv.writer`` gives: an ISO date, a float's ``repr`` or an empty cell
+    never needs quoting, and every row has at least two cells.
+    """
     if not days:
         raise InvalidArgumentError("no days to write")
     columns = [days.invest_i, days.rate_r, days.u_big_vol, days.u_big_dep]
@@ -395,23 +379,16 @@ def write_market_csv(days: MarketData, path: str) -> None:
     if days.mean_price is not None:
         columns.append(days.mean_price)
         header.append(MARKET_PRICE_COLUMN)
-    _write_table(path, header, days.dates, columns)
-
-
-def write_series_csv(series: list[TimeSeries], path: str) -> None:
-    """Write aligned named series as date plus one column each."""
-    if not series:
-        raise InvalidArgumentError("no series to write")
-    dates = series[0].dates
-    for s in series[1:]:
-        if not np.array_equal(s.dates, dates):
-            raise InvalidArgumentError(
-                f"series {s.name!r} is not aligned with {series[0].name!r}"
-            )
-    names = [s.name or f"X{i}" for i, s in enumerate(series)]
-    if len(set(names)) != len(names):
-        raise InvalidArgumentError(f"series names must be unique, got {names}")
-    _write_table(path, ["date"] + names, dates, [s.values for s in series])
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(days), _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            cells = [days.dates[block].astype(str).tolist()]  # each day's isoformat()
+            # tolist() yields Python floats, whose repr is the shortest
+            # round-trip form (a numpy scalar would repr as np.float64(...)).
+            cells += [["" if v != v else repr(v) for v in c[block].tolist()]
+                      for c in columns]
+            handle.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
 def _series_header_problem(header: list[str]) -> str | None:

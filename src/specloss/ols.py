@@ -116,14 +116,6 @@ class OlsFit:
     # Residuals with their dates, set when fitting from aligned series.
     residual_series: TimeSeries | None = None
 
-    @property
-    def coefs(self) -> np.ndarray:
-        return np.array([row.coef for row in self.coef_rows])
-
-    @property
-    def df_resid(self) -> int:
-        return self.nobs - self.n_params
-
 
 def log_likelihood_from_ssr(ssr: float, nobs: int) -> float:
     """Gaussian log-likelihood at the ML variance estimate SSR/T."""

@@ -126,8 +126,10 @@ class TimeSeries:
             )
         if values.size and not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            # NaN is what an empty CSV cell reads as.
+            what = "missing value" if np.isnan(values[bad]) else f"non-finite value {values[bad]}"
             raise InvalidDayError(
-                f"non-finite value at {dates[bad]}; series may not contain missing values",
+                f"{what} at {dates[bad]}; series values must be finite",
                 date=dates[bad].item(),
             )
         values.flags.writeable = False

@@ -15,7 +15,7 @@ import math
 
 from .errors import InvalidArgumentError
 
-__all__ = ["betainc_regularized", "student_t_sf", "f_sf"]
+__all__ = ["student_t_sf", "f_sf"]
 
 _MAX_ITER = 300
 _EPS = 1e-15
@@ -65,11 +65,6 @@ def _stirling_tail(z: float) -> float:
     """log Γ(z) minus its Stirling approximation, for z >= 10."""
     z2 = z * z
     return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * z2)) / z2) / z2) / z
-
-
-def betainc_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for a, b > 0."""
-    return _betainc(a, b, x, 1.0 - x)
 
 
 def _betainc(a: float, b: float, x: float, y: float) -> float:

@@ -31,17 +31,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .market import MarketData
-from .ols import RegressionSpec
-from .series import TimeSeries, _Frozen, trading_dates
+from .series import _Frozen, trading_dates
 
-__all__ = [
-    "NormalStream",
-    "SynthConfig",
-    "gen_random_walk",
-    "gen_ar1",
-    "gen_market_days",
-    "gen_cointegrated",
-]
+__all__ = ["SynthConfig", "gen_market_days"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -206,46 +198,6 @@ def _ar1_around(
     return np.abs(level + _ar1(stream, n, phi, scale))
 
 
-def gen_random_walk(
-    seed: int,
-    n: int,
-    drift: float = 0.0,
-    scale: float = 1.0,
-    *,
-    label: str = "RW",
-) -> TimeSeries:
-    """y_t = y_{t-1} + drift + scale*eps_t starting from zero, n values."""
-    if n < 2:
-        raise InvalidArgumentError(f"n must be >= 2, got {n}")
-    if scale < 0:
-        raise InvalidArgumentError(f"scale must be >= 0, got {scale}")
-    values = []
-    level = 0.0
-    for shock in (scale * NormalStream(seed, label).normals(n)).tolist():
-        level = level + drift + shock
-        values.append(level)
-    return TimeSeries(_Frozen(trading_dates(n)), values, name=label)
-
-
-def gen_ar1(
-    seed: int,
-    n: int,
-    phi: float,
-    scale: float = 1.0,
-    *,
-    label: str = "AR1",
-) -> TimeSeries:
-    """Mean-zero AR(1) with the first value from the stationary law."""
-    if n < 2:
-        raise InvalidArgumentError(f"n must be >= 2, got {n}")
-    if not abs(phi) < 1:
-        raise InvalidArgumentError(f"|phi| must be < 1, got {phi}")
-    if scale < 0:
-        raise InvalidArgumentError(f"scale must be >= 0, got {scale}")
-    values = _ar1(NormalStream(seed, label), n, phi, scale)
-    return TimeSeries(_Frozen(trading_dates(n)), values, name=label)
-
-
 def gen_market_days(config: SynthConfig) -> MarketData:
     """Generate market data for ``n_days`` trading dates from the fixed process."""
     n = config.n_days
@@ -272,21 +224,3 @@ def gen_market_days(config: SynthConfig) -> MarketData:
         u_big_dep=u_vol + dep_extra,
         mean_price=price,
     )
-
-
-def gen_cointegrated(seed: int, n: int = 255) -> RegressionSpec:
-    """A 4-variable system cointegrated by construction.
-
-    Two random walks and one AR(1) combine linearly into the dependent
-    variable plus stationary AR(1) noise, so the relation's residuals are
-    stationary whatever the walks do.
-    """
-    if n < 30:
-        raise InvalidArgumentError(f"n must be >= 30, got {n}")
-    w1 = gen_random_walk(seed, n, scale=1.0, label="COINT_W1").with_name("X1")
-    w2 = gen_random_walk(seed, n, scale=1.0, label="COINT_W2").with_name("X2")
-    x3 = gen_ar1(seed, n, phi=0.4, scale=1.0, label="COINT_X3").with_name("X3")
-    noise = gen_ar1(seed, n, phi=0.3, scale=0.5, label="COINT_NOISE")
-    values = 1.0 + 0.5 * w1.values - 0.3 * w2.values + 2.0 * x3.values + noise.values
-    dep = TimeSeries(_Frozen(w1.dates), values, name="Y")
-    return RegressionSpec(dependent=dep, regressors=(w1, w2, x3))

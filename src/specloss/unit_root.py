@@ -194,13 +194,11 @@ def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray],
     smaller lag on this sample is a column prefix of this one.  C is a
     read-only view that holds no n-vector.
     """
-    yv, n = y.values, len(y)
+    yv, n, label = y.values, len(y), y.name or "Y"
     if n - 1 - lag <= lag + 2:
-        raise InsufficientDataError(
-            f"series of length {n} is too short for an ADF regression with lag {lag}"
-        )
+        raise InsufficientDataError(f"series {label} of length {n} is too short "
+                                    f"for an ADF regression with lag {lag}")
     dy = yv[1:] - yv[:-1]
-    label = y.name or "Y"
     names = ["C", f"{label}(-1)"] + [f"D({label}(-{i}))" for i in range(1, lag + 1)]
     cols = [_ONES[: n - 1 - lag], yv[lag : n - 1]]
     cols += [dy[lag - i : n - 1 - i] for i in range(1, lag + 1)]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_results
+from generators import gen_ar1, gen_random_walk
 from oracles import ols_oracle, random_instance
 from specloss.cli import main
 from specloss.cointegration import CointVerdict, dm_critical_values, engle_granger
@@ -38,7 +39,7 @@ from specloss.ols import (
     se_regression_from_ssr,
 )
 from specloss.special import student_t_sf
-from specloss.synth import SynthConfig, gen_ar1, gen_market_days, gen_random_walk
+from specloss.synth import SynthConfig, gen_market_days
 from specloss.unit_root import (
     LEVELS,
     Verdict,

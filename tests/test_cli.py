@@ -7,18 +7,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from generators import gen_ar1, gen_random_walk, write_series_csv
 from specloss import dataio
 from specloss.cli import build_parser, main
-from specloss.dataio import (
-    load_market_csv,
-    load_series_csv,
-    write_market_csv,
-    write_series_csv,
-)
+from specloss.dataio import load_market_csv, load_series_csv, write_market_csv
 from specloss.ols import RegressionSpec, fit
 from specloss.report import render_adf_block, render_regression
 from specloss.series import TimeSeries, trading_dates
-from specloss.synth import gen_ar1, gen_random_walk
 from specloss.unit_root import adf_test
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -270,6 +265,39 @@ def test_impossible_date_exits_1_with_the_row_readers_message(tmp_path, capsys):
         streamed = run_cli(argv, capsys)
     assert got == streamed == (
         1, "", "specloss: error: line 44: column 'date' has invalid ISO date '2012-02-30'\n")
+
+
+def test_duplicate_date_names_the_date_and_both_lines(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    code, _, _ = run_cli(["synth", "--seed", "3", "--days", "40", "--out", str(path)], capsys)
+    assert code == 0
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[4] = lines[3]  # line 5 repeats line 4
+    path.write_text("".join(lines), encoding="utf-8")
+    day = lines[3].split(",")[0]
+    assert run_cli(["analyze", "--input", str(path)], capsys) == (
+        1, "", f"specloss: error: duplicate date {day} on line 5 (first seen on line 4)\n")
+
+
+def test_too_short_error_names_the_series(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    code, _, _ = run_cli(["synth", "--seed", "3", "--days", "40", "--out", str(path)], capsys)
+    assert code == 0
+    assert run_cli(["analyze", "--input", str(path), "--maxlag", "40"], capsys) == (
+        1, "", "specloss: error: series U_SMALL_VOL of length 40 is too short "
+               "for an ADF regression with lag 40\n")
+
+
+@pytest.mark.parametrize("cell, what", [("inf", "non-finite value inf"),
+                                         ("-inf", "non-finite value -inf"),
+                                         ("", "missing value")])
+def test_non_finite_series_cell_error_says_what_it_found(tmp_path, capsys, cell, what):
+    path = tmp_path / "s.csv"
+    path.write_text(f"date,x\n2012-01-03,1\n2012-01-04,{cell}\n2012-01-05,2\n",
+                    encoding="utf-8")
+    assert run_cli(["adf", "--input", str(path), "--column", "x"], capsys) == (
+        1, "", f"specloss: error: column 'x': {what} at 2012-01-04; "
+               "series values must be finite\n")
 
 
 def test_break_date_must_be_iso_text(tmp_path, capsys):

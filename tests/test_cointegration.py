@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from generators import gen_cointegrated, gen_random_walk
 from specloss.cointegration import CointVerdict, dm_critical_values, engle_granger
 from specloss.errors import InvalidArgumentError, UnsupportedConfigError
 from specloss.ols import RegressionSpec, fit
-from specloss.synth import gen_cointegrated, gen_random_walk
 from specloss.unit_root import adf_regression, adf_test
 
 # Davidson-MacKinnon (1993) asymptotic critical values for the

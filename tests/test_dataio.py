@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import gen_random_walk, write_series_csv
 from specloss import dataio
 from specloss.dataio import (
     RunConfig,
@@ -18,7 +19,6 @@ from specloss.dataio import (
     load_series_csv,
     parse_config_file,
     write_market_csv,
-    write_series_csv,
 )
 from specloss.errors import (
     CsvParseError,
@@ -28,7 +28,7 @@ from specloss.errors import (
 )
 from specloss.market import MarketData
 from specloss.series import TimeSeries, _Frozen, trading_dates
-from specloss.synth import SynthConfig, gen_market_days, gen_random_walk
+from specloss.synth import SynthConfig, gen_market_days
 
 
 HEADER = "date,i_mrub,r_pct,u_big_vol,u_big_dep"
@@ -170,18 +170,6 @@ def test_series_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded[0].dates, a.dates)
     assert np.array_equal(loaded[0].values, a.values)
     assert np.array_equal(loaded[1].values, b.values)
-
-
-def test_series_write_rejects_bad_input(tmp_path):
-    a = gen_random_walk(1, 10, label="W_A").with_name("A")
-    b = gen_random_walk(1, 12, label="W_B").with_name("B")
-    path = str(tmp_path / "x.csv")
-    with pytest.raises(InvalidArgumentError, match="aligned"):
-        write_series_csv([a, b], path)
-    with pytest.raises(InvalidArgumentError, match="unique"):
-        write_series_csv([a, a], path)
-    with pytest.raises(InvalidArgumentError):
-        write_series_csv([], path)
 
 
 def test_series_load_errors(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import gen_random_walk
 from specloss.dataio import RunConfig
 from specloss.ols import fit_arrays
 from specloss.pipeline import build_analysis
@@ -22,7 +23,6 @@ from specloss.report import (
     render_analysis_text,
     render_regression,
 )
-from specloss.synth import gen_random_walk
 from specloss.unit_root import adf_test
 
 

@@ -102,7 +102,8 @@ def test_non_finite_values_rejected_with_date():
     d = trading_dates(3)
     with pytest.raises(InvalidArgumentError, match=str(d[1])):
         TimeSeries(d, np.array([1.0, math.nan, 2.0]))
-    with pytest.raises(InvalidArgumentError, match="missing"):
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^non-finite value inf at {d[2]}; series values must be finite$"):
         TimeSeries(d, np.array([1.0, 2.0, math.inf]))
 
 

@@ -10,19 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from generators import gen_ar1, gen_cointegrated, gen_random_walk
 from specloss.cli import main
 from specloss.errors import InvalidArgumentError
 from specloss.market import UVariant, u_series
+from specloss.ols import RegressionSpec
 from specloss import synth
 from specloss.series import trading_dates
-from specloss.synth import (
-    NormalStream,
-    SynthConfig,
-    gen_ar1,
-    gen_cointegrated,
-    gen_market_days,
-    gen_random_walk,
-)
+from specloss.synth import NormalStream, SynthConfig, gen_market_days
 
 
 def test_stream_is_deterministic_per_seed_and_label():
@@ -78,13 +73,6 @@ def test_random_walk_determinism_and_increments():
     assert np.allclose(increments, 0.25 + 2.0 * shocks, rtol=0, atol=1e-12)
 
 
-def test_random_walk_validation():
-    with pytest.raises(InvalidArgumentError):
-        gen_random_walk(1, 1)
-    with pytest.raises(InvalidArgumentError):
-        gen_random_walk(1, 10, scale=-1.0)
-
-
 def test_ar1_phi_zero_reduces_to_scaled_stream():
     series = gen_ar1(4, 50, phi=0.0, scale=3.0, label="IND")
     shocks = NormalStream(4, "IND").normals(50)
@@ -113,13 +101,6 @@ def test_ar1_starts_from_stationary_distribution():
 
 def test_ar1_zero_scale_is_identically_zero():
     assert not np.any(gen_ar1(1, 20, phi=0.5, scale=0.0).values)
-
-
-def test_ar1_validation():
-    with pytest.raises(InvalidArgumentError):
-        gen_ar1(1, 10, phi=1.0)
-    with pytest.raises(InvalidArgumentError):
-        gen_ar1(1, 1, phi=0.5)
 
 
 def test_market_days_shape_and_invariants():
@@ -188,8 +169,6 @@ def test_gen_cointegrated_layout():
     assert [s.name for s in spec.regressors] == ["X1", "X2", "X3"]
     assert len(spec.dependent) == 100
     assert all(np.array_equal(s.dates, spec.dependent.dates) for s in spec.regressors)
-    with pytest.raises(InvalidArgumentError):
-        gen_cointegrated(2, n=10)
 
 
 def test_default_config_produces_plausible_magnitudes():
@@ -251,3 +230,32 @@ def test_synth_files_keep_their_pinned_bytes(tmp_path, digest, command):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(command.split() + ["--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the test generators' dates and values, one "digest  call name
+# field" line each, taken while the generators still shipped in specloss.
+_GENERATED = Path(__file__).parent / "data" / "generators_sha256.txt"
+_GENERATORS = {"gen_random_walk": gen_random_walk, "gen_ar1": gen_ar1,
+               "gen_cointegrated": gen_cointegrated}
+
+
+def _generated_series():
+    """(call, {(name, field): digest}) for each pinned generator call."""
+    calls: dict[str, dict[tuple[str, str], str]] = {}
+    for line in _GENERATED.read_text(encoding="utf-8").splitlines():
+        digest, rest = line.split("  ", 1)
+        call, name, field = rest.rsplit(" ", 2)
+        calls.setdefault(call, {})[name, field] = digest
+    for call, digests in calls.items():
+        yield pytest.param(call, digests, id=call.replace(" ", ""))
+
+
+@pytest.mark.parametrize("call, digests", _generated_series())
+def test_generators_keep_their_pinned_bits(call, digests):
+    made = eval(call, {"__builtins__": {}}, _GENERATORS)
+    series = [made.dependent, *made.regressors] if isinstance(made, RegressionSpec) else [made]
+    got = {}
+    for s in series:
+        got[s.name, "dates"] = hashlib.sha256(s.dates.astype("datetime64[D]").tobytes()).hexdigest()
+        got[s.name, "values"] = hashlib.sha256(s.values.tobytes()).hexdigest()
+    assert got == digests

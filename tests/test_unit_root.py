@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import gen_ar1, gen_random_walk
 from specloss.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -18,13 +19,7 @@ from specloss import ols, special, unit_root
 from specloss.market import UVariant, u_series
 from specloss.ols import fit_arrays
 from specloss.series import TimeSeries, diff, trading_dates
-from specloss.synth import (
-    NormalStream,
-    SynthConfig,
-    gen_ar1,
-    gen_market_days,
-    gen_random_walk,
-)
+from specloss.synth import NormalStream, SynthConfig, gen_market_days
 from specloss.unit_root import (
     Verdict,
     adf_regression,
