@@ -41,9 +41,10 @@ import array
 import csv
 import datetime
 import math
+import os
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -152,14 +153,14 @@ _NOT_BLANK = re.compile(rb"\S")
 # digit, "-" at 4 and 7, and the NUL that pads a ten-character cell.
 _DATE_LO = np.array([48] * 4 + [45] + [48] * 2 + [45] + [48] * 2 + [0], np.uint8)
 _DATE_HI = np.array([57] * 4 + [45] + [57] * 2 + [45] + [57] * 2 + [0], np.uint8)
-# Bytes per block of the empty-cell scan in _loadtxt_may_differ.
+# Bytes per block of the body scan in _loadtxt_may_differ.
 _SCAN_BYTES = 1 << 18
 # Python's first date, in days since 1970-01-01; year 0000 has the shape.
 _FIRST_DAY = int(np.datetime64("0001-01-01", "D").astype(np.int64))
 
 
-def _loadtxt_may_differ(data: bytes, start: int) -> bool:
-    """Whether a file's body, ``data[start:]``, should be read row by row.
+def _loadtxt_may_differ(raw: BinaryIO) -> bool:
+    """Whether the body of the file open in ``raw`` should be read row by row.
 
     ``loadtxt`` drops a string cell's trailing NULs, strips the separators
     U+001C..U+001F around a number (``float()`` rejects them), and has no
@@ -167,31 +168,55 @@ def _loadtxt_may_differ(data: bytes, start: int) -> bool:
     empty cell would fail the NaN check only after a full parse, so it
     declines here, and so does a blank body, on which ``loadtxt`` warns
     that the input contained no data.
+
+    The body is everything after the header's first line break.  It is
+    read a block at a time, never whole: the last byte and the length of
+    the open line carry across block edges.
     """
-    if _NOT_BLANK.search(data, start) is None or data.endswith(b","):
-        return True
-    if any(data.find(byte, start) >= 0 for byte in _NUMPY_ONLY_BYTES):
-        return True
-    # An empty cell is a comma followed by a comma or a line break.  One
-    # numpy pass over the bytes beats searching for ",," and the like,
-    # since every row holds several commas.  The pass goes block by block,
-    # each block reading one byte into the next, so no mask of the whole
-    # file is ever held.
-    for lo in range(start, len(data) - 1, _SCAN_BYTES):
-        block = np.frombuffer(data, np.uint8, min(_SCAN_BYTES + 1, len(data) - lo), lo)
-        after_comma = block[np.flatnonzero(block[:-1] == ord(",")) + 1]
+    limit = csv.field_size_limit()
+    in_header, blank = True, True
+    last = -1  # the body's last byte so far
+    line = 0  # bytes since the body's last line break
+    # A read allocates all it asks for, so none asks past the file's end.
+    unread = os.fstat(raw.fileno()).st_size
+    while unread > 0 and (block := raw.read(min(_SCAN_BYTES, unread))):
+        unread -= len(block)
+        start = 0
+        if in_header:
+            ends = [i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0]
+            if not ends:
+                continue
+            in_header, start = False, min(ends) + 1
+            if start == len(block):
+                continue
+        if any(block.find(byte, start) >= 0 for byte in _NUMPY_ONLY_BYTES):
+            return True
+        if blank:
+            blank = _NOT_BLANK.search(block, start) is None
+        # An empty cell is a comma followed by a comma or a line break, in
+        # this block or across the edge from the last one.  One numpy pass
+        # over the bytes beats searching for ",," and the like, since every
+        # row holds several commas.
+        if last == ord(",") and block[start] in b",\n\r":
+            return True
+        body = np.frombuffer(block, np.uint8, offset=start)
+        after_comma = body[np.flatnonzero(body[:-1] == ord(",")) + 1]
         if any((after_comma == ord(end)).any() for end in ",\n\r"):
             return True
-    # From a line start, jump past the last line break within the limit;
-    # a line, and so a field, can pass the limit only where there is none.
-    limit = csv.field_size_limit()
-    while len(data) - start > limit:
-        reach = start + limit + 1
-        last = max(data.rfind(b"\n", start, reach), data.rfind(b"\r", start, reach))
-        if last < 0:
-            return True
-        start = last + 1
-    return False
+        # From the open line's start, jump past the last line break within
+        # the limit; a line, and so a field, can pass the limit only where
+        # there is none.
+        begin = start - line
+        while len(block) - begin > limit:
+            lo, reach = max(begin, start), begin + limit + 1
+            brk = max(block.rfind(b"\n", lo, reach), block.rfind(b"\r", lo, reach))
+            if brk < 0:
+                return True
+            begin = brk + 1
+        brk = max(block.rfind(b"\n", start), block.rfind(b"\r", start))
+        line = len(block) - (begin if brk < 0 else brk + 1)
+        last = block[-1]
+    return blank or last == ord(",")
 
 
 def _calendar(text: np.ndarray) -> np.ndarray | None:
@@ -234,12 +259,8 @@ def _read_body_fast(
     so a date's own text is the cell.
     """
     with open(path, "rb") as raw:
-        data = raw.read()
-    header_end = min((i for i in (data.find(b"\n"), data.find(b"\r")) if i >= 0),
-                     default=len(data))
-    if _loadtxt_may_differ(data, header_end + 1):
-        return None
-    del data
+        if _loadtxt_may_differ(raw):
+            return None
     row = np.dtype([("date", "S11"), ("values", np.float64, (width - 1,))])
     try:
         body = np.loadtxt(path, dtype=row, delimiter=",", comments=None,

@@ -80,6 +80,10 @@ class MarketData:
     deals and deposited in the clearing system; ``mean_price`` is the
     optional mean stock price in rubles used by the coverage ratios, NaN
     on a day without one, or ``None`` when no day has a price column.
+
+    A caller's columns are copied.  A column the library has just made
+    comes wrapped in :class:`~specloss.series._Frozen` and is kept
+    uncopied; either kind gets every check below.
     """
 
     dates: np.ndarray
@@ -95,7 +99,11 @@ class MarketData:
         for f in fields(self)[1:]:
             if f.name == "mean_price" and self.mean_price is None:
                 continue
-            column = np.array(getattr(self, f.name), dtype=np.float64)
+            column = getattr(self, f.name)
+            if type(column) is _Frozen:
+                column = column.values
+            else:
+                column = np.array(column, dtype=np.float64)
             if column.shape != (len(dates),):
                 raise InvalidArgumentError(
                     f"{f.name} must hold one value per date ({len(dates)}), "

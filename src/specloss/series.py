@@ -37,12 +37,14 @@ _LAST_DAY = np.datetime64(datetime.date.max, "D")
 
 
 class _Frozen:
-    """An array the library owns, frozen here, that a series keeps uncopied.
+    """An array the library owns, frozen here, that a series or a market
+    table keeps uncopied.
 
     Only the library wraps arrays: ones it has just made (a difference, a
-    fit's residuals, a parsed calendar) or holds frozen already (a market
-    column, another series' values or dates).  No caller keeps a writable
-    handle on them, and a wrapped calendar is one the library has checked.
+    fit's residuals, a parsed calendar, a generated market column) or
+    holds frozen already (a market column, another series' values or
+    dates).  No caller keeps a writable handle on them, and a wrapped
+    calendar is one the library has checked.
     """
 
     __slots__ = ("values",)

@@ -15,22 +15,31 @@ order they are drawn in.
 
 A splitmix64 state only ever adds a constant, so a whole block of
 uniforms is computed at once in numpy ``uint64``, whose arithmetic wraps
-exactly as the 64-bit mask does.  The normals stay libm Box-Muller, one
-pair at a time in Python floats: numpy's vectorised log, sqrt, cos and
-sin are not guaranteed to give libm's bits.  The processes' recurrences
-also run over Python floats, draw by draw, in the order they always did
-(a ``cumsum`` would round in another order).
+exactly as the 64-bit mask does.  Box-Muller then mixes libm and numpy
+without moving a bit from the one-pair-at-a-time Python form.  Only the
+transcendental steps call libm: ``math.log``, ``math.cos`` and
+``math.sin`` are mapped over the uniforms into ``np.fromiter``.  The
+rest is numpy on whole arrays: the ``-2.0`` and ``2π`` products, the
+radius times the cosine or sine, and the square root.  IEEE 754 rounds a
+product and a square root correctly, so numpy and Python floats agree on
+them bit for bit.  ``np.log`` is not used: it differs from libm's log on
+some of the stream's uniforms, and numpy promises no particular bits for
+it (or for ``np.cos`` and ``np.sin``).  The processes' recurrences run
+over Python floats, draw by draw, in the order they always did (a
+``cumsum`` would round in another order), reading the shocks through a
+``memoryview`` and appending to an ``array('d')`` that numpy then adopts.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .market import MarketData
+from .market import MarketData, _first
 from .series import _Frozen, trading_dates
 
 __all__ = ["SynthConfig", "gen_market_days"]
@@ -100,36 +109,51 @@ class NormalStream:
         self._cached = radius * math.sin(angle)
         return radius * math.cos(angle)
 
-    def _uniforms(self, n: int) -> list[float]:
+    def _uniforms(self, n: int) -> np.ndarray:
         """The next ``n`` uniforms, as ``n`` calls of ``_next_uniform`` give them."""
-        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * _U64_GAMMA
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U64_GAMMA
+        z += np.uint64(self._state)
         self._state = (self._state + n * _SPLITMIX_GAMMA) & _MASK64
         z ^= z >> np.uint64(30)
         z *= _U64_MIX1
         z ^= z >> np.uint64(27)
         z *= _U64_MIX2
         z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
         # Below 2**53 the top bits convert exactly; the rest is one float
         # add and an exact scaling, as in _next_uniform.
-        return (((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53).tolist()
+        u = z.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u
 
     def normals(self, n: int) -> np.ndarray:
         """The next ``n`` draws, leaving the stream as ``n`` calls of ``normal`` do."""
-        out = []
-        if n > 0 and self._cached is not None:
-            out.append(self._cached)
+        head = 1 if n > 0 and self._cached is not None else 0
+        pairs = (n - head + 1) // 2
+        uniforms = self._uniforms(2 * pairs)
+        # libm's log, cos and sin, one Python float at a time; numpy's
+        # products and square root round as Python's do.
+        u1 = memoryview(uniforms)[::2]
+        radius = np.fromiter(map(math.log, u1), np.float64, pairs)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = uniforms[1::2]
+        angle *= 2.0 * math.pi
+        out = np.empty(head + 2 * pairs)
+        if head:
+            out[0] = self._cached
             self._cached = None
-        uniforms = self._uniforms(2 * ((n - len(out) + 1) // 2))
-        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
-        two_pi = 2.0 * math.pi
-        for u1, u2 in zip(uniforms[::2], uniforms[1::2]):
-            radius = sqrt(-2.0 * log(u1))
-            angle = two_pi * u2
-            out.append(radius * cos(angle))
-            out.append(radius * sin(angle))
+        angles = memoryview(angle)
+        out[head::2] = np.fromiter(map(math.cos, angles), np.float64, pairs)
+        out[head + 1::2] = np.fromiter(map(math.sin, angles), np.float64, pairs)
+        out[head::2] *= radius
+        out[head + 1::2] *= radius
         if len(out) > n:
-            self._cached = out.pop()
-        return np.array(out)
+            self._cached = float(out[-1])
+            out = out[:-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,9 +175,17 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_days < 30:
             raise InvalidArgumentError(f"n_days must be >= 30, got {self.n_days}")
+        if not math.isfinite(self.break_factor):
+            raise InvalidArgumentError(
+                f"break_factor must be finite, got {self.break_factor}"
+            )
         if self.break_factor <= 0:
             raise InvalidArgumentError(
                 f"break_factor must be > 0, got {self.break_factor}"
+            )
+        if not math.isfinite(self.noise_scale):
+            raise InvalidArgumentError(
+                f"noise_scale must be finite, got {self.noise_scale}"
             )
         if self.noise_scale < 0:
             raise InvalidArgumentError(
@@ -168,12 +200,15 @@ class SynthConfig:
 
 def _reflected_walk(stream: NormalStream, n: int, y0: float, scale: float) -> np.ndarray:
     """Driftless random walk from y0 kept positive by reflection at zero."""
-    out = []
+    shocks = stream.normals(n)
+    shocks *= scale
+    out = array("d")
+    append = out.append
     level = y0
-    for shock in (scale * stream.normals(n)).tolist():
+    for shock in memoryview(shocks):
         level = abs(level + shock)
-        out.append(level)
-    return np.array(out)
+        append(level)
+    return np.frombuffer(out)
 
 
 def _ar1(stream: NormalStream, n: int, phi: float, scale: float) -> np.ndarray:
@@ -183,44 +218,59 @@ def _ar1(stream: NormalStream, n: int, phi: float, scale: float) -> np.ndarray:
     # n + 1 draws: the first starts the process, the last is never used.
     draws = stream.normals(n + 1)
     x = scale / math.sqrt(1.0 - phi * phi) * float(draws[0])
-    shocks = (scale * draws[1:]).tolist()
-    out = []
-    for shock in shocks:
-        out.append(x)
+    shocks = draws[1:]
+    shocks *= scale
+    out = array("d")
+    append = out.append
+    for shock in memoryview(shocks):
+        append(x)
         x = phi * x + shock
-    return np.array(out)
+    return np.frombuffer(out)
 
 
 def _ar1_around(
     stream: NormalStream, n: int, level: float, phi: float, scale: float
 ) -> np.ndarray:
     """Level plus stationary AR(1) deviations, reflected to stay positive."""
-    return np.abs(level + _ar1(stream, n, phi, scale))
+    values = _ar1(stream, n, phi, scale)
+    values += level
+    return np.abs(values, out=values)
 
 
 def gen_market_days(config: SynthConfig) -> MarketData:
-    """Generate market data for ``n_days`` trading dates from the fixed process."""
+    """Generate market data for ``n_days`` trading dates from the fixed process.
+
+    A break factor or noise scale so large that a value leaves the float
+    range is an error naming that setting and the first such day.
+    """
     n = config.n_days
     ns = config.noise_scale
-    invest = _reflected_walk(NormalStream(config.seed, "invest"), n, _I0, _I_SCALE)
+    dates = trading_dates(n)
     break_index = config.break_index
     if break_index is None:
         break_index = n // 2
-    if config.break_factor != 1.0:
-        invest[break_index:] *= config.break_factor
-    rate = _ar1_around(NormalStream(config.seed, "rate"), n, _R0, _R_PHI, ns * _R_SCALE)
-    u_vol = _ar1_around(
-        NormalStream(config.seed, "u_vol"), n, _UVOL0, _UVOL_PHI, ns * _UVOL_SCALE
-    )
-    dep_extra = _reflected_walk(NormalStream(config.seed, "u_dep"), n, _DEP0, ns * _DEP_SCALE)
-    price = _ar1_around(
-        NormalStream(config.seed, "price"), n, _PRICE0, _PRICE_PHI, ns * _PRICE_SCALE
-    )
-    return MarketData(
-        dates=_Frozen(trading_dates(n)),
-        invest_i=invest,
-        rate_r=rate,
-        u_big_vol=u_vol,
-        u_big_dep=u_vol + dep_extra,
-        mean_price=price,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        invest = _reflected_walk(NormalStream(config.seed, "invest"), n, _I0, _I_SCALE)
+        if config.break_factor != 1.0:
+            invest[break_index:] *= config.break_factor
+        rate = _ar1_around(NormalStream(config.seed, "rate"), n, _R0, _R_PHI, ns * _R_SCALE)
+        u_vol = _ar1_around(
+            NormalStream(config.seed, "u_vol"), n, _UVOL0, _UVOL_PHI, ns * _UVOL_SCALE
+        )
+        u_dep = _reflected_walk(NormalStream(config.seed, "u_dep"), n, _DEP0, ns * _DEP_SCALE)
+        u_dep += u_vol  # the walk plus U_vol: the bits of U_vol plus the walk
+        price = _ar1_around(
+            NormalStream(config.seed, "price"), n, _PRICE0, _PRICE_PHI, ns * _PRICE_SCALE
+        )
+    columns = {"invest_i": invest, "rate_r": rate, "u_big_vol": u_vol,
+               "u_big_dep": u_dep, "mean_price": price}
+    for name, column in columns.items():
+        bad = _first(~np.isfinite(column))
+        if bad is not None:
+            flag = "break_factor" if name == "invest_i" else "noise_scale"
+            raise InvalidArgumentError(
+                f"{flag} {getattr(config, flag)} carries {name} past the float "
+                f"range on {dates[bad]}"
+            )
+    return MarketData(dates=_Frozen(dates),
+                      **{name: _Frozen(column) for name, column in columns.items()})

@@ -300,6 +300,28 @@ def test_non_finite_series_cell_error_says_what_it_found(tmp_path, capsys, cell,
                "series values must be finite\n")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param(flag, value, message, id=f"{flag[2:]}={value}")
+    for flag, value, message in [
+        ("--noise-scale", "nan", "noise_scale must be finite, got nan"),
+        ("--noise-scale", "inf", "noise_scale must be finite, got inf"),
+        ("--break-factor", "nan", "break_factor must be finite, got nan"),
+        ("--break-factor", "inf", "break_factor must be finite, got inf"),
+        ("--break-factor", "1e308",
+         "break_factor 1e+308 carries invest_i past the float range on 2012-01-31"),
+        ("--noise-scale", "1e308",
+         "noise_scale 1e+308 carries u_big_vol past the float range on 2012-01-03"),
+    ]
+])
+def test_synth_flag_out_of_range_is_one_error_line_naming_it(tmp_path, capsys, flag,
+                                                               value, message):
+    # Any warning fails the suite, so a numpy overflow warning fails this too.
+    path = tmp_path / "m.csv"
+    assert run_cli(["synth", "--days", "40", flag, value, "--out", str(path)], capsys) == (
+        1, "", f"specloss: error: {message}\n")
+    assert not path.exists()
+
+
 def test_break_date_must_be_iso_text(tmp_path, capsys):
     # date.fromisoformat takes these forms from Python 3.11 on; specloss never does.
     code, out, err = run_cli(

@@ -624,6 +624,45 @@ def test_fast_path_declines_blank_bodies_and_cells_before_parsing(tmp_path, text
         assert dataio._read_body_fast(str(path), len(text.split("\n")[0].split(","))) is None
 
 
+_ROWS = "2012-01-03,1,1,1,2\n2012-01-04,1,1,1,2\n"  # lines of 18 bytes
+
+
+@pytest.mark.parametrize("text, limit, declines", [
+    pytest.param(HEADER + "\n" + _ROWS, _LIMIT, False, id="rows"),
+    pytest.param(HEADER + "\n" + _ROWS, 18, False, id="rows-at-limit"),
+    pytest.param(HEADER + "\n" + _ROWS, 17, True, id="rows-past-limit"),
+    pytest.param(HEADER + "\r\n" + _ROWS.replace("\n", "\r\n")[:-2], 18, False, id="crlf"),
+    pytest.param(HEADER + "\r\n" + _ROWS.replace("\n", "\r\n")[:-2], 17, True,
+                 id="crlf-past-limit"),
+    pytest.param(HEADER + "\r" + _ROWS.replace("\n", "\r"), _LIMIT, False, id="cr"),
+    pytest.param(HEADER + "\n2012-01-03,1" + "0" * 20 + ",1,1,2\n" + _ROWS, 38, False,
+                 id="long-line-at-limit"),
+    pytest.param(HEADER + "\n2012-01-03,1" + "0" * 20 + ",1,1,2\n" + _ROWS, 37, True,
+                 id="long-line-past-limit"),
+    pytest.param(HEADER + "\n" + _ROWS + "2012-01-05,1,1,1,2" + "0" * 20, 37, True,
+                 id="long-last-line"),
+    pytest.param(HEADER + "\n" + _ROWS + "2012-01-05,1,,1,2\n", _LIMIT, True, id="empty-cell"),
+    pytest.param(HEADER + "\n" + _ROWS + "2012-01-05,1,1,1,\n", _LIMIT, True,
+                 id="empty-cell-at-line-end"),
+    pytest.param(HEADER + "\n" + _ROWS + "2012-01-05,1,1,1,", _LIMIT, True, id="ends-with-comma"),
+    pytest.param(HEADER + "\n" + _ROWS + "2012-01-05,1,1,1,2\x00\n", _LIMIT, True, id="nul"),
+    pytest.param(HEADER + "\n \n\t\r\n", _LIMIT, True, id="blank-body"),
+    pytest.param(HEADER + "\n", _LIMIT, True, id="header-only"),
+    pytest.param(HEADER, _LIMIT, True, id="no-line-break"),
+])
+def test_body_scan_decides_alike_at_every_block_size(tmp_path, text, limit, declines):
+    """The block edges may fall anywhere, even inside the header."""
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("ascii"))
+    old_limit = csv.field_size_limit(limit)
+    try:
+        for block in (1, 2, 3, 5, 8, 13, dataio._SCAN_BYTES):
+            with mock.patch.object(dataio, "_SCAN_BYTES", block), open(path, "rb") as raw:
+                assert dataio._loadtxt_may_differ(raw) is declines, block
+    finally:
+        csv.field_size_limit(old_limit)
+
+
 # -- Bytes that are not UTF-8 ---------------------------------------------------
 
 _GOOD_ROWS = "".join(f"{day.isoformat()},1,1,1,2\n" for day in trading_dates(3000).tolist())

@@ -17,7 +17,7 @@ from specloss.market import (
     mean_loss_per_stock,
     u_series,
 )
-from specloss.series import TimeSeries, stddev, trading_dates
+from specloss.series import TimeSeries, _Frozen, stddev, trading_dates
 
 
 def make_days(rows, start=datetime.date(2012, 1, 3), price=None):
@@ -263,6 +263,26 @@ def test_raw_series_share_the_frozen_columns():
                               days.series().values()):
         assert np.shares_memory(series.values, getattr(days, column))
         assert not series.values.flags.writeable
+
+
+def test_frozen_columns_are_adopted_and_plain_arrays_copied():
+    dates = trading_dates(3)
+    frozen = np.array([1.0, 2.0, 3.0])
+    plain = np.array([4.0, 5.0, 6.0])
+    days = MarketData(dates, invest_i=_Frozen(frozen), rate_r=plain,
+                      u_big_vol=plain, u_big_dep=plain)
+    assert np.shares_memory(days.invest_i, frozen)
+    assert not np.shares_memory(days.rate_r, plain)
+    assert not days.invest_i.flags.writeable and plain.flags.writeable
+    # An adopted column gets every check a copied one does.
+    for bad in (-1.0, math.nan):
+        with pytest.raises(InvalidDayError, match=f"invest_i .* on {dates[1]}") as exc_info:
+            MarketData(dates, invest_i=_Frozen(np.array([1.0, bad, 3.0])),
+                       rate_r=plain, u_big_vol=plain, u_big_dep=plain)
+        assert exc_info.value.date == dates[1].item()
+    with pytest.raises(InvalidArgumentError, match="one value per date"):
+        MarketData(dates, invest_i=_Frozen(np.ones(2)), rate_r=plain,
+                   u_big_vol=plain, u_big_dep=plain)
 
 
 def test_market_day_validation():

@@ -12,6 +12,7 @@ import pytest
 from specloss.cli import main
 from specloss.dataio import RunConfig, load_market_csv, write_market_csv
 from specloss.pipeline import build_analysis
+from specloss.synth import SynthConfig, gen_market_days
 
 _PINNED = Path(__file__).parent / "data" / "analyze_csv_sha256.txt"
 
@@ -68,13 +69,23 @@ def test_analysis_heap_at_25500_days_stays_under_4_4_mb(market_25500):
     assert peak <= 4.4e6, f"peak {peak / 1e6:.2f} MB"
 
 
-def test_loading_25500_days_stays_under_3_1_mb(market_25500):
-    # 3.03 MB: the file's 2.62 MB of bytes while they are scanned for
-    # empty cells in blocks; a mask of the whole file would put the peak
-    # at 6.3 MB.  The parsed records hold each date as 11 bytes, 1.30 MB
-    # in all, so they and the columns copied out of them stay below it.
+def test_loading_25500_days_stays_under_2_7_mb(market_25500):
+    # 2.61 MB: the parsed records, which hold each date as 11 bytes (1.30
+    # MB in all), beside the calendar and the five columns MarketData
+    # copies out of them.  The file's 2.62 MB of bytes are scanned a 256 KB
+    # block at a time; reading them whole put the peak at 3.03 MB.
     peak = _peak_bytes(lambda: load_market_csv(market_25500))
-    assert peak <= 3.1e6, f"peak {peak / 1e6:.2f} MB"
+    assert peak <= 2.7e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_generating_25500_days_stays_under_2_0_mb():
+    # 1.68 MB: the calendar and four finished 0.20 MB columns, beside the
+    # last column's 0.61 MB of draws in the making (uint64 states,
+    # uniforms, radii, the interleaved normals).  Draws and recurrences
+    # held as lists of Python floats put the peak at 2.87 MB.
+    config = SynthConfig(seed=0, n_days=25500)
+    peak = _peak_bytes(lambda: gen_market_days(config))
+    assert peak <= 2.0e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_writing_25500_days_stays_under_1_5_mb(market_25500, tmp_path):

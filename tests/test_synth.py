@@ -156,6 +156,11 @@ def test_synth_config_validation():
         SynthConfig(noise_scale=-0.1)
     with pytest.raises(InvalidArgumentError):
         SynthConfig(break_factor=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match=f"noise_scale must be finite, got {bad}"):
+            SynthConfig(noise_scale=bad)
+        with pytest.raises(InvalidArgumentError, match=f"break_factor must be finite, got {bad}"):
+            SynthConfig(break_factor=bad)
     with pytest.raises(InvalidArgumentError):
         SynthConfig(break_index=0)
     with pytest.raises(InvalidArgumentError):
