@@ -27,7 +27,6 @@ from .unit_root import (
     AdfResult,
     LadderResult,
     Verdict,
-    adf_regression,
     adf_test,
     classify_ladder,
     mackinnon_critical_values,
@@ -89,7 +88,6 @@ __all__ = [
     "AdfResult",
     "LadderResult",
     "Verdict",
-    "adf_regression",
     "select_lag",
     "adf_test",
     "mackinnon_critical_values",

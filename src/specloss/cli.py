@@ -60,18 +60,26 @@ class _Parser(argparse.ArgumentParser):
 def _resolve(args: argparse.Namespace, key: str) -> Any:
     """Flag value if given, else config-file value, else None.
 
-    A config-file value goes through the flag's own argparse ``type``.
+    A config-file value goes through the flag's own argparse ``type`` and
+    must be one of its ``choices``, if it has them.
     """
     value = getattr(args, key.replace("-", "_"))
     if value is not None:
         return value
     config_map = args.config_map
-    if key in config_map:
-        try:
-            return args.config_keys[key](config_map[key])
-        except ValueError as exc:
-            raise InvalidArgumentError(f"config key {key!r}: {exc}") from None
-    return None
+    if key not in config_map:
+        return None
+    convert, choices = args.config_keys[key]
+    try:
+        value = convert(config_map[key])
+    except ValueError as exc:
+        raise InvalidArgumentError(f"config key {key!r}: {exc}") from None
+    if choices is not None and value not in choices:
+        raise InvalidArgumentError(
+            f"config key {key!r}: invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, choices))})"
+        )
+    return value
 
 
 def _required(args: argparse.Namespace, key: str) -> str:
@@ -106,14 +114,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     synth_seed = _resolve(args, "synth-seed")
     if (input_path is None) == (synth_seed is None):
         raise _UsageError("exactly one of --input and --synth-seed is required")
+    csv_output = _resolve(args, "format") == "csv"
     config = RunConfig(
         input_path=input_path,
         synth_seed=synth_seed,
-        **_given(args, i_scale="i-scale", r_scale="r-scale",
-                 break_date="break-date", max_lag="maxlag", output_format="format"),
+        **_given(args, break_date="break-date", max_lag="maxlag"),
     )
     report = build_analysis(config)
-    if config.output_format == "csv":
+    if csv_output:
         sys.stdout.write(render_analysis_csv(report))
     else:
         sys.stdout.write(render_analysis_text(report))
@@ -195,8 +203,6 @@ def build_parser() -> _Parser:
     p.add_argument("--break-date", type=_parse_date, help="first-approach break date (default 2012-05-10)")
     p.add_argument("--maxlag", type=int, help="ADF maximum lag (default 5)")
     p.add_argument("--format", choices=("text", "csv"), help="output format (default text)")
-    p.add_argument("--i-scale", type=float, help="unit multiplier applied to I on load")
-    p.add_argument("--r-scale", type=float, help="unit multiplier applied to R on load")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("adf", help="ADF unit-root test on one CSV column")
@@ -231,10 +237,10 @@ def build_parser() -> _Parser:
     p.add_argument("--break-index", type=int, help="index of the I step change (default mid-sample)")
     p.set_defaults(func=cmd_synth)
     for p in sub.choices.values():  # a config file may set any long flag but --config
-        keys = {opt[2:]: action.type or str for action in p._actions
+        keys = {opt[2:]: (action.type or str, action.choices) for action in p._actions
                 for opt in action.option_strings if opt.startswith("--")}
         del keys["config"], keys["help"]
-        p.set_defaults(config_keys=keys)  # each allowed key with its flag's type
+        p.set_defaults(config_keys=keys)  # each allowed key with its flag's type and choices
     return parser
 
 

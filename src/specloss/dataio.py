@@ -79,24 +79,16 @@ class RunConfig:
 
     input_path: str | None = None
     synth_seed: int | None = None
-    i_scale: float = 1.0
-    r_scale: float = 1.0
     break_date: datetime.date = datetime.date(2012, 5, 10)
     max_lag: int = 5
-    output_format: str = "text"
 
     def __post_init__(self) -> None:
-        if self.i_scale <= 0 or self.r_scale <= 0:
+        if (self.input_path is None) == (self.synth_seed is None):
             raise InvalidArgumentError(
-                f"unit scalings must be positive, got i_scale={self.i_scale}, "
-                f"r_scale={self.r_scale}"
+                "exactly one of input_path and synth_seed must be set"
             )
         if self.max_lag < 0:
             raise InvalidArgumentError(f"max_lag must be >= 0, got {self.max_lag}")
-        if self.output_format not in ("text", "csv"):
-            raise InvalidArgumentError(
-                f"output_format must be 'text' or 'csv', got {self.output_format!r}"
-            )
 
 
 def _reject_undecodable(text: str, where: str, line_no: int) -> None:

@@ -6,8 +6,6 @@ the report instead of failing the run.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .cointegration import engle_granger
@@ -30,17 +28,10 @@ __all__ = ["build_analysis"]
 
 def build_analysis(config: RunConfig) -> AnalysisReport:
     """Run the full pipeline for a RunConfig and assemble the report."""
-    if (config.input_path is None) == (config.synth_seed is None):
-        raise InvalidArgumentError(
-            "exactly one of input_path and synth_seed must be set"
-        )
     if config.input_path is not None:
         days = load_market_csv(config.input_path)
     else:
         days = gen_market_days(SynthConfig(seed=config.synth_seed))
-    if config.i_scale != 1.0 or config.r_scale != 1.0:
-        days = replace(days, invest_i=days.invest_i * config.i_scale,
-                       rate_r=days.rate_r * config.r_scale)
     u_vol = u_series(days, UVariant.BY_VOLUME)
     u_dep = u_series(days, UVariant.BY_DEPOSIT)
     raw = days.series()

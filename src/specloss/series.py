@@ -219,7 +219,6 @@ def trading_dates(n: int, start: datetime.date = datetime.date(2012, 1, 3)) -> n
     """
     if n < 1:
         raise InvalidArgumentError(f"need at least one date, got n={n}")
-    days = np.busday_offset(start, np.arange(n), roll="forward")
-    if days[-1] > _LAST_DAY:
+    if n > int(np.busday_count(start, _LAST_DAY + 1)):  # before any array is made
         raise InvalidArgumentError(f"{n} weekdays from {start} pass {datetime.date.max}")
-    return days
+    return np.busday_offset(start, np.arange(n), roll="forward")

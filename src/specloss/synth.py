@@ -13,10 +13,12 @@ platform RNG so golden outputs stay stable: a 64-bit FNV-1a hash of
 substreams make generated variables independent of each other and of the
 order they are drawn in.
 
-A splitmix64 state only ever adds a constant, so a whole block of
+Each variable asks its fresh stream once for all its draws.  A
+splitmix64 state only ever adds a constant, so the whole block of
 uniforms is computed at once in numpy ``uint64``, whose arithmetic wraps
 exactly as the 64-bit mask does.  Box-Muller then mixes libm and numpy
-without moving a bit from the one-pair-at-a-time Python form.  Only the
+without moving a bit from the one-pair-at-a-time Python form, which the
+tests keep as the reference for these draws.  Only the
 transcendental steps call libm: ``math.log``, ``math.cos`` and
 ``math.sin`` are mapped over the uniforms into ``np.fromiter``.  The
 rest is numpy on whole arrays: the ``-2.0`` and ``2π`` products, the
@@ -64,6 +66,8 @@ _R0, _R_PHI, _R_SCALE = 5.5, 0.3, 0.12
 _UVOL0, _UVOL_PHI, _UVOL_SCALE = 6.0e6, 0.25, 1.2e5
 _DEP0, _DEP_SCALE = 5.4e7, 1.5e5
 _PRICE0, _PRICE_PHI, _PRICE_SCALE = 512.8, 0.3, 2.5
+# The weekdays of trading_dates from 2012-01-03 through 9999-12-31.
+_MAX_DAYS = 2_083_969
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -74,86 +78,47 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-class NormalStream:
-    """Deterministic stream of standard-normal draws.
+def _normals(seed: int, label: str, n: int) -> np.ndarray:
+    """The first ``n`` standard-normal draws of the ``"label:seed"`` stream.
 
     The state is seeded by FNV-1a hashing ``"label:seed"`` and advanced
     by splitmix64; each 64-bit output yields a uniform in (0, 1) from its
     top 53 bits offset by half a unit in the last place, and Box-Muller
-    turns uniform pairs into normal pairs (the second is cached).  Every
-    step is integer arithmetic or basic libm calls, with no dependence on
-    platform RNG implementations.
+    turns each uniform pair into a cosine draw and then a sine draw.  An
+    odd ``n`` drops the last sine draw.  Every step is integer arithmetic,
+    an exactly rounded float operation or a libm call, with no dependence
+    on platform RNG implementations.
     """
-
-    def __init__(self, seed: int, label: str):
-        self._state = _fnv1a64(f"{label}:{seed}".encode("utf-8"))
-        self._cached: float | None = None
-
-    def _next_uniform(self) -> float:
-        self._state = (self._state + _SPLITMIX_GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        return ((z >> 11) + 0.5) * 2.0**-53
-
-    def normal(self) -> float:
-        if self._cached is not None:
-            value = self._cached
-            self._cached = None
-            return value
-        u1 = self._next_uniform()
-        u2 = self._next_uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        self._cached = radius * math.sin(angle)
-        return radius * math.cos(angle)
-
-    def _uniforms(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms, as ``n`` calls of ``_next_uniform`` give them."""
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= _U64_GAMMA
-        z += np.uint64(self._state)
-        self._state = (self._state + n * _SPLITMIX_GAMMA) & _MASK64
-        z ^= z >> np.uint64(30)
-        z *= _U64_MIX1
-        z ^= z >> np.uint64(27)
-        z *= _U64_MIX2
-        z ^= z >> np.uint64(31)
-        z >>= np.uint64(11)
-        # Below 2**53 the top bits convert exactly; the rest is one float
-        # add and an exact scaling, as in _next_uniform.
-        u = z.astype(np.float64)
-        u += 0.5
-        u *= 2.0**-53
-        return u
-
-    def normals(self, n: int) -> np.ndarray:
-        """The next ``n`` draws, leaving the stream as ``n`` calls of ``normal`` do."""
-        head = 1 if n > 0 and self._cached is not None else 0
-        pairs = (n - head + 1) // 2
-        uniforms = self._uniforms(2 * pairs)
-        # libm's log, cos and sin, one Python float at a time; numpy's
-        # products and square root round as Python's do.
-        u1 = memoryview(uniforms)[::2]
-        radius = np.fromiter(map(math.log, u1), np.float64, pairs)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle = uniforms[1::2]
-        angle *= 2.0 * math.pi
-        out = np.empty(head + 2 * pairs)
-        if head:
-            out[0] = self._cached
-            self._cached = None
-        angles = memoryview(angle)
-        out[head::2] = np.fromiter(map(math.cos, angles), np.float64, pairs)
-        out[head + 1::2] = np.fromiter(map(math.sin, angles), np.float64, pairs)
-        out[head::2] *= radius
-        out[head + 1::2] *= radius
-        if len(out) > n:
-            self._cached = float(out[-1])
-            out = out[:-1]
-        return out
+    pairs = (n + 1) // 2
+    z = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    z *= _U64_GAMMA
+    z += np.uint64(_fnv1a64(f"{label}:{seed}".encode("utf-8")))
+    z ^= z >> np.uint64(30)
+    z *= _U64_MIX1
+    z ^= z >> np.uint64(27)
+    z *= _U64_MIX2
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    # Below 2**53 the top bits convert exactly; the rest is one float add
+    # and an exact scaling.
+    uniforms = z.astype(np.float64)
+    del z  # not held while Box-Muller allocates its arrays
+    uniforms += 0.5
+    uniforms *= 2.0**-53
+    # libm's log, cos and sin, one Python float at a time; numpy's
+    # products and square root round as Python's do.
+    radius = np.fromiter(map(math.log, memoryview(uniforms)[::2]), np.float64, pairs)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = uniforms[1::2]
+    angle *= 2.0 * math.pi
+    angles = memoryview(angle)
+    out = np.empty(2 * pairs)
+    out[::2] = np.fromiter(map(math.cos, angles), np.float64, pairs)
+    out[1::2] = np.fromiter(map(math.sin, angles), np.float64, pairs)
+    out[::2] *= radius
+    out[1::2] *= radius
+    return out[:n]
 
 
 @dataclass(frozen=True)
@@ -175,6 +140,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_days < 30:
             raise InvalidArgumentError(f"n_days must be >= 30, got {self.n_days}")
+        if self.n_days > _MAX_DAYS:
+            raise InvalidArgumentError(
+                f"n_days must be <= {_MAX_DAYS}, the weekdays from 2012-01-03 "
+                f"through 9999-12-31, got {self.n_days}"
+            )
         if not math.isfinite(self.break_factor):
             raise InvalidArgumentError(
                 f"break_factor must be finite, got {self.break_factor}"
@@ -198,9 +168,9 @@ class SynthConfig:
             )
 
 
-def _reflected_walk(stream: NormalStream, n: int, y0: float, scale: float) -> np.ndarray:
+def _reflected_walk(seed: int, label: str, n: int, y0: float, scale: float) -> np.ndarray:
     """Driftless random walk from y0 kept positive by reflection at zero."""
-    shocks = stream.normals(n)
+    shocks = _normals(seed, label, n)
     shocks *= scale
     out = array("d")
     append = out.append
@@ -211,12 +181,12 @@ def _reflected_walk(stream: NormalStream, n: int, y0: float, scale: float) -> np
     return np.frombuffer(out)
 
 
-def _ar1(stream: NormalStream, n: int, phi: float, scale: float) -> np.ndarray:
+def _ar1(seed: int, label: str, n: int, phi: float, scale: float) -> np.ndarray:
     """Mean-zero AR(1), first value from the stationary law; zeros at scale 0."""
     if scale == 0.0:
         return np.zeros(n)
     # n + 1 draws: the first starts the process, the last is never used.
-    draws = stream.normals(n + 1)
+    draws = _normals(seed, label, n + 1)
     x = scale / math.sqrt(1.0 - phi * phi) * float(draws[0])
     shocks = draws[1:]
     shocks *= scale
@@ -229,10 +199,10 @@ def _ar1(stream: NormalStream, n: int, phi: float, scale: float) -> np.ndarray:
 
 
 def _ar1_around(
-    stream: NormalStream, n: int, level: float, phi: float, scale: float
+    seed: int, label: str, n: int, level: float, phi: float, scale: float
 ) -> np.ndarray:
     """Level plus stationary AR(1) deviations, reflected to stay positive."""
-    values = _ar1(stream, n, phi, scale)
+    values = _ar1(seed, label, n, phi, scale)
     values += level
     return np.abs(values, out=values)
 
@@ -243,25 +213,20 @@ def gen_market_days(config: SynthConfig) -> MarketData:
     A break factor or noise scale so large that a value leaves the float
     range is an error naming that setting and the first such day.
     """
-    n = config.n_days
-    ns = config.noise_scale
+    n, ns, seed = config.n_days, config.noise_scale, config.seed
     dates = trading_dates(n)
     break_index = config.break_index
     if break_index is None:
         break_index = n // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        invest = _reflected_walk(NormalStream(config.seed, "invest"), n, _I0, _I_SCALE)
+        invest = _reflected_walk(seed, "invest", n, _I0, _I_SCALE)
         if config.break_factor != 1.0:
             invest[break_index:] *= config.break_factor
-        rate = _ar1_around(NormalStream(config.seed, "rate"), n, _R0, _R_PHI, ns * _R_SCALE)
-        u_vol = _ar1_around(
-            NormalStream(config.seed, "u_vol"), n, _UVOL0, _UVOL_PHI, ns * _UVOL_SCALE
-        )
-        u_dep = _reflected_walk(NormalStream(config.seed, "u_dep"), n, _DEP0, ns * _DEP_SCALE)
+        rate = _ar1_around(seed, "rate", n, _R0, _R_PHI, ns * _R_SCALE)
+        u_vol = _ar1_around(seed, "u_vol", n, _UVOL0, _UVOL_PHI, ns * _UVOL_SCALE)
+        u_dep = _reflected_walk(seed, "u_dep", n, _DEP0, ns * _DEP_SCALE)
         u_dep += u_vol  # the walk plus U_vol: the bits of U_vol plus the walk
-        price = _ar1_around(
-            NormalStream(config.seed, "price"), n, _PRICE0, _PRICE_PHI, ns * _PRICE_SCALE
-        )
+        price = _ar1_around(seed, "price", n, _PRICE0, _PRICE_PHI, ns * _PRICE_SCALE)
     columns = {"invest_i": invest, "rate_r": rate, "u_big_vol": u_vol,
                "u_big_dep": u_dep, "mean_price": price}
     for name, column in columns.items():

@@ -35,13 +35,10 @@ from .errors import (
     UnsupportedConfigError,
 )
 from .ols import (
-    OlsFit,
-    _Columns,
     _ONES,
     _householder_qr,
     _solve,
     _t_ratio,
-    fit_arrays,
     log_likelihood_from_ssr,
     schwarz_from_loglik,
 )
@@ -51,7 +48,6 @@ __all__ = [
     "Verdict",
     "AdfResult",
     "LadderResult",
-    "adf_regression",
     "select_lag",
     "adf_test",
     "mackinnon_critical_values",
@@ -91,7 +87,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class AdfResult:
-    """ADF test outcome; ``adf_regression(y, chosen_lag)`` gives its regression."""
+    """ADF test outcome: the chosen lag, its t-statistic on y(-1) and their verdict."""
 
     series_name: str
     t_statistic: float
@@ -205,20 +201,6 @@ def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray],
     return dy[lag:], cols, names
 
 
-def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
-    """ADF auxiliary regression at a given lag, longest usable sample.
-
-    Effective observations are ``len(y) - 1 - lag``; the ADF statistic is
-    the t-statistic of the second coefficient row (on the lagged level).
-    The columns go to the fit as they are, never stacked into a matrix.
-    """
-    if lag < 0:
-        raise InvalidArgumentError(f"lag must be >= 0, got {lag}")
-    dep, cols, names = _adf_columns(y, lag)
-    return fit_arrays(dep, _Columns(cols), dep_name=f"D({y.name or 'Y'})",
-                      reg_names=names)
-
-
 def _lag_search_qy(y: TimeSeries, max_lag: int) -> np.ndarray:
     """Q'y of the max_lag ADF design from one Householder QR.
 
@@ -268,8 +250,10 @@ def verdict_from_t(t_stat: float, critical_values: Mapping[int, float]) -> Verdi
 def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
     """Run the ADF test: lag choice by SIC, t-statistic, critical values, verdict.
 
-    The t-statistic takes the float operations of :func:`fit_arrays` on
-    the same solve, so it has the bits of ``adf_regression``'s.
+    The t-statistic takes the float operations of
+    :func:`~specloss.ols.fit_arrays` on the same solve, so it has the bits
+    of the t-statistic on y(-1) in the full fit of the chosen lag's
+    regression.
     """
     lag = select_lag(y, max_lag)
     dep, cols, names = _adf_columns(y, lag)

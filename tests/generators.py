@@ -1,23 +1,80 @@
-"""Series fixtures for the tests: seeded random walks, AR(1)s, a
-cointegrated system, and a writer for series CSV files.
+"""Fixtures and references for the tests: seeded random walks, AR(1)s, a
+cointegrated system, a writer for series CSV files, the scalar normal
+stream and the ADF auxiliary regression.
 
-The generators draw from the package's own ``NormalStream`` and run its
+The generators draw from the package's own normal draws and run its
 AR(1) recurrence, so each call gives the same bits on every platform;
-``tests/data/generators_sha256.txt`` pins them.
+``tests/data/generators_sha256.txt`` pins them.  ``NormalStream`` is the
+one-pair-at-a-time form of those draws, and ``adf_regression`` the full
+fit whose t-statistic the ADF test must reproduce; each is the reference
+that the package's faster path is checked against, bit for bit.
 """
 
 import csv
+import math
 
-from specloss.ols import RegressionSpec
+from specloss.errors import InvalidArgumentError
+from specloss.ols import OlsFit, RegressionSpec, _Columns, fit_arrays
 from specloss.series import TimeSeries, trading_dates
-from specloss.synth import NormalStream, _ar1
+from specloss.synth import _MASK64, _SPLITMIX_GAMMA, _ar1, _fnv1a64, _normals
+from specloss.unit_root import _adf_columns
+
+
+class NormalStream:
+    """Deterministic stream of standard-normal draws.
+
+    The state is seeded by FNV-1a hashing ``"label:seed"`` and advanced
+    by splitmix64; each 64-bit output yields a uniform in (0, 1) from its
+    top 53 bits offset by half a unit in the last place, and Box-Muller
+    turns uniform pairs into normal pairs (the second is cached).  Every
+    step is integer arithmetic or basic libm calls, with no dependence on
+    platform RNG implementations.
+    """
+
+    def __init__(self, seed: int, label: str):
+        self._state = _fnv1a64(f"{label}:{seed}".encode("utf-8"))
+        self._cached: float | None = None
+
+    def _next_uniform(self) -> float:
+        self._state = (self._state + _SPLITMIX_GAMMA) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        return ((z >> 11) + 0.5) * 2.0**-53
+
+    def normal(self) -> float:
+        if self._cached is not None:
+            value = self._cached
+            self._cached = None
+            return value
+        u1 = self._next_uniform()
+        u2 = self._next_uniform()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        angle = 2.0 * math.pi * u2
+        self._cached = radius * math.sin(angle)
+        return radius * math.cos(angle)
+
+
+def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
+    """ADF auxiliary regression at a given lag, longest usable sample.
+
+    Effective observations are ``len(y) - 1 - lag``; the ADF statistic is
+    the t-statistic of the second coefficient row (on the lagged level).
+    The columns go to the fit as they are, never stacked into a matrix.
+    """
+    if lag < 0:
+        raise InvalidArgumentError(f"lag must be >= 0, got {lag}")
+    dep, cols, names = _adf_columns(y, lag)
+    return fit_arrays(dep, _Columns(cols), dep_name=f"D({y.name or 'Y'})",
+                      reg_names=names)
 
 
 def gen_random_walk(seed, n, drift=0.0, scale=1.0, *, label="RW"):
     """y_t = y_{t-1} + drift + scale*eps_t starting from zero, n values."""
     values = []
     level = 0.0
-    for shock in (scale * NormalStream(seed, label).normals(n)).tolist():
+    for shock in (scale * _normals(seed, label, n)).tolist():
         level = level + drift + shock
         values.append(level)
     return TimeSeries(trading_dates(n), values, name=label)
@@ -25,7 +82,7 @@ def gen_random_walk(seed, n, drift=0.0, scale=1.0, *, label="RW"):
 
 def gen_ar1(seed, n, phi, scale=1.0, *, label="AR1"):
     """Mean-zero AR(1) with the first value from the stationary law."""
-    values = _ar1(NormalStream(seed, label), n, phi, scale)
+    values = _ar1(seed, label, n, phi, scale)
     return TimeSeries(trading_dates(n), values, name=label)
 
 

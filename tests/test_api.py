@@ -1,6 +1,11 @@
 """The names the package exports."""
 
+import dataclasses
+import importlib
+import pkgutil
+
 import specloss
+from specloss.cli import build_parser
 
 # Every name `from specloss import *` gives.  A name added to or taken out
 # of the package's exports is an API change, and changes this set with it.
@@ -11,7 +16,7 @@ SHIPPED = {
     "TimeSeries", "diff", "mean", "stddev", "align", "trading_dates",
     "student_t_sf", "f_sf",
     "RegressionSpec", "CoefRow", "OlsFit", "fit", "fit_arrays",
-    "AdfResult", "LadderResult", "Verdict", "adf_regression", "select_lag", "adf_test",
+    "AdfResult", "LadderResult", "Verdict", "select_lag", "adf_test",
     "mackinnon_critical_values", "mackinnon_pvalue", "stationarity_ladder",
     "verdict_from_t", "classify_ladder",
     "CointResult", "CointVerdict", "dm_critical_values", "engle_granger",
@@ -30,3 +35,36 @@ def test_package_exports_exactly_the_shipped_names():
     assert len(specloss.__all__) == len(set(specloss.__all__))
     assert set(specloss.__all__) == SHIPPED
     assert all(hasattr(specloss, name) for name in specloss.__all__)
+
+
+# Every knob a user can turn: each subcommand's long flags, and the fields
+# of the two settings classes.  Adding or removing one is a reviewed change.
+FLAGS = {
+    "analyze": {"config", "input", "synth-seed", "break-date", "maxlag", "format"},
+    "adf": {"config", "input", "column", "maxlag"},
+    "ols": {"config", "input", "dep", "regressors"},
+    "coint": {"config", "input", "dep", "regressors", "maxlag"},
+    "synth": {"config", "seed", "days", "out", "noise-scale", "break-factor", "break-index"},
+}
+RUN_CONFIG_FIELDS = ("input_path", "synth_seed", "break_date", "max_lag")
+SYNTH_CONFIG_FIELDS = ("seed", "n_days", "noise_scale", "break_factor", "break_index")
+
+
+def test_cli_flags_and_config_fields_are_the_pinned_ones():
+    parser = build_parser()
+    for command, flags in FLAGS.items():
+        # A config file may set every long flag but --config itself.
+        assert set(parser.parse_args([command]).config_keys) | {"config"} == flags, command
+    assert tuple(f.name for f in dataclasses.fields(specloss.RunConfig)) == RUN_CONFIG_FIELDS
+    assert tuple(f.name for f in dataclasses.fields(specloss.SynthConfig)) == SYNTH_CONFIG_FIELDS
+
+
+def test_every_module_exports_only_names_it_has():
+    for info in pkgutil.iter_modules(specloss.__path__):
+        if info.name == "__main__":  # running it is its only use
+            continue
+        module = importlib.import_module(f"specloss.{info.name}")
+        names = getattr(module, "__all__", ())  # without one, `import *` takes what exists
+        assert len(names) == len(set(names)), info.name
+        missing = [name for name in names if not hasattr(module, name)]
+        assert missing == [], info.name

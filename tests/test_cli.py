@@ -311,6 +311,8 @@ def test_non_finite_series_cell_error_says_what_it_found(tmp_path, capsys, cell,
          "break_factor 1e+308 carries invest_i past the float range on 2012-01-31"),
         ("--noise-scale", "1e308",
          "noise_scale 1e+308 carries u_big_vol past the float range on 2012-01-03"),
+        ("--days", "2083970", "n_days must be <= 2083969, the weekdays from "
+         "2012-01-03 through 9999-12-31, got 2083970"),
     ]
 ])
 def test_synth_flag_out_of_range_is_one_error_line_naming_it(tmp_path, capsys, flag,
@@ -335,6 +337,12 @@ def test_break_date_must_be_iso_text(tmp_path, capsys):
         ["analyze", "--synth-seed", "1", "--config", str(conf)], capsys)
     assert code == 1
     assert "config key 'break-date': not an ISO date: '2012-W19-4'" in err
+    conf.write_text("format=xml\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["analyze", "--synth-seed", "1", "--config", str(conf)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("specloss: error: config key 'format': invalid choice: 'xml' "
+                   "(choose from 'text', 'csv')\n")
 
 
 def test_unknown_config_keys_exit_3(tmp_path, capsys):
@@ -343,6 +351,8 @@ def test_unknown_config_keys_exit_3(tmp_path, capsys):
     for argv, text in (
         (["analyze", "--synth-seed", "1"], "maxlags=1\n"),
         (["analyze", "--synth-seed", "1"], "lag-criterion=schwarz\n"),
+        (["analyze", "--synth-seed", "1"], "i-scale=2\n"),
+        (["analyze", "--synth-seed", "1"], "r-scale=2\n"),
         (["analyze", "--synth-seed", "1"], "seed=4\n"),
         (["synth", "--out", str(tmp_path / "m.csv")], "maxlag=2\n"),
     ):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from generators import gen_cointegrated, gen_random_walk
+from generators import adf_regression, gen_cointegrated, gen_random_walk
 from specloss.cointegration import CointVerdict, dm_critical_values, engle_granger
 from specloss.errors import InvalidArgumentError, UnsupportedConfigError
 from specloss.ols import RegressionSpec, fit
-from specloss.unit_root import adf_regression, adf_test
+from specloss.unit_root import adf_test
 
 # Davidson-MacKinnon (1993) asymptotic critical values for the
 # residual-based test with constant term, by number of variables.

@@ -257,8 +257,11 @@ def test_data_csv_may_start_with_a_byte_order_mark_and_keeps_the_fast_path(tmp_p
 
 def test_run_config_validation():
     RunConfig(input_path=None, synth_seed=1)
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(input_path=None, synth_seed=1, output_format="xml")
+    RunConfig(input_path="market.csv")
+    for sources in ({}, {"input_path": "market.csv", "synth_seed": 1}):
+        with pytest.raises(InvalidArgumentError,
+                           match="exactly one of input_path and synth_seed must be set"):
+            RunConfig(**sources)
     with pytest.raises(InvalidArgumentError):
         RunConfig(input_path=None, synth_seed=1, max_lag=-2)
 

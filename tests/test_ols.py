@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from generators import adf_regression
 from oracles import ols_oracle, random_instance
 from specloss.errors import (
     InsufficientDataError,
@@ -37,7 +38,7 @@ from specloss.ols import (
 )
 from specloss.series import TimeSeries, diff, trading_dates
 from specloss.synth import SynthConfig, gen_market_days
-from specloss.unit_root import _adf_columns, _lag_search_qy, adf_regression, select_lag
+from specloss.unit_root import _adf_columns, _lag_search_qy, select_lag
 
 
 def close(a, b, rtol=1e-8, atol=1e-12):

@@ -10,21 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from generators import gen_ar1, gen_cointegrated, gen_random_walk
+from generators import NormalStream, gen_ar1, gen_cointegrated, gen_random_walk
 from specloss.cli import main
 from specloss.errors import InvalidArgumentError
 from specloss.market import UVariant, u_series
 from specloss.ols import RegressionSpec
 from specloss import synth
 from specloss.series import trading_dates
-from specloss.synth import NormalStream, SynthConfig, gen_market_days
+from specloss.synth import SynthConfig, _normals, gen_market_days
 
 
 def test_stream_is_deterministic_per_seed_and_label():
-    a = NormalStream(7, "alpha").normals(64)
-    b = NormalStream(7, "alpha").normals(64)
-    c = NormalStream(7, "beta").normals(64)
-    d = NormalStream(8, "alpha").normals(64)
+    a = _normals(7, "alpha", 64)
+    b = _normals(7, "alpha", 64)
+    c = _normals(7, "beta", 64)
+    d = _normals(8, "alpha", 64)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -33,24 +33,22 @@ def test_stream_is_deterministic_per_seed_and_label():
 def test_stream_normals_match_single_draws():
     stream = NormalStream(3, "single")
     singles = [stream.normal() for _ in range(10)]
-    assert np.array_equal(NormalStream(3, "single").normals(10), singles)
+    assert np.array_equal(_normals(3, "single", 10), singles)
 
 
-def test_stream_blocks_interleave_with_single_draws():
-    """normals(k) gives the next k scalar draws and leaves the same state,
-    whether a draw is cached on entry or k is odd."""
-    blocks = NormalStream(11, "blocks")
-    scalar = NormalStream(11, "blocks")
-    for k in (0, 1, 4, 3, 0, 2, 7, 1, 1, 6, 5, 25501):
-        if k % 3 == 1:  # a single draw between blocks caches a value or uses it up
-            assert blocks.normal() == scalar.normal()
-        want = [scalar.normal() for _ in range(k)]
-        assert blocks.normals(k).tolist() == want, k
-        assert (blocks._state, blocks._cached) == (scalar._state, scalar._cached), k
+def test_block_draws_have_the_bits_of_the_scalar_stream():
+    """_normals(seed, label, n) gives the first n draws of a fresh scalar
+    stream, bit for bit, for an odd n as for an even one."""
+    for n in (0, 1, 2, 3, 4, 7, 25501):
+        stream = NormalStream(11, "blocks")
+        want = np.array([stream.normal() for _ in range(n)], dtype=np.float64)
+        got = _normals(11, "blocks", n)
+        assert got.dtype == np.float64 and got.shape == (n,), n
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
 
 def test_stream_moments_are_standard_normal():
-    draws = NormalStream(0, "moments").normals(20000)
+    draws = _normals(0, "moments", 20000)
     assert abs(float(np.mean(draws))) < 0.03
     assert abs(float(np.var(draws)) - 1.0) < 0.05
     # Symmetric tails: roughly 5% of draws beyond +/-1.96.
@@ -68,14 +66,14 @@ def test_random_walk_determinism_and_increments():
     again = gen_random_walk(9, 200, drift=0.25, scale=2.0, label="RWT")
     assert np.array_equal(walk.values, again.values)
     # Increments are exactly drift + scale * the labeled stream's draws.
-    shocks = NormalStream(9, "RWT").normals(200)
+    shocks = _normals(9, "RWT", 200)
     increments = np.diff(np.concatenate([[0.0], walk.values]))
     assert np.allclose(increments, 0.25 + 2.0 * shocks, rtol=0, atol=1e-12)
 
 
 def test_ar1_phi_zero_reduces_to_scaled_stream():
     series = gen_ar1(4, 50, phi=0.0, scale=3.0, label="IND")
-    shocks = NormalStream(4, "IND").normals(50)
+    shocks = _normals(4, "IND", 50)
     assert np.array_equal(series.values, 3.0 * shocks)
 
 
@@ -152,6 +150,11 @@ def test_zero_noise_scale_makes_u_linear_in_invest():
 def test_synth_config_validation():
     with pytest.raises(InvalidArgumentError):
         SynthConfig(n_days=29)
+    # The longest run is the whole calendar of trading_dates.
+    last = np.datetime64(datetime.date.max, "D")
+    assert synth._MAX_DAYS == np.busday_count(datetime.date(2012, 1, 3), last + 1)
+    with pytest.raises(InvalidArgumentError, match="n_days must be <= 2083969, "):
+        SynthConfig(n_days=2_083_970)
     with pytest.raises(InvalidArgumentError):
         SynthConfig(noise_scale=-0.1)
     with pytest.raises(InvalidArgumentError):

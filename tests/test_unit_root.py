@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import gen_ar1, gen_random_walk
+from generators import adf_regression, gen_ar1, gen_random_walk
 from specloss.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -19,10 +19,9 @@ from specloss import ols, special, unit_root
 from specloss.market import UVariant, u_series
 from specloss.ols import fit_arrays
 from specloss.series import TimeSeries, diff, trading_dates
-from specloss.synth import NormalStream, SynthConfig, gen_market_days
+from specloss.synth import SynthConfig, _normals, gen_market_days
 from specloss.unit_root import (
     Verdict,
-    adf_regression,
     adf_test,
     classify_ladder,
     mackinnon_critical_values,
@@ -162,14 +161,6 @@ def test_adf_regression_shape_and_labels():
     assert reg.dep_name == "D(Y)"
 
 
-def test_adf_regression_rejects_bad_input():
-    s = gen_random_walk(2, 12, label="SHORT")
-    with pytest.raises(InvalidArgumentError):
-        adf_regression(s, -1)
-    with pytest.raises(InsufficientDataError):
-        adf_regression(s, 5)
-
-
 def test_select_lag_prefers_zero_for_white_noise():
     zeros = 0
     for seed in range(40):
@@ -183,10 +174,9 @@ def test_select_lag_finds_ar2_difference_structure():
     # Differences follow an AR(2), so the augmentation needs two lags.
     hits = 0
     for seed in range(40):
-        stream = NormalStream(seed, "ARD")
         n = 300
         dy = np.zeros(n)
-        shocks = stream.normals(n)
+        shocks = _normals(seed, "ARD", n)
         for t in range(2, n):
             dy[t] = 0.5 * dy[t - 1] + 0.3 * dy[t - 2] + shocks[t]
         s = TimeSeries(trading_dates(n), np.cumsum(dy), name="Y")
@@ -199,10 +189,12 @@ def test_select_lag_bounds_and_errors():
     s = gen_random_walk(3, 100, label="B")
     for max_lag in (0, 2, 5):
         assert 0 <= select_lag(s, max_lag) <= max_lag
-    with pytest.raises(InvalidArgumentError):
-        select_lag(s, -1)
-    with pytest.raises(InsufficientDataError):
-        select_lag(gen_random_walk(3, 12, label="B2"), 5)
+    short = gen_random_walk(3, 12, label="B2")
+    for run in (select_lag, adf_test):
+        with pytest.raises(InvalidArgumentError):
+            run(s, -1)
+        with pytest.raises(InsufficientDataError, match="B2 of length 12 is too short"):
+            run(short, 5)
 
 
 def _schwarz_lag_by_separate_fits(y, max_lag):
@@ -329,8 +321,9 @@ def test_adf_test_forms_no_tail_diagnostic_or_full_fit(monkeypatch):
 
     for module, name in ((special, "student_t_sf"), (special, "f_sf"),
                          (ols, "student_t_sf"), (ols, "f_sf"), (ols, "durbin_watson"),
-                         (ols, "OlsFit"), (ols, "fit_arrays"), (unit_root, "fit_arrays")):
+                         (ols, "OlsFit"), (ols, "fit_arrays")):
         monkeypatch.setattr(module, name, forbidden)
+    assert not hasattr(unit_root, "fit_arrays")
     got = [stationarity_ladder(walk), stationarity_ladder(stat), adf_test(walk, 3)]
     assert got == want
     assert got[0].diff_result is not None and got[1].diff_result is None
