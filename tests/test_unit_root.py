@@ -161,6 +161,14 @@ def test_adf_regression_shape_and_labels():
     assert reg.dep_name == "D(Y)"
 
 
+def test_adf_regression_rejects_bad_input():
+    s = gen_random_walk(2, 12, label="SHORT")
+    with pytest.raises(InvalidArgumentError):
+        adf_regression(s, -1)
+    with pytest.raises(InsufficientDataError):
+        adf_regression(s, 5)
+
+
 def test_select_lag_prefers_zero_for_white_noise():
     zeros = 0
     for seed in range(40):
