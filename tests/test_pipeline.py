@@ -40,6 +40,41 @@ def test_analyze_csv_keeps_its_pinned_bytes(tmp_path, digest, command):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
+_NO_PRICE = Path(__file__).parent / "data" / "analyze_no_price_sha256.txt"
+
+# Two ways a file can lack a price for the constancy and coverage checks:
+# the column cut (as `cut -d, -f1-5` does) or one day's cell left empty.
+_PRICE_FORMS = {
+    "cut": lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+    "blank": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",", *lines[2:]],
+}
+
+
+def _no_price_runs():
+    for line in _NO_PRICE.read_text(encoding="utf-8").splitlines():
+        digest, fmt, command = line.split("  ", 2)
+        for form in _PRICE_FORMS:
+            yield pytest.param(digest, fmt, command, form,
+                               id=f"{form}-{fmt}-{command.replace(' ', '')}")
+
+
+@pytest.mark.parametrize("digest, fmt, command, form", _no_price_runs())
+def test_analyze_without_prices_keeps_its_pinned_bytes(tmp_path, digest, fmt, command, form):
+    path = tmp_path / "market.csv"
+    _synth(command, path)
+    lines = _PRICE_FORMS[form](path.read_text(encoding="utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", "--input", str(path), "--format", fmt]) == 0
+    report = out.getvalue()
+    if fmt == "csv":
+        assert "\nconstancy." not in report and "\ncoverage," not in report
+    else:
+        assert "Coverage: skipped, no mean price available.\n" in report
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+
 def _peak_bytes(run):
     """The tracemalloc peak of ``run()``, after one warm-up call."""
     run()  # the first call loads the coefficient tables and the like
