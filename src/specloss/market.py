@@ -246,7 +246,7 @@ def break_analysis(u: TimeSeries, break_date: datetime.date) -> BreakResult:
     """Compare mean u before and from ``break_date`` on.
 
     The break date itself belongs to the "after" segment; both segments
-    need at least two observations.
+    need at least two observations, and the mean before must not be zero.
     """
     n_before = int(np.searchsorted(u.dates, np.datetime64(break_date, "D")))
     n_after = len(u) - n_before
@@ -257,6 +257,10 @@ def break_analysis(u: TimeSeries, break_date: datetime.date) -> BreakResult:
         )
     mean_before = float(np.mean(u.values[:n_before]))
     mean_after = float(np.mean(u.values[n_before:]))
+    if mean_before == 0:
+        raise DivisionDomainError(
+            f"mean u before break date {break_date} is zero; the ratio is undefined"
+        )
     return BreakResult(
         mean_before=mean_before,
         mean_after=mean_after,
@@ -277,7 +281,9 @@ def coverage_ratios(days: MarketData) -> CoverageResult:
     if zero is not None:
         raise DivisionDomainError(f"zero u_big_dep on {days.dates[zero]}")
     price = days.mean_price
-    missing = 0 if price is None else _first(np.isnan(price))
+    if price is None:
+        raise InvalidArgumentError("mean_price column is absent")
+    missing = _first(np.isnan(price))
     if missing is not None:
         raise InvalidArgumentError(f"mean_price missing on {days.dates[missing]}")
     return CoverageResult(

@@ -10,7 +10,7 @@ import numpy as np
 
 from .cointegration import engle_granger
 from .dataio import RunConfig, load_market_csv
-from .errors import InvalidArgumentError
+from .errors import DivisionDomainError, InvalidArgumentError
 from .market import (
     UVariant,
     break_analysis,
@@ -19,7 +19,7 @@ from .market import (
     u_series,
 )
 from .ols import RegressionSpec
-from .report import AnalysisReport
+from .report import AnalysisReport, VariantResult
 from .synth import SynthConfig, gen_market_days
 from .unit_root import stationarity_ladder
 
@@ -32,47 +32,43 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
         days = load_market_csv(config.input_path)
     else:
         days = gen_market_days(SynthConfig(seed=config.synth_seed))
-    u_vol = u_series(days, UVariant.BY_VOLUME)
-    u_dep = u_series(days, UVariant.BY_DEPOSIT)
+    u = {variant: u_series(days, variant) for variant in UVariant}
     raw = days.series()
-    variables = {"U_SMALL_VOL": u_vol, "U_SMALL_DEP": u_dep, **raw}
     ladders = {
-        name: stationarity_ladder(series, config.max_lag)
-        for name, series in variables.items()
+        series.name: stationarity_ladder(series, config.max_lag)
+        for series in (*u.values(), *raw.values())
     }
-    coint_vol = engle_granger(
-        RegressionSpec(dependent=u_vol, regressors=(raw["U_BIG_VOL"], raw["R"], raw["I"])),
-        max_lag=config.max_lag,
-        resid_name="RESID1",
-    )
-    coint_dep = engle_granger(
-        RegressionSpec(dependent=u_dep, regressors=(raw["U_BIG_DEP"], raw["R"], raw["I"])),
-        max_lag=config.max_lag,
-        resid_name="RESID2",
-    )
+    u_big = {UVariant.BY_VOLUME: raw["U_BIG_VOL"], UVariant.BY_DEPOSIT: raw["U_BIG_DEP"]}
+    coints = [
+        engle_granger(
+            RegressionSpec(dependent=u[variant], regressors=(u_big[variant], raw["R"], raw["I"])),
+            max_lag=config.max_lag,
+            resid_name=f"RESID{number}",
+        )
+        for number, variant in enumerate(UVariant, 1)
+    ]
+    # Both u series share one calendar, and a day's u is zero in both or in
+    # neither, so the break splits them alike.
+    try:
+        breaks = [break_analysis(u[variant], config.break_date) for variant in UVariant]
+        break_skipped = None
+    except (InvalidArgumentError, DivisionDomainError) as exc:
+        breaks = [None] * len(UVariant)
+        break_skipped = str(exc)
     prices = days.mean_price
     have_prices = prices is not None and not np.isnan(prices).any()
     mean_price = float(np.mean(prices)) if have_prices else None
-    # Both u series share one calendar, so the break splits them alike.
-    try:
-        break_vol = break_analysis(u_vol, config.break_date)
-        break_dep = break_analysis(u_dep, config.break_date)
-        break_skipped = None
-    except InvalidArgumentError as exc:
-        break_vol = break_dep = None
-        break_skipped = str(exc)
     return AnalysisReport(
         n_days=len(days),
         max_lag=config.max_lag,
         break_date=config.break_date,
         ladders=ladders,
-        coint_by_volume=coint_vol,
-        coint_by_deposit=coint_dep,
-        constancy_vol=constancy_check(u_vol, mean_price) if have_prices else None,
-        constancy_dep=constancy_check(u_dep, mean_price) if have_prices else None,
-        break_vol=break_vol,
-        break_dep=break_dep,
+        variants=tuple(
+            VariantResult(variant, coint,
+                          constancy_check(u[variant], mean_price) if have_prices else None,
+                          brk)
+            for variant, coint, brk in zip(UVariant, coints, breaks)
+        ),
         break_skipped=break_skipped,
         coverage=coverage_ratios(days) if have_prices else None,
-        mean_price=mean_price,
     )

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cointegration import CointResult
-from .market import BreakResult, ConstancyResult, CoverageResult
+from .market import BreakResult, ConstancyResult, CoverageResult, UVariant
 from .ols import OlsFit
 from .unit_root import LEVELS, AdfResult, LadderResult
 
 __all__ = [
     "AnalysisReport",
+    "VariantResult",
     "fmt_stat",
     "fmt_prob",
     "render_adf_block",
@@ -34,30 +35,34 @@ __all__ = [
     "render_analysis_csv",
 ]
 
-# The six variables of the analysis, in report order.
-VARIABLE_ORDER = ("U_SMALL_VOL", "U_SMALL_DEP", "I", "R", "U_BIG_VOL", "U_BIG_DEP")
+@dataclass(frozen=True)
+class VariantResult:
+    """The analysis of u for one U variant.
+
+    A first-approach result is None when its check was skipped.
+    """
+
+    variant: UVariant
+    coint: CointResult
+    constancy: ConstancyResult | None
+    break_means: BreakResult | None
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything one full pipeline run produced, ready to render.
 
-    A first-approach result is None when its check was skipped.
+    ``ladders`` and ``variants`` are in report order; ``coverage`` is None
+    when its check was skipped.
     """
 
     n_days: int
     max_lag: int
     break_date: datetime.date
     ladders: Mapping[str, LadderResult]
-    coint_by_volume: CointResult
-    coint_by_deposit: CointResult
-    constancy_vol: ConstancyResult | None
-    constancy_dep: ConstancyResult | None
-    break_vol: BreakResult | None
-    break_dep: BreakResult | None
-    break_skipped: str | None  # why break_vol and break_dep are None
+    variants: tuple[VariantResult, ...]
+    break_skipped: str | None  # why every variant's break_means is None
     coverage: CoverageResult | None
-    mean_price: float | None
 
 
 def fmt_stat(x: float) -> str:
@@ -155,13 +160,17 @@ def render_regression(fit: OlsFit) -> list[str]:
     return lines
 
 
-def _sign_conclusion(fit: OlsFit, u_name: str) -> list[str]:
-    """Relate each coefficient's sign to the formula's prediction."""
+def _sign_conclusion(fit: OlsFit) -> list[str]:
+    """Relate each coefficient's sign to the formula's prediction.
+
+    The stage-one regressors are the U series, R and I, in that order.
+    """
     signs = {row.name: row.coef for row in fit.coef_rows if row.name != "C"}
-    u_coef = signs.get(u_name)
+    u_name = next(iter(signs))
+    u_coef = signs[u_name]
     r_coef = signs.get("R")
     i_coef = signs.get("I")
-    if u_coef is None or r_coef is None or i_coef is None:
+    if r_coef is None or i_coef is None:
         return []
     if r_coef > 0 and i_coef > 0 and u_coef < 0:
         return [
@@ -190,6 +199,11 @@ def _coint_sentence(label: str, result: CointResult) -> str:
     )
 
 
+def _label(variant: UVariant, sep: str) -> str:
+    """The variant's value with ``sep`` in place of its underscore."""
+    return variant.value.replace("_", sep)
+
+
 def _rule(title: str) -> list[str]:
     bar = "=" * 72
     return [bar, title, bar]
@@ -199,8 +213,7 @@ def render_analysis_text(report: AnalysisReport) -> str:
     """The full fixed-layout report, one string, trailing newline."""
     out: list[str] = []
     out += _rule("Unit-root tests")
-    for name in VARIABLE_ORDER:
-        ladder = report.ladders[name]
+    for name, ladder in report.ladders.items():
         out.append("")
         out.append(f"ADF test results (level): {name}")
         out.append("")
@@ -213,30 +226,24 @@ def render_analysis_text(report: AnalysisReport) -> str:
     out.append("")
     out += _rule("Unit-root summary")
     out.append("")
-    width = max(len(name) for name in VARIABLE_ORDER) + 2
-    for name in VARIABLE_ORDER:
-        out.append(f"{name:{width}}{report.ladders[name].classification}")
-    for label, coint, u_name, resid in (
-        ("Cointegrating regression 1 (U by volume)",
-         report.coint_by_volume, "U_BIG_VOL", "RESID1"),
-        ("Cointegrating regression 2 (U by deposit)",
-         report.coint_by_deposit, "U_BIG_DEP", "RESID2"),
-    ):
+    width = max(len(name) for name in report.ladders) + 2
+    for name, ladder in report.ladders.items():
+        out.append(f"{name:{width}}{ladder.classification}")
+    for number, result in enumerate(report.variants, 1):
+        coint = result.coint
         out.append("")
-        out += _rule(label)
+        out += _rule(f"Cointegrating regression {number} (U {_label(result.variant, ' ')})")
         out.append("")
         out += render_regression(coint.stage1)
         out.append("")
-        out.append(f"ADF test results for residuals: {resid}")
+        out.append(f"ADF test results for residuals: {coint.residual_test.series_name}")
         out.append("")
         out += render_adf_block(coint.residual_test, dm_critical=coint.critical_values_dm)
     out.append("")
     out += _rule("First-approach analysis")
     out.append("")
-    for label, constancy in (
-        ("by volume", report.constancy_vol),
-        ("by deposit", report.constancy_dep),
-    ):
+    for result in report.variants:
+        label, constancy = _label(result.variant, " "), result.constancy
         if constancy is None:
             out.append(f"Constancy ({label}): skipped, no mean price available.")
         else:
@@ -246,11 +253,9 @@ def render_analysis_text(report: AnalysisReport) -> str:
                 f"threshold {fmt_stat(constancy.threshold)}, "
                 f"passes: {'yes' if constancy.passes else 'no'}"
             )
-    for label, brk in (
-        ("by volume", report.break_vol),
-        ("by deposit", report.break_dep),
-    ):
-        head = f"Break at {report.break_date.isoformat()} ({label})"
+    for result in report.variants:
+        head = f"Break at {report.break_date.isoformat()} ({_label(result.variant, ' ')})"
+        brk = result.break_means
         if brk is None:
             out.append(f"{head} skipped: {report.break_skipped}")
             continue
@@ -268,10 +273,9 @@ def render_analysis_text(report: AnalysisReport) -> str:
     out.append("")
     out += _rule("Conclusions")
     out.append("")
-    out.append(_coint_sentence("by-volume", report.coint_by_volume))
-    out += _sign_conclusion(report.coint_by_volume.stage1, "U_BIG_VOL")
-    out.append(_coint_sentence("by-deposit", report.coint_by_deposit))
-    out += _sign_conclusion(report.coint_by_deposit.stage1, "U_BIG_DEP")
+    for result in report.variants:
+        out.append(_coint_sentence(_label(result.variant, "-"), result.coint))
+        out += _sign_conclusion(result.coint.stage1)
     return "\n".join(out) + "\n"
 
 
@@ -333,16 +337,13 @@ def render_analysis_csv(report: AnalysisReport) -> str:
         ("run", "max_lag", str(report.max_lag)),
         ("run", "break_date", report.break_date.isoformat()),
     ]
-    for name in VARIABLE_ORDER:
-        ladder = report.ladders[name]
+    for name, ladder in report.ladders.items():
         rows += _adf_rows(f"adf.{name}.level", ladder.level_result)
         if ladder.diff_result is not None:
             rows += _adf_rows(f"adf.{name}.diff", ladder.diff_result)
         rows.append((f"ladder.{name}", "classification", ladder.classification))
-    for key, coint in (
-        ("by_volume", report.coint_by_volume),
-        ("by_deposit", report.coint_by_deposit),
-    ):
+    for result in report.variants:
+        key, coint = result.variant.value, result.coint
         rows += _ols_rows(f"ols.{key}", coint.stage1)
         rows += _adf_rows(f"resid.{key}", coint.residual_test)
         for level in LEVELS:
@@ -351,10 +352,8 @@ def render_analysis_csv(report: AnalysisReport) -> str:
                  _csv_value(coint.critical_values_dm[level]))
             )
         rows.append((f"coint.{key}", "verdict", coint.verdict.value))
-    for key, constancy in (
-        ("by_volume", report.constancy_vol),
-        ("by_deposit", report.constancy_dep),
-    ):
+    for result in report.variants:
+        key, constancy = result.variant.value, result.constancy
         if constancy is not None:
             rows += [
                 (f"constancy.{key}", "mean", _csv_value(constancy.mean)),
@@ -362,10 +361,8 @@ def render_analysis_csv(report: AnalysisReport) -> str:
                 (f"constancy.{key}", "threshold", _csv_value(constancy.threshold)),
                 (f"constancy.{key}", "passes", _csv_value(constancy.passes)),
             ]
-    for key, brk in (
-        ("by_volume", report.break_vol),
-        ("by_deposit", report.break_dep),
-    ):
+    for result in report.variants:
+        key, brk = result.variant.value, result.break_means
         if brk is not None:
             rows += [
                 (f"break.{key}", "mean_before", _csv_value(brk.mean_before)),

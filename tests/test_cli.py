@@ -102,6 +102,29 @@ def test_analyze_skips_break_outside_sample(tmp_path, capsys):
     assert "\ncoverage,stock_utilization," in csv_out
 
 
+@pytest.mark.parametrize("column", ["rate_r", "invest_i"])
+def test_analyze_skips_break_when_mean_u_before_it_is_zero(tmp_path, capsys, column):
+    # R (or I) at 0 on every day before the break date makes u zero there,
+    # so the after/before ratio of the break means is undefined.
+    data = tmp_path / "m.csv"
+    code, _, _ = run_cli(["synth", "--seed", "3", "--out", str(data)], capsys)
+    assert code == 0
+    days = load_market_csv(str(data))
+    values = getattr(days, column).copy()
+    values[days.dates < np.datetime64("2012-05-10")] = 0.0
+    write_market_csv(dataclasses.replace(days, **{column: values}), str(data))
+    code, text, err = run_cli(["analyze", "--input", str(data)], capsys)
+    assert (code, err) == (0, "")
+    reason = "mean u before break date 2012-05-10 is zero; the ratio is undefined"
+    for label in ("by volume", "by deposit"):
+        assert f"Break at 2012-05-10 ({label}) skipped: {reason}\n" in text
+    code, csv_out, err = run_cli(
+        ["analyze", "--input", str(data), "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert "\nbreak." not in csv_out
+    assert "\ncoverage,stock_utilization," in csv_out
+
+
 def test_analyze_names_the_variant_and_day_where_u_overflows(tmp_path, capsys):
     data = tmp_path / "m.csv"
     code, _, _ = run_cli(["synth", "--seed", "3", "--days", "60", "--out", str(data)], capsys)

@@ -203,6 +203,17 @@ def test_break_analysis_constant_series_ratio_one():
     assert break_analysis(u, dates[4]).ratio == 1.0
 
 
+def test_break_analysis_zero_mean_before_names_the_break_date():
+    dates = trading_dates(6)
+    u = TimeSeries(dates, np.array([0.0, 0.0, 0.0, 2.0, 2.0, 2.0]))
+    with pytest.raises(DivisionDomainError,
+                       match=f"^mean u before break date {dates[3]} is zero; "
+                             f"the ratio is undefined$"):
+        break_analysis(u, dates[3])
+    # A zero mean after the break is a ratio of zero.
+    assert break_analysis(TimeSeries(dates, u.values[::-1]), dates[3]).ratio == 0.0
+
+
 def test_break_analysis_degenerate_segments_rejected():
     dates = trading_dates(6)
     u = TimeSeries(dates, np.arange(6.0))
@@ -231,7 +242,7 @@ def test_coverage_ratios_tenth_utilization():
 
 def test_coverage_ratios_errors():
     days = make_days([(1.0, 1.0, 1e5, 1e6)], price=None)
-    with pytest.raises(InvalidArgumentError, match="mean_price"):
+    with pytest.raises(InvalidArgumentError, match="^mean_price column is absent$"):
         coverage_ratios(days)
     with pytest.raises(InvalidArgumentError):
         coverage_ratios(make_days([]))

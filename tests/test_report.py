@@ -1,6 +1,7 @@
 """Tests for number formatting and report rendering."""
 
 import csv
+import dataclasses
 import io
 import math
 from decimal import Decimal
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from generators import gen_random_walk
 from specloss.dataio import RunConfig
+from specloss.market import UVariant
 from specloss.ols import fit_arrays
 from specloss.pipeline import build_analysis
 from specloss.report import (
-    VARIABLE_ORDER,
     fmt_prob,
     fmt_stat,
     render_adf_block,
@@ -135,7 +136,7 @@ def test_render_adf_block_fixed_lag_label():
 
 
 def test_render_adf_block_dm_variant(analysis):
-    coint = analysis.coint_by_volume
+    coint = analysis.variants[0].coint
     lines = render_adf_block(coint.residual_test,
                              dm_critical=coint.critical_values_dm)
     joined = "\n".join(lines)
@@ -181,7 +182,9 @@ def test_render_analysis_text_sections(analysis):
                   "Cointegrating regression 2 (U by deposit)",
                   "First-approach analysis", "Conclusions"):
         assert title in text
-    for name in VARIABLE_ORDER:
+    assert list(analysis.ladders) == ["U_SMALL_VOL", "U_SMALL_DEP", "I", "R",
+                                      "U_BIG_VOL", "U_BIG_DEP"]
+    for name in analysis.ladders:
         assert f"ADF test results (level): {name}" in text
         assert analysis.ladders[name].classification in text
     assert "ADF test results for residuals: RESID1" in text
@@ -191,15 +194,23 @@ def test_render_analysis_text_sections(analysis):
 
 
 def test_render_analysis_text_skips_price_sections_when_absent(analysis):
-    import dataclasses
-
     stripped = dataclasses.replace(
-        analysis, constancy_vol=None, constancy_dep=None, coverage=None,
-        mean_price=None,
+        analysis, coverage=None,
+        variants=tuple(dataclasses.replace(result, constancy=None)
+                       for result in analysis.variants),
     )
     text = render_analysis_text(stripped)
     assert "Constancy (by volume): skipped, no mean price available." in text
     assert "Coverage: skipped, no mean price available." in text
+
+
+def test_report_holds_one_result_per_variant(analysis):
+    fields = [field.name for field in dataclasses.fields(analysis)]
+    assert fields == ["n_days", "max_lag", "break_date", "ladders", "variants",
+                      "break_skipped", "coverage"]
+    assert [result.variant for result in analysis.variants] == list(UVariant)
+    assert [result.coint.residual_test.series_name
+            for result in analysis.variants] == ["RESID1", "RESID2"]
 
 
 def test_render_analysis_csv_shape(analysis):
@@ -212,7 +223,7 @@ def test_render_analysis_csv_shape(analysis):
     keys = [(table, field) for table, field, _ in body]
     assert len(keys) == len(set(keys))
     tables = {table for table, _, _ in body}
-    for name in VARIABLE_ORDER:
+    for name in analysis.ladders:
         assert f"adf.{name}.level" in tables
     assert {"ols.by_volume", "resid.by_volume", "coint.by_volume",
             "break.by_volume", "coverage", "run"} <= tables
@@ -223,7 +234,9 @@ def test_render_analysis_csv_values_round_trip(analysis):
     values = {(table, field): value for table, field, value in rows}
     t_printed = values[("adf.I.level", "t_statistic")]
     assert float(t_printed) == analysis.ladders["I"].level_result.t_statistic
-    assert values[("coint.by_volume", "verdict")] == analysis.coint_by_volume.verdict.value
+    by_volume = analysis.variants[0]
+    assert by_volume.variant is UVariant.BY_VOLUME
+    assert values[("coint.by_volume", "verdict")] == by_volume.coint.verdict.value
     assert values[("run", "break_date")] == analysis.break_date.isoformat()
     ratio = float(values[("break.by_volume", "ratio")])
-    assert ratio == analysis.break_vol.ratio
+    assert ratio == by_volume.break_means.ratio
