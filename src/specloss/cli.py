@@ -4,8 +4,8 @@ Subcommands expose the pipeline stages: ``analyze`` runs the full
 six-variable stationarity/cointegration report
 (:func:`specloss.pipeline.build_analysis`), ``adf``/``ols``/``coint``
 run one stage on CSV columns, and ``synth`` writes a generated dataset.
-Every flag can also come from a ``--config`` key=value file; flags win,
-and a key that is not a long flag of the subcommand is a usage error.
+Every flag can also come from a ``--config`` key=value file; ``main``
+merges it into the parsed flags once, before the subcommand runs.
 
 Exit codes: 0 success, 1 data or validation error, 2 numerical failure
 (singular design matrix), 3 usage error.
@@ -57,47 +57,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve(args: argparse.Namespace, key: str) -> Any:
-    """Flag value if given, else config-file value, else None.
+def _merge_config(args: argparse.Namespace) -> None:
+    """Set each ``--config`` value on ``args`` where its flag was not given.
 
-    A config-file value goes through the flag's own argparse ``type`` and
-    must be one of its ``choices``, if it has them.
+    A key that is not a long flag of the subcommand is a usage error.  A
+    value goes through its flag's own argparse ``type`` and must be one of
+    its ``choices``, if it has them, so a bad value is reported before the
+    subcommand checks or reads anything.
     """
-    value = getattr(args, key.replace("-", "_"))
-    if value is not None:
-        return value
-    config_map = args.config_map
-    if key not in config_map:
-        return None
-    convert, choices = args.config_keys[key]
-    try:
-        value = convert(config_map[key])
-    except ValueError as exc:
-        raise InvalidArgumentError(f"config key {key!r}: {exc}") from None
-    if choices is not None and value not in choices:
-        raise InvalidArgumentError(
-            f"config key {key!r}: invalid choice: {value!r} "
-            f"(choose from {', '.join(map(repr, choices))})"
-        )
-    return value
+    config_map = {} if args.config is None else parse_config_file(args.config)
+    unknown = sorted(set(config_map) - set(args.config_keys))
+    if unknown:
+        raise _UsageError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+    for key, text in config_map.items():
+        dest, convert, choices = args.config_keys[key]
+        if getattr(args, dest) is not None:  # flags win
+            continue
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"config key {key!r}: {exc}") from None
+        if choices is not None and value not in choices:
+            raise InvalidArgumentError(
+                f"config key {key!r}: invalid choice: {value!r} "
+                f"(choose from {', '.join(map(repr, choices))})"
+            )
+        setattr(args, dest, value)
 
 
-def _required(args: argparse.Namespace, key: str) -> str:
-    """A string flag that must come from the command line or the config file."""
-    value = _resolve(args, key)
+def _required(value: Any, flag: str) -> Any:
+    """``value``, which must have come from the command line or the config file."""
     if value is None:
-        raise _UsageError(f"--{key} is required")
+        raise _UsageError(f"--{flag} is required")
     return value
 
 
-def _given(args: argparse.Namespace, **flags: str) -> dict[str, Any]:
-    """Keyword arguments ``field=value`` for the optional flags that were given.
-
-    ``flags`` maps a config field to its flag.  A flag given neither on the
-    command line nor in the config file is left out, so the config class's
-    own default applies.
-    """
-    values = {name: _resolve(args, key) for name, key in flags.items()}
+def _given(**values: Any) -> dict[str, Any]:
+    """``values`` without the None ones, so a config class's own default applies to those."""
     return {name: value for name, value in values.items() if value is not None}
 
 
@@ -110,29 +106,23 @@ def _require_series(series: Sequence[TimeSeries], name: str) -> TimeSeries:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    input_path = _resolve(args, "input")
-    synth_seed = _resolve(args, "synth-seed")
-    if (input_path is None) == (synth_seed is None):
+    if (args.input is None) == (args.synth_seed is None):
         raise _UsageError("exactly one of --input and --synth-seed is required")
-    csv_output = _resolve(args, "format") == "csv"
     config = RunConfig(
-        input_path=input_path,
-        synth_seed=synth_seed,
-        **_given(args, break_date="break-date", max_lag="maxlag"),
+        input_path=args.input,
+        synth_seed=args.synth_seed,
+        **_given(break_date=args.break_date, max_lag=args.maxlag),
     )
-    report = build_analysis(config)
-    if csv_output:
-        sys.stdout.write(render_analysis_csv(report))
-    else:
-        sys.stdout.write(render_analysis_text(report))
+    render = render_analysis_csv if args.format == "csv" else render_analysis_text
+    sys.stdout.write(render(build_analysis(config)))
     return EXIT_OK
 
 
 def cmd_adf(args: argparse.Namespace) -> int:
-    input_path = _required(args, "input")
-    column = _required(args, "column")
+    input_path = _required(args.input, "input")
+    column = _required(args.column, "column")
     series = _require_series(load_series_csv(input_path), column)
-    result = adf_test(series, **_given(args, max_lag="maxlag"))
+    result = adf_test(series, **_given(max_lag=args.maxlag))
     lines = render_adf_block(result)
     lines += ["", f"Verdict: {result.verdict.value}"]
     sys.stdout.write("\n".join(lines) + "\n")
@@ -140,9 +130,9 @@ def cmd_adf(args: argparse.Namespace) -> int:
 
 
 def _regression_spec_from_args(args: argparse.Namespace) -> RegressionSpec:
-    input_path = _required(args, "input")
-    dep_name = _required(args, "dep")
-    regs_text = _required(args, "regressors")
+    input_path = _required(args.input, "input")
+    dep_name = _required(args.dep, "dep")
+    regs_text = _required(args.regressors, "regressors")
     names = [name.strip() for name in regs_text.split(",") if name.strip()]
     if not names:
         raise _UsageError("--regressors must list at least one column")
@@ -161,7 +151,7 @@ def cmd_ols(args: argparse.Namespace) -> int:
 
 def cmd_coint(args: argparse.Namespace) -> int:
     spec = _regression_spec_from_args(args)
-    result = engle_granger(spec, **_given(args, max_lag="maxlag"))
+    result = engle_granger(spec, **_given(max_lag=args.maxlag))
     lines = render_regression(result.stage1)
     lines += ["", "ADF test results for residuals:", ""]
     lines += render_adf_block(result.residual_test,
@@ -172,10 +162,10 @@ def cmd_coint(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out_path = _required(args, "out")
+    out_path = _required(args.out, "out")
     config = SynthConfig(**_given(
-        args, seed="seed", n_days="days", noise_scale="noise-scale",
-        break_factor="break-factor", break_index="break-index",
+        seed=args.seed, n_days=args.days, noise_scale=args.noise_scale,
+        break_factor=args.break_factor, break_index=args.break_index,
     ))
     days = gen_market_days(config)
     write_market_csv(days, out_path)
@@ -237,10 +227,11 @@ def build_parser() -> _Parser:
     p.add_argument("--break-index", type=int, help="index of the I step change (default mid-sample)")
     p.set_defaults(func=cmd_synth)
     for p in sub.choices.values():  # a config file may set any long flag but --config
-        keys = {opt[2:]: (action.type or str, action.choices) for action in p._actions
-                for opt in action.option_strings if opt.startswith("--")}
+        keys = {opt[2:]: (action.dest, action.type or str, action.choices)
+                for action in p._actions for opt in action.option_strings
+                if opt.startswith("--")}
         del keys["config"], keys["help"]
-        p.set_defaults(config_keys=keys)  # each allowed key with its flag's type and choices
+        p.set_defaults(config_keys=keys)  # each allowed key with its flag's dest, type, choices
     return parser
 
 
@@ -248,12 +239,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_map = parse_config_file(args.config) if args.config else {}
-        unknown = sorted(set(args.config_map) - set(args.config_keys))
-        if unknown:
-            raise _UsageError(
-                f"unknown config key(s) for {args.command}: {', '.join(unknown)}"
-            )
+        _merge_config(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

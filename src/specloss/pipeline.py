@@ -55,9 +55,11 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
     except (InvalidArgumentError, DivisionDomainError) as exc:
         breaks = [None] * len(UVariant)
         break_skipped = str(exc)
-    prices = days.mean_price
-    have_prices = prices is not None and not np.isnan(prices).any()
-    mean_price = float(np.mean(prices)) if have_prices else None
+    # The constancy check needs only the mean price of the days that have
+    # one; the coverage ratios need a price on every day.
+    prices = np.empty(0) if days.mean_price is None else days.mean_price
+    priced = prices[~np.isnan(prices)]
+    mean_price = float(np.mean(priced)) if priced.size else None
     return AnalysisReport(
         n_days=len(days),
         max_lag=config.max_lag,
@@ -65,10 +67,10 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
         ladders=ladders,
         variants=tuple(
             VariantResult(variant, coint,
-                          constancy_check(u[variant], mean_price) if have_prices else None,
+                          None if mean_price is None else constancy_check(u[variant], mean_price),
                           brk)
             for variant, coint, brk in zip(UVariant, coints, breaks)
         ),
         break_skipped=break_skipped,
-        coverage=coverage_ratios(days) if have_prices else None,
+        coverage=coverage_ratios(days) if priced.size == len(days) else None,
     )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from generators import gen_ar1, gen_random_walk, write_series_csv
+from test_api import FLAGS
 from specloss import dataio
 from specloss.cli import build_parser, main
 from specloss.dataio import load_market_csv, load_series_csv, write_market_csv
@@ -432,6 +433,79 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 0
     assert overridden == direct2
     assert overridden != direct
+
+
+# Complete runs of each subcommand, every flag given; {market}, {series}
+# and {out} stand for files in the test's directory.
+_FULL_RUNS = [
+    ("analyze", {"input": "{market}", "break-date": "2012-03-01", "maxlag": "2",
+                 "format": "csv"}),
+    ("analyze", {"synth-seed": "3"}),
+    ("adf", {"input": "{series}", "column": "W", "maxlag": "2"}),
+    ("ols", {"input": "{series}", "dep": "W", "regressors": "S"}),
+    ("coint", {"input": "{series}", "dep": "W", "regressors": "S", "maxlag": "2"}),
+    ("synth", {"seed": "4", "days": "60", "out": "{out}", "noise-scale": "0.5",
+               "break-factor": "2", "break-index": "20"}),
+]
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command}-{flag}")
+    for command, flags in sorted(FLAGS.items()) for flag in sorted(flags - {"config"})
+])
+def test_each_flag_from_a_config_file_acts_as_on_the_command_line(tmp_path, capsys,
+                                                                   command, flag):
+    runs = [values for name, values in _FULL_RUNS if name == command and flag in values]
+    assert runs, f"no run of {command} gives --{flag}; add one to _FULL_RUNS"
+    paths = {"market": tmp_path / "m.csv", "series": tmp_path / "s.csv",
+             "out": tmp_path / "out.csv"}
+    assert run_cli(["synth", "--seed", "5", "--days", "80", "--out", str(paths["market"])],
+                   capsys)[0] == 0
+    make_series_file(paths["series"])
+    values = {key: value.format(**paths) for key, value in runs[0].items()}
+    others = [arg for key, value in values.items() if key != flag
+              for arg in (f"--{key}", value)]
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{flag}={values[flag]}\n", encoding="utf-8")
+
+    def run(argv):
+        code, out, err = run_cli(argv, capsys)
+        written = paths["out"].read_bytes() if paths["out"].exists() else None
+        paths["out"].unlink(missing_ok=True)
+        return code, out, err, written
+
+    direct = run([command, *others, f"--{flag}", values[flag]])
+    assert direct[0] == 0 and direct[2] == ""
+    assert run([command, *others, "--config", str(conf)]) == direct
+
+
+def test_a_bad_config_value_is_reported_first(tmp_path, capsys):
+    # The config file is merged and checked before the subcommand runs, so
+    # a bad value comes before a missing required flag and before any
+    # input file is opened.
+    conf = tmp_path / "bad.conf"
+    conf.write_text("maxlag=abc\n", encoding="utf-8")
+    bad = (1, "", "specloss: error: config key 'maxlag': "
+                  "invalid literal for int() with base 10: 'abc'\n")
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["adf"], ["adf", "--column", "W"], ["analyze"],
+                 ["adf", "--input", missing, "--column", "W"],
+                 ["analyze", "--input", missing]):
+        assert run_cli(argv + ["--config", str(conf)], capsys) == bad, argv
+    # A flag given on the command line wins, so its config value is not used.
+    code, out, err = run_cli(["analyze", "--synth-seed", "1", "--maxlag", "2",
+                              "--config", str(conf)], capsys)
+    assert (code, err) == (0, "")
+    assert out == run_cli(["analyze", "--synth-seed", "1", "--maxlag", "2"], capsys)[1]
+
+
+def test_empty_path_flags_fail_alike(tmp_path, capsys):
+    # An empty --config names no file, as an empty --input or --out does.
+    want = (1, "", "specloss: error: [Errno 2] No such file or directory: ''\n")
+    for argv in (["analyze", "--synth-seed", "1", "--config", ""],
+                 ["analyze", "--input", ""],
+                 ["synth", "--days", "40", "--out", ""]):
+        assert run_cli(argv, capsys) == want, argv
 
 
 def test_back_to_back_calls_match_fresh_calls(tmp_path, capsys):

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -42,37 +43,68 @@ def test_analyze_csv_keeps_its_pinned_bytes(tmp_path, digest, command):
 
 _NO_PRICE = Path(__file__).parent / "data" / "analyze_no_price_sha256.txt"
 
-# Two ways a file can lack a price for the constancy and coverage checks:
-# the column cut (as `cut -d, -f1-5` does) or one day's cell left empty.
+# Three ways a file can lack prices: the column cut (as `cut -d, -f1-5`
+# does), one day's cell left empty, or every day's cell left empty.
 _PRICE_FORMS = {
     "cut": lambda lines: [line.rsplit(",", 1)[0] for line in lines],
     "blank": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",", *lines[2:]],
+    "empty": lambda lines: [lines[0], *(line.rsplit(",", 1)[0] + "," for line in lines[1:])],
 }
 
 
-def _no_price_runs():
-    for line in _NO_PRICE.read_text(encoding="utf-8").splitlines():
-        digest, fmt, command = line.split("  ", 2)
-        for form in _PRICE_FORMS:
-            yield pytest.param(digest, fmt, command, form,
-                               id=f"{form}-{fmt}-{command.replace(' ', '')}")
-
-
-@pytest.mark.parametrize("digest, fmt, command, form", _no_price_runs())
-def test_analyze_without_prices_keeps_its_pinned_bytes(tmp_path, digest, fmt, command, form):
-    path = tmp_path / "market.csv"
+def _analyze_priced(tmp_path, command, form, fmt):
+    """The analyze report of the synth file ``command`` with its prices in ``form``."""
+    path = tmp_path / f"{form}.csv"
     _synth(command, path)
     lines = _PRICE_FORMS[form](path.read_text(encoding="utf-8").splitlines())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["analyze", "--input", str(path), "--format", fmt]) == 0
-    report = out.getvalue()
+    return out.getvalue()
+
+
+def _no_price_runs():
+    for line in _NO_PRICE.read_text(encoding="utf-8").splitlines():
+        digest, form, fmt, command = line.split("  ", 3)
+        yield pytest.param(digest, fmt, command, form,
+                           id=f"{form}-{fmt}-{command.replace(' ', '')}")
+
+
+@pytest.mark.parametrize("digest, fmt, command, form", _no_price_runs())
+def test_analyze_without_prices_keeps_its_pinned_bytes(tmp_path, digest, fmt, command, form):
+    # Coverage needs a price on every day; constancy needs only the mean
+    # price of the days that have one.
+    report = _analyze_priced(tmp_path, command, form, fmt)
     if fmt == "csv":
-        assert "\nconstancy." not in report and "\ncoverage," not in report
+        assert "\ncoverage," not in report
+        assert ("\nconstancy." in report) == (form == "blank")
     else:
         assert "Coverage: skipped, no mean price available.\n" in report
+        assert ("Constancy (by volume): skipped" in report) == (form == "cut")
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_one_blank_price_changes_only_the_constancy_lines(tmp_path, fmt):
+    command = "synth --seed 42 --days 255"
+    cut, blank, empty = (_analyze_priced(tmp_path, command, form, fmt)
+                         for form in ("cut", "blank", "empty"))
+    assert empty == cut  # no price on any day skips both checks
+
+    def without_constancy(report):
+        return [line for line in report.splitlines()
+                if not line.startswith(("Constancy (", "constancy."))]
+
+    assert blank != cut
+    assert without_constancy(blank) == without_constancy(cut)
+    if fmt == "csv":
+        # The threshold, a hundredth of the mean price in kopecks, is the mean
+        # price in rubles of the 254 days that have one.
+        rows = (tmp_path / "blank.csv").read_text(encoding="utf-8").splitlines()[2:]
+        prices = [float(row.rsplit(",", 1)[1]) for row in rows]
+        threshold = float(blank.split("constancy.by_volume,threshold,", 1)[1].split("\n")[0])
+        assert threshold == pytest.approx(math.fsum(prices) / len(prices), rel=1e-12)
 
 
 def _peak_bytes(run):
