@@ -231,10 +231,10 @@ def constancy_check(u: TimeSeries, mean_price: float) -> ConstancyResult:
 
     Passes when the sample standard deviation stays strictly below one
     hundredth of the mean stock price, both in kopecks (``mean_price``
-    arrives in rubles).
+    arrives in rubles and must be positive and finite).
     """
-    if mean_price <= 0:
-        raise InvalidArgumentError(f"mean_price must be positive, got {mean_price}")
+    if not 0 < mean_price < np.inf:
+        raise InvalidArgumentError(f"mean_price must be positive and finite, got {mean_price}")
     sd = stddev(u)
     threshold = mean_price * RUB_TO_KOPECKS / 100.0
     return ConstancyResult(

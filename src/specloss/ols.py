@@ -11,17 +11,21 @@ like a 1-D reduction, which ``tests/test_ols.py`` checks against column
 loops.  Each reflection goes over groups of rows that fit in cache
 together with their products, a row at a time at 25,500 days and all
 rows at once at a few hundred; a row's sum does not depend on its
-group.  The design's columns are copied straight into that transposed
-work array, whether they come as an (n, k) matrix or, from the
-library's own callers, as separate column arrays that are never
-stacked; the column norms are a row-order fold, block by block in the
-reflections' scratch, that gives the bits of the C-ordered design.
+group.  This module alone builds, checks and factors a work array: one
+private function copies the design's columns and y straight into a
+fresh one, whether the columns are those of an (n, k) matrix or the
+separate arrays of :func:`fit` and the ADF regressions, checks that it
+is finite and factors it in place; the column norms are a row-order
+fold, block by block in the reflections' scratch, that gives the bits
+of the C-ordered design.  The ADF lag search calls it directly.
 Standard errors need only the diagonal of (X'X)^-1, so only that is
-formed.  One private kernel solves and forms the residuals for
-:func:`fit_arrays` and for the ADF test's t-statistic alike.  A fit
-keeps no n-vector: its residuals give the SSR and the Durbin-Watson
-statistic and are dropped, except that a dependent given as a dated
-series, as :func:`fit` gives it, keeps them as the residual series.
+formed.  One private kernel solves and forms the residuals, the SSR and
+the standard errors for :func:`fit`, :func:`fit_arrays` and the ADF
+test's t-statistic alike.  A fit keeps no n-vector: its residuals give
+the SSR and the Durbin-Watson statistic and are dropped, except that a
+dated dependent keeps them as the residual series.  A regressor whose
+squares overflow, or a dependent whose SSR, TSS or Durbin-Watson sum
+does, is an input error that names it, not an inf.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -186,32 +190,28 @@ def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> n
     gives the bits of the C-ordered design.  Squares are never -0.0, so
     adding the sums in changes no bit.  A single column's squares fill
     one block, which numpy sums pairwise like a 1-D row, as it sums an
-    (n, 1) design.  A zero column raises, naming the first one.
+    (n, 1) design.  A zero column raises, naming the first one, and so
+    does a column whose squares overflow.
     """
     n, k = x.shape
     rows = scratch.size // k
     squares = scratch.reshape(-1)[: rows * k].reshape(rows, k)
-    for lo in range(0, n, rows):
-        block = x[lo : lo + rows]
-        sq = np.square(block, out=squares[: len(block)])
-        if lo:
-            sq[0] += sums
-        sums = np.add.reduce(sq, axis=0)
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, rows):
+            block = x[lo : lo + rows]
+            sq = np.square(block, out=squares[: len(block)])
+            if lo:
+                sq[0] += sums
+            sums = np.add.reduce(sq, axis=0)
     norms = np.sqrt(sums)
-    if not norms.all():
-        j = int(norms.argmin())  # the first zero column
+    listed = norms.tolist()
+    if math.inf in listed:
+        j = listed.index(math.inf)  # the first column too large to square
+        raise InvalidArgumentError(f"regressor '{names[j]}' is too large: its squares overflow")
+    if 0.0 in listed:
+        j = listed.index(0.0)  # the first zero column
         raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
     return norms
-
-
-class _Columns(tuple):
-    """A design as its k columns: equal-length float64 arrays the library made.
-
-    :func:`fit_arrays` copies them into its work array one by one, so the
-    (n, k) matrix is never built.
-    """
-
-    __slots__ = ()
 
 
 # A read-only column of ones as long as any float64 array, holding one float.
@@ -305,18 +305,37 @@ def _residuals(y: np.ndarray, columns: Sequence[np.ndarray], beta) -> np.ndarray
     return np.subtract(y, resid, out=resid)
 
 
-def _solve(
-    y: np.ndarray, columns: Sequence[np.ndarray], names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least squares of y on the columns: (beta, diag (X'X)^-1, residuals)."""
+def _factor(y: np.ndarray, columns: Sequence[np.ndarray],
+            names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, Q'y, norms) of the design, factored in place in a fresh work array."""
     a = np.array([*columns, y])  # the work array, the only copy of the design
     if not np.isfinite(a).all():
         raise InvalidArgumentError("regression inputs must be finite")
     r, norms = _householder_qr(a, names)
-    beta_s, var_s = _solve_triangular(r, a[-1])
-    del a, r  # the work array goes before the residuals are formed
+    return r, a[-1], norms
+
+
+def _sum_of_squares(x: np.ndarray, dep_name: str) -> float:
+    """``np.add.reduce(x * x)`` of values from the dependent; an overflow raises, naming it."""
+    with np.errstate(over="ignore"):
+        total = float(np.add.reduce(x * x))
+    if math.isinf(total):
+        raise InvalidArgumentError(f"dependent '{dep_name}' is too large: its squares overflow")
+    return total
+
+
+def _solve(y: np.ndarray, columns: Sequence[np.ndarray], names: Sequence[str],
+           dep_name: str) -> tuple[np.ndarray, list[float], float, np.ndarray]:
+    """Least squares of y on the columns: (beta, standard errors, SSR, residuals)."""
+    r, qy, norms = _factor(y, columns, names)
+    beta_s, var_s = _solve_triangular(r, qy)
+    del r, qy  # the work array goes before the residuals are formed
     beta = beta_s / norms
-    return beta, var_s / (norms * norms), _residuals(y, columns, beta)
+    resid = _residuals(y, columns, beta)
+    ssr = _sum_of_squares(resid, dep_name)
+    s2 = ssr / (len(y) - len(columns))
+    se = [math.sqrt(s2 * v) for v in (var_s / (norms * norms)).tolist()]
+    return beta, se, ssr, resid
 
 
 def _t_ratio(b: float, se: float) -> float:
@@ -345,53 +364,54 @@ def fit_arrays(
     """
     dated = isinstance(y, TimeSeries)
     yv = y.values if dated else np.asarray(y, dtype=np.float64)
-    if type(x) is _Columns:
-        columns = x
-        n, k = len(x[0]), len(x)
-    else:
-        xv = np.asarray(x, dtype=np.float64)
-        if xv.ndim != 2:
-            raise InvalidArgumentError(f"design matrix must be 2-D, got ndim={xv.ndim}")
-        n, k = xv.shape
-        columns = xv.T
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.ndim != 2:
+        raise InvalidArgumentError(f"design matrix must be 2-D, got ndim={xv.ndim}")
+    n, k = xv.shape
     if yv.shape != (n,):
         raise InvalidArgumentError(
             f"dependent variable has shape {yv.shape}, expected ({n},)"
         )
     if k == 0:
         raise InvalidArgumentError("design matrix has no columns")
-    if n <= k:
-        raise InsufficientDataError(
-            f"need more observations than parameters, got n={n}, k={k}"
-        )
     if reg_names is None:
         reg_names = [f"X{j}" for j in range(k)]
     elif len(reg_names) != k:
         raise InvalidArgumentError(
             f"got {len(reg_names)} regressor names for {k} columns"
         )
-    beta, var, resid = _solve(yv, columns, reg_names)
-    ssr = float(np.add.reduce(resid * resid))
-    dw = durbin_watson(resid)
-    series = (TimeSeries(_Frozen(y.dates), _Frozen(resid), name="RESID")
-              if dated else None)
+    return _fit(yv, xv.T, dep_name, reg_names, y.dates if dated else None)
+
+
+def _fit(y: np.ndarray, columns: Sequence[np.ndarray], dep_name: str,
+         reg_names: Sequence[str], dates: np.ndarray | None) -> OlsFit:
+    """Fit y on the named columns; a fit given ``dates`` keeps its residual series."""
+    n, k = len(y), len(columns)
+    if n <= k:
+        raise InsufficientDataError(
+            f"need more observations than parameters, got n={n}, k={k}"
+        )
+    beta, se, ssr, resid = _solve(y, columns, reg_names, dep_name)
+    # Durbin-Watson over the SSR at hand, so that an overflow names the dependent.
+    dw = _sum_of_squares(resid[1:] - resid[:-1], dep_name) / ssr if ssr else math.nan
+    series = (None if dates is None
+              else TimeSeries(_Frozen(dates), _Frozen(resid), name="RESID"))
     del resid
 
-    mean_dep = float(np.add.reduce(yv)) / n
-    dev = yv - mean_dep
-    tss = float(np.add.reduce(dev * dev))
+    with np.errstate(over="ignore"):  # a sum that overflows leaves the TSS inf
+        mean_dep = float(np.add.reduce(y)) / n
+        dev = y - mean_dep
+    tss = _sum_of_squares(dev, dep_name)
     sd_dep = math.sqrt(tss / (n - 1))
     r2 = 1.0 - ssr / tss if tss > 0.0 else math.nan
     df = n - k
-    s2 = ssr / df
     loglik = log_likelihood_from_ssr(ssr, n)
 
     rows = []
-    for name, b, v in zip(reg_names, beta.tolist(), var.tolist()):
-        se = math.sqrt(s2 * v)
-        t = _t_ratio(b, se)
+    for name, b, s in zip(reg_names, beta.tolist(), se):
+        t = _t_ratio(b, s)
         p = 2.0 * student_t_sf(abs(t), df)  # nan for a nan t, 0 for an infinite one
-        rows.append(CoefRow(name=str(name), coef=b, std_err=se, t_stat=t, p_value=p))
+        rows.append(CoefRow(name=str(name), coef=b, std_err=s, t_stat=t, p_value=p))
 
     # R^2 < 0 (no constant) leaves no F test against the mean-only model.
     fstat = f_statistic_from_r2(r2, n, k) if r2 >= 0.0 else math.nan
@@ -423,5 +443,5 @@ def fit(spec: RegressionSpec) -> OlsFit:
     """Align the spec's series on common dates and fit, constant (C) first."""
     dep_a, *regs_a = align(spec.dependent, *spec.regressors)
     names = ["C"] + [s.name or f"X{j}" for j, s in enumerate(regs_a, start=1)]
-    x = _Columns([_ONES[: len(dep_a)]] + [s.values for s in regs_a])
-    return fit_arrays(dep_a, x, dep_name=spec.dependent.name or "Y", reg_names=names)
+    columns = [_ONES[: len(dep_a)]] + [s.values for s in regs_a]
+    return _fit(dep_a.values, columns, spec.dependent.name or "Y", names, dep_a.dates)

@@ -8,8 +8,11 @@ max_lag so the criteria are comparable.  On that sample each candidate's
 design is a column prefix of the max_lag design, so one Householder QR
 of the max_lag design yields every candidate's SSR and no candidate is
 fitted.  Only the winning lag is refitted, on its own longest sample,
-and only for the t-statistic on γ.  The regression always carries a
-constant and no trend, the only case the shipped tables cover.
+and only for the t-statistic on γ.  The least-squares core of
+:mod:`specloss.ols` does both: the lag search factors its work array,
+the refit solves and takes the standard error from it.  A series whose
+differences overflow is an input error.  The regression always carries
+a constant and no trend, the only case the shipped tables cover.
 
 Critical values use the MacKinnon (2010) response surface evaluated at
 the regression's included observations, T_eff = N − 1 − lag.  P-values
@@ -36,8 +39,9 @@ from .errors import (
 )
 from .ols import (
     _ONES,
-    _householder_qr,
+    _factor,
     _solve,
+    _sum_of_squares,
     _t_ratio,
     log_likelihood_from_ssr,
     schwarz_from_loglik,
@@ -194,25 +198,15 @@ def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray],
     if n - 1 - lag <= lag + 2:
         raise InsufficientDataError(f"series {label} of length {n} is too short "
                                     f"for an ADF regression with lag {lag}")
+    if math.isinf(float(yv.max()) - float(yv.min())):  # only then can a difference overflow
+        with np.errstate(over="ignore"):
+            if not np.isfinite(yv[1:] - yv[:-1]).all():
+                raise InvalidArgumentError(f"series {label} is too large: its differences overflow")
     dy = yv[1:] - yv[:-1]
     names = ["C", f"{label}(-1)"] + [f"D({label}(-{i}))" for i in range(1, lag + 1)]
     cols = [_ONES[: n - 1 - lag], yv[lag : n - 1]]
     cols += [dy[lag - i : n - 1 - i] for i in range(1, lag + 1)]
     return dy[lag:], cols, names
-
-
-def _lag_search_qy(y: TimeSeries, max_lag: int) -> np.ndarray:
-    """Q'y of the max_lag ADF design from one Householder QR.
-
-    The design goes straight into the transposed work array, with the
-    dependent as its last row, and is factored there in place, so the
-    design is never held a second time as an (n, k) matrix.
-    """
-    dep, cols, names = _adf_columns(y, max_lag)
-    a = np.array([*cols, dep])
-    del dep, cols  # the work array is the only copy while it is factored
-    _householder_qr(a, names)
-    return a[-1]
 
 
 def select_lag(y: TimeSeries, max_lag: int) -> int:
@@ -226,13 +220,15 @@ def select_lag(y: TimeSeries, max_lag: int) -> int:
     """
     if max_lag < 0:
         raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
-    z = _lag_search_qy(y, max_lag)
-    nobs = z.shape[0]
+    dep, cols, names = _adf_columns(y, max_lag)
+    z = _factor(dep, cols, names)[1][2:]  # Q'y past C and y(-1)
+    nobs = len(dep)
+    _sum_of_squares(z, f"D({y.name or 'Y'})")  # lag 0's SSR, the largest
     sq = z * z
     scores = []
-    for k in range(2, max_lag + 3):  # C, y(-1) and k - 2 lagged differences
-        loglik = log_likelihood_from_ssr(float(np.add.reduce(sq[k:])), nobs)
-        scores.append(schwarz_from_loglik(loglik, nobs, k))
+    for lag in range(max_lag + 1):
+        loglik = log_likelihood_from_ssr(float(np.add.reduce(sq[lag:])), nobs)
+        scores.append(schwarz_from_loglik(loglik, nobs, 2 + lag))
     return scores.index(min(scores))  # the first minimum: ties go to the smaller lag
 
 
@@ -257,10 +253,9 @@ def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
     """
     lag = select_lag(y, max_lag)
     dep, cols, names = _adf_columns(y, lag)
-    beta, var, resid = _solve(dep, cols, names)
+    beta, se = _solve(dep, cols, names, f"D({y.name or 'Y'})")[:2]
     t_eff = len(dep)
-    s2 = float(np.add.reduce(resid * resid)) / (t_eff - len(cols))
-    t_stat = _t_ratio(float(beta[1]), math.sqrt(s2 * float(var[1])))
+    t_stat = _t_ratio(float(beta[1]), se[1])
     cvs = {
         level: mackinnon_critical_values(level, t_eff) for level in LEVELS
     }

@@ -6,15 +6,19 @@ The generators draw from the package's own normal draws and run its
 AR(1) recurrence, so each call gives the same bits on every platform;
 ``tests/data/generators_sha256.txt`` pins them.  ``NormalStream`` is the
 one-pair-at-a-time form of those draws, and ``adf_regression`` the full
-fit whose t-statistic the ADF test must reproduce; each is the reference
-that the package's faster path is checked against, bit for bit.
+fit, by ``fit_arrays`` on the stacked (n, k) design, whose t-statistic
+the ADF test must reproduce from its unstacked columns; each is the
+reference that the package's faster path is checked against, bit for
+bit.
 """
 
 import csv
 import math
 
+import numpy as np
+
 from specloss.errors import InvalidArgumentError
-from specloss.ols import OlsFit, RegressionSpec, _Columns, fit_arrays
+from specloss.ols import OlsFit, RegressionSpec, fit_arrays
 from specloss.series import TimeSeries, trading_dates
 from specloss.synth import _MASK64, _SPLITMIX_GAMMA, _ar1, _fnv1a64, _normals
 from specloss.unit_root import _adf_columns
@@ -61,12 +65,12 @@ def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
 
     Effective observations are ``len(y) - 1 - lag``; the ADF statistic is
     the t-statistic of the second coefficient row (on the lagged level).
-    The columns go to the fit as they are, never stacked into a matrix.
+    The columns are stacked into the (n, k) design that the fit is given.
     """
     if lag < 0:
         raise InvalidArgumentError(f"lag must be >= 0, got {lag}")
     dep, cols, names = _adf_columns(y, lag)
-    return fit_arrays(dep, _Columns(cols), dep_name=f"D({y.name or 'Y'})",
+    return fit_arrays(dep, np.column_stack(cols), dep_name=f"D({y.name or 'Y'})",
                       reg_names=names)
 
 

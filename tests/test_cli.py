@@ -140,6 +140,36 @@ def test_analyze_names_the_variant_and_day_where_u_overflows(tmp_path, capsys):
                   f"I = 1e+308, R = {days.rate_r[4]}, U = {days.u_big_vol[4]}\n"
 
 
+def test_analyze_of_an_input_whose_squares_overflow_is_one_error_line(tmp_path, capsys):
+    # I scaled by 1e150 keeps u finite, but the squares of I(-1) overflow.
+    data = tmp_path / "m.csv"
+    assert run_cli(["synth", "--seed", "42", "--out", str(data)], capsys)[0] == 0
+    days = load_market_csv(str(data))
+    write_market_csv(dataclasses.replace(days, invest_i=days.invest_i * 1e150), str(data))
+    assert run_cli(["analyze", "--input", str(data)], capsys) == (
+        1, "", "specloss: error: regressor 'I(-1)' is too large: its squares overflow\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["adf", "--column", "alt"],
+                 "series alt is too large: its differences overflow", id="adf-alt"),
+    pytest.param(["ols", "--dep", "small", "--regressors", "big"],
+                 "regressor 'big' is too large: its squares overflow", id="ols-small-on-big"),
+    pytest.param(["coint", "--dep", "small", "--regressors", "big"],
+                 "regressor 'big' is too large: its squares overflow", id="coint-small-on-big"),
+    pytest.param(["ols", "--dep", "big", "--regressors", "small"],
+                 "dependent 'big' is too large: its squares overflow", id="ols-big-on-small"),
+])
+def test_series_whose_squares_overflow_are_one_error_line(tmp_path, capsys, argv, message):
+    t = np.arange(40)
+    path = tmp_path / "s.csv"
+    write_series_csv([TimeSeries(trading_dates(40), values, name=name) for name, values in (
+        ("big", (t % 7 + 1) * 1e200), ("alt", (-1.0) ** t * 1e308),
+        ("small", (t * t % 11) * 0.5))], str(path))
+    assert run_cli([*argv, "--input", str(path)], capsys) == (
+        1, "", f"specloss: error: {message}\n")
+
+
 def test_synth_reruns_identical(tmp_path, capsys):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:

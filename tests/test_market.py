@@ -159,6 +159,14 @@ def test_constancy_check_rejects_bad_price():
         constancy_check(u, mean_price=0.0)
 
 
+@pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+def test_constancy_check_rejects_a_non_finite_price(price):
+    u = TimeSeries(trading_dates(3), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^mean_price must be positive and finite, got {price}$"):
+        constancy_check(u, mean_price=price)
+
+
 def test_break_analysis_step_series():
     values = np.array([1.0] * 10 + [2.0] * 10)
     dates = trading_dates(20)

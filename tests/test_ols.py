@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from generators import adf_regression
+from generators import adf_regression, gen_cointegrated
 from oracles import ols_oracle, random_instance
 from specloss.errors import (
     InsufficientDataError,
@@ -22,6 +22,7 @@ from specloss import ols
 from specloss.market import UVariant, u_series
 from specloss.ols import (
     RegressionSpec,
+    _factor,
     _householder_qr,
     _residuals,
     _solve_triangular,
@@ -36,9 +37,9 @@ from specloss.ols import (
     schwarz_from_loglik,
     se_regression_from_ssr,
 )
-from specloss.series import TimeSeries, diff, trading_dates
+from specloss.series import TimeSeries, align, diff, trading_dates
 from specloss.synth import SynthConfig, gen_market_days
-from specloss.unit_root import _adf_columns, _lag_search_qy, select_lag
+from specloss.unit_root import _adf_columns, select_lag
 
 
 def close(a, b, rtol=1e-8, atol=1e-12):
@@ -519,6 +520,67 @@ def test_factorization_bits_match_column_loop_on_adf_designs():
                 _assert_same_fit_bits(adf_regression(s, lag), want)
 
 
+def _trimmed(spec):
+    """The spec with calendars that differ: the dependent loses its first
+    three dates, one regressor its last four and another its odd rows."""
+    dep, (w1, w2, x3) = spec.dependent, spec.regressors
+    return RegressionSpec(
+        dependent=TimeSeries(dep.dates[3:], dep.values[3:], name=dep.name),
+        regressors=(TimeSeries(w1.dates[:-4], w1.values[:-4], name=w1.name),
+                    TimeSeries(w2.dates[::2], w2.values[::2], name=w2.name), x3))
+
+
+def test_fit_has_the_bits_of_fit_arrays_on_the_stacked_aligned_design():
+    # fit hands the fit core its aligned columns unstacked, with its dates.
+    for spec in [gen_cointegrated(seed) for seed in (0, 7, 23, 101)] + [
+            _trimmed(gen_cointegrated(5))]:
+        got = fit(spec)
+        dep_a, *regs_a = align(spec.dependent, *spec.regressors)
+        x = np.column_stack([np.ones(len(dep_a))] + [s.values for s in regs_a])
+        names = ["C"] + [s.name for s in regs_a]
+        for y in (dep_a.values, dep_a):
+            want = fit_arrays(y, x, dep_name=spec.dependent.name, reg_names=names)
+            _assert_same_fit_bits(dataclasses.replace(got, residual_series=None),
+                                  dataclasses.replace(want, residual_series=None))
+        assert np.array_equal(want.residual_series.dates, got.residual_series.dates)
+        assert np.array_equal(_bits(want.residual_series.values),
+                              _bits(got.residual_series.values))
+    assert got.nobs == 124  # the trimmed spec keeps the even dates from the 5th to the 251st
+
+
+def test_a_regressor_whose_squares_overflow_is_named():
+    # 2e154 squared overflows; the norm would read inf and the scaled
+    # column zero.  Any numpy warning fails the suite.
+    x = np.column_stack([np.ones(40), np.arange(40.0) * 2e153, np.arange(40.0) % 3])
+    y = np.arange(40.0) % 7
+    with pytest.raises(InvalidArgumentError,
+                       match="^regressor 'B' is too large: its squares overflow$"):
+        fit_arrays(y, x, reg_names=["C", "B", "S"])
+    dates = trading_dates(40)
+    spec = RegressionSpec(dependent=TimeSeries(dates, y, name="Y"),
+                          regressors=(TimeSeries(dates, x[:, 1], name="BIG"),))
+    with pytest.raises(InvalidArgumentError, match="^regressor 'BIG' is too large"):
+        fit(spec)
+
+
+_C = math.sqrt(0.5 * np.finfo(np.float64).max / 40)
+
+
+@pytest.mark.parametrize("y, x", [
+    # The SSR overflows: the residuals are about 1e200.
+    pytest.param((np.arange(40.0) % 7 + 1) * 1e200, np.ones((40, 1)), id="ssr"),
+    # The fit is exact to 1e144, but the deviations from the mean square past 1e308.
+    pytest.param(np.arange(40.0) * 1e160,
+                 np.column_stack([np.ones(40), np.arange(40.0)]), id="tss"),
+    # Residuals of +-_C: the SSR is half the float range, the steps' squares twice it.
+    pytest.param(np.tile([_C, -_C], 20), np.ones((40, 1)), id="durbin-watson"),
+])
+def test_a_dependent_whose_sums_of_squares_overflow_is_named(y, x):
+    with pytest.raises(InvalidArgumentError,
+                       match="^dependent 'DEP' is too large: its squares overflow$"):
+        fit_arrays(y, x, dep_name="DEP")
+
+
 def test_singular_designs_name_the_reference_column():
     rng = np.random.default_rng(43)
     n = 30
@@ -542,7 +604,7 @@ def _assert_lag_search_bits(s, max_lag):
     """select_lag's Q'y and lag equal those of the C-ordered design's QR."""
     dep, x, names = _adf_design(s, max_lag)
     _, z_ref, _ = _qr(x, dep, names)
-    assert np.array_equal(_bits(_lag_search_qy(s, max_lag)), _bits(z_ref))
+    assert np.array_equal(_bits(_factor(*_adf_columns(s, max_lag))[1]), _bits(z_ref))
     nobs = dep.shape[0]
     scores = [schwarz_from_loglik(log_likelihood_from_ssr(
                   float(np.sum(z_ref[k:] * z_ref[k:])), nobs), nobs, k)

@@ -337,6 +337,26 @@ def test_adf_test_forms_no_tail_diagnostic_or_full_fit(monkeypatch):
     assert got[0].diff_result is not None and got[1].diff_result is None
 
 
+def test_adf_on_a_series_whose_differences_overflow_names_it():
+    s = TimeSeries(trading_dates(40), np.tile([1e308, -1e308], 20), name="ALT")
+    for run in (adf_test, stationarity_ladder, select_lag):
+        with pytest.raises(InvalidArgumentError,
+                           match="^series ALT is too large: its differences overflow$"):
+            run(s, 5)
+
+
+def test_lag_search_whose_ssr_overflows_names_the_dependent():
+    # Only the last level is large, so no regressor's squares overflow,
+    # but the last difference's square does, and with it every SSR.
+    values = np.random.default_rng(3).standard_normal(40)
+    values[-1] = 1.5e154
+    s = TimeSeries(trading_dates(40), values, name="S")
+    for max_lag in (0, 5):
+        for run in (select_lag, adf_test):
+            with pytest.raises(InvalidArgumentError, match=r"^dependent 'D\(S\)' is too large"):
+                run(s, max_lag)
+
+
 def test_adf_test_fixed_lag():
     # max_lag=0 leaves the lag search one candidate: the lag is fixed at 0.
     s = gen_random_walk(8, 120, label="FIX")
