@@ -11,21 +11,24 @@ like a 1-D reduction, which ``tests/test_ols.py`` checks against column
 loops.  Each reflection goes over groups of rows that fit in cache
 together with their products, a row at a time at 25,500 days and all
 rows at once at a few hundred; a row's sum does not depend on its
-group.  This module alone builds, checks and factors a work array: one
-private function copies the design's columns and y straight into a
-fresh one, whether the columns are those of an (n, k) matrix or the
-separate arrays of :func:`fit` and the ADF regressions, checks that it
-is finite and factors it in place; the column norms are a row-order
-fold, block by block in the reflections' scratch, that gives the bits
-of the C-ordered design.  The ADF lag search calls it directly.
-Standard errors need only the diagonal of (X'X)^-1, so only that is
-formed.  One private kernel solves and forms the residuals, the SSR and
-the standard errors for :func:`fit`, :func:`fit_arrays` and the ADF
-test's t-statistic alike.  A fit keeps no n-vector: its residuals give
-the SSR and the Durbin-Watson statistic and are dropped, except that a
-dated dependent keeps them as the residual series.  A regressor whose
-squares overflow, or a dependent whose SSR, TSS or Durbin-Watson sum
-does, is an input error that names it, not an inf.
+group.  This module alone builds and factors a work array: one private
+function copies the design's columns and y straight into a fresh one,
+whether the columns are those of an (n, k) matrix or the separate
+arrays of :func:`fit` and the ADF regressions, and factors it in place;
+the column norms are a row-order fold, block by block in the
+reflections' scratch, that ``np.einsum`` runs down the strided rows with
+the bits of the C-ordered design.  The ADF lag search calls it directly.
+Only :func:`fit_arrays` takes raw arrays, so only it checks that its
+inputs are finite; every other caller passes ``TimeSeries`` columns,
+finite when built.  Standard errors need only the diagonal of (X'X)^-1,
+so only that is formed.  One private kernel solves and forms the
+residuals, the SSR and the standard errors for :func:`fit`,
+:func:`fit_arrays` and the ADF test's t-statistic alike.  A fit keeps no
+n-vector: its residuals give the SSR and the Durbin-Watson statistic and
+are dropped, except that a dated dependent keeps them as the residual
+series.  A regressor whose squares overflow or underflow, or a
+dependent whose SSR, TSS or Durbin-Watson sum overflows, is an input
+error that names it, not an inf.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -57,7 +60,6 @@ __all__ = [
     "adj_r2_from_r2",
     "f_statistic_from_r2",
     "se_regression_from_ssr",
-    "durbin_watson",
 ]
 
 # Relative pivot threshold for declaring the (equilibrated) design singular.
@@ -66,6 +68,8 @@ _RANK_RTOL = 1e-10
 # for their products is as large, and the two together fit in a typical
 # L2 cache.
 _REFLECT_BYTES = 1 << 18
+# The smallest normal float: a sum of squares below it has lost digits.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -168,18 +172,6 @@ def se_regression_from_ssr(ssr: float, nobs: int, n_params: int) -> float:
     return math.sqrt(ssr / (nobs - n_params))
 
 
-def durbin_watson(residuals: np.ndarray) -> float:
-    """Durbin-Watson statistic, sum of squared residual steps over SSR."""
-    e = np.asarray(residuals, dtype=np.float64)
-    if e.size < 2:
-        raise InsufficientDataError("Durbin-Watson needs at least 2 residuals")
-    denom = float(np.add.reduce(e * e))
-    if denom == 0.0:
-        return math.nan
-    steps = e[1:] - e[:-1]
-    return float(np.add.reduce(steps * steps)) / denom
-
-
 def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Euclidean norms of the columns of the (n, k) design ``x``.
 
@@ -187,11 +179,16 @@ def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> n
     ``x``, a block of as many rows as it holds, and the running sums are
     added into each later block's first row, so every norm is one
     row-order fold down its column and a transposed view of a work array
-    gives the bits of the C-ordered design.  Squares are never -0.0, so
-    adding the sums in changes no bit.  A single column's squares fill
-    one block, which numpy sums pairwise like a 1-D row, as it sums an
-    (n, 1) design.  A zero column raises, naming the first one, and so
-    does a column whose squares overflow.
+    gives the bits of the C-ordered design.  ``np.einsum("ij->j")`` folds
+    a block: it keeps one running sum per column down the strided rows,
+    the order and bits of ``np.add.reduce(axis=0)`` at a quarter of its
+    time at 25,500 rows, where the ufunc calls its add loop once a row.
+    Squares are never -0.0, so adding the sums in changes no bit.  A
+    single column's squares fill one block, which ``np.add.reduce`` sums
+    pairwise like a 1-D row, as it sums an (n, 1) design; einsum would
+    not.  A column whose squares overflow raises, naming the first one,
+    and so does one whose squares sum below the smallest normal float:
+    a zero column is a singular design, any other has lost its digits.
     """
     n, k = x.shape
     rows = scratch.size // k
@@ -202,16 +199,17 @@ def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> n
             sq = np.square(block, out=squares[: len(block)])
             if lo:
                 sq[0] += sums
-            sums = np.add.reduce(sq, axis=0)
-    norms = np.sqrt(sums)
-    listed = norms.tolist()
+            sums = np.einsum("ij->j", sq) if k > 1 else np.add.reduce(sq, axis=0)
+    listed = sums.tolist()
     if math.inf in listed:
         j = listed.index(math.inf)  # the first column too large to square
         raise InvalidArgumentError(f"regressor '{names[j]}' is too large: its squares overflow")
-    if 0.0 in listed:
-        j = listed.index(0.0)  # the first zero column
+    if min(listed) < _TINY:
+        j = next(j for j, total in enumerate(listed) if total < _TINY)
+        if x[:, j].any():
+            raise InvalidArgumentError(f"regressor '{names[j]}' is too small: its squares underflow")
         raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
-    return norms
+    return np.sqrt(sums)
 
 
 # A read-only column of ones as long as any float64 array, holding one float.
@@ -309,8 +307,6 @@ def _factor(y: np.ndarray, columns: Sequence[np.ndarray],
             names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, Q'y, norms) of the design, factored in place in a fresh work array."""
     a = np.array([*columns, y])  # the work array, the only copy of the design
-    if not np.isfinite(a).all():
-        raise InvalidArgumentError("regression inputs must be finite")
     r, norms = _householder_qr(a, names)
     return r, a[-1], norms
 
@@ -380,6 +376,9 @@ def fit_arrays(
         raise InvalidArgumentError(
             f"got {len(reg_names)} regressor names for {k} columns"
         )
+    # The only raw arrays: every other caller passes TimeSeries columns, finite when built.
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise InvalidArgumentError("regression inputs must be finite")
     return _fit(yv, xv.T, dep_name, reg_names, y.dates if dated else None)
 
 

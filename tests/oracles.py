@@ -5,12 +5,17 @@ assembled with explicit Python loops and solved by Gaussian elimination
 with partial pivoting, every diagnostic is recomputed from its textbook
 definition, and tail probabilities come from scipy.  Agreement between
 this path and the QR-based implementation is evidence that both are
-right, since their failure modes are unrelated.
+right, since their failure modes are unrelated.  :func:`durbin_watson`
+is the one bit reference: it sums in the order the fit sums, so a fit's
+statistic must equal it exactly on the residuals the fit formed.
 """
 
 import math
 
+import numpy as np
 from scipy import stats
+
+from specloss.errors import InsufficientDataError
 
 
 def gauss_solve(a, b):
@@ -37,6 +42,18 @@ def gauss_solve(a, b):
             acc -= m[r][c] * x[c]
         x[r] = acc / m[r][r]
     return x
+
+
+def durbin_watson(residuals):
+    """Durbin-Watson statistic, sum of squared residual steps over SSR."""
+    e = np.asarray(residuals, dtype=np.float64)
+    if e.size < 2:
+        raise InsufficientDataError("Durbin-Watson needs at least 2 residuals")
+    denom = float(np.add.reduce(e * e))
+    if denom == 0.0:
+        return math.nan
+    steps = e[1:] - e[:-1]
+    return float(np.add.reduce(steps * steps)) / denom
 
 
 def ols_oracle(y, cols):

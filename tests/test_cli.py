@@ -159,15 +159,33 @@ def test_analyze_of_an_input_whose_squares_overflow_is_one_error_line(tmp_path, 
                  "regressor 'big' is too large: its squares overflow", id="coint-small-on-big"),
     pytest.param(["ols", "--dep", "big", "--regressors", "small"],
                  "dependent 'big' is too large: its squares overflow", id="ols-big-on-small"),
+    # tiny's squares sum to about 2e-317, a subnormal: the norm would have
+    # lost its digits and the standard error would overflow to inf.
+    pytest.param(["ols", "--dep", "small", "--regressors", "tiny"],
+                 "regressor 'tiny' is too small: its squares underflow", id="ols-small-on-tiny"),
+    pytest.param(["coint", "--dep", "small", "--regressors", "tiny"],
+                 "regressor 'tiny' is too small: its squares underflow", id="coint-small-on-tiny"),
 ])
 def test_series_whose_squares_overflow_are_one_error_line(tmp_path, capsys, argv, message):
     t = np.arange(40)
     path = tmp_path / "s.csv"
     write_series_csv([TimeSeries(trading_dates(40), values, name=name) for name, values in (
         ("big", (t % 7 + 1) * 1e200), ("alt", (-1.0) ** t * 1e308),
-        ("small", (t * t % 11) * 0.5))], str(path))
+        ("small", (t * t % 11) * 0.5), ("tiny", (t * t % 13 + 1) * 1e-160))], str(path))
     assert run_cli([*argv, "--input", str(path)], capsys) == (
         1, "", f"specloss: error: {message}\n")
+
+
+def test_analyze_of_an_input_whose_squares_underflow_is_one_error_line(tmp_path, capsys):
+    # I scaled by 2^-900 scales u alike; the squares of U_SMALL_VOL(-1)
+    # round to 0, though the column is not zero.
+    data = tmp_path / "m.csv"
+    assert run_cli(["synth", "--seed", "42", "--out", str(data)], capsys)[0] == 0
+    days = load_market_csv(str(data))
+    write_market_csv(dataclasses.replace(days, invest_i=days.invest_i * 2.0**-900), str(data))
+    assert run_cli(["analyze", "--input", str(data)], capsys) == (
+        1, "", "specloss: error: regressor 'U_SMALL_VOL(-1)' is too small: "
+               "its squares underflow\n")
 
 
 def test_synth_reruns_identical(tmp_path, capsys):

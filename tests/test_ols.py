@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from generators import adf_regression, gen_cointegrated
-from oracles import ols_oracle, random_instance
+from oracles import durbin_watson, ols_oracle, random_instance
 from specloss.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -26,7 +26,6 @@ from specloss.ols import (
     _householder_qr,
     _residuals,
     _solve_triangular,
-    durbin_watson,
     fit,
     fit_arrays,
     aic_from_loglik,
@@ -491,6 +490,20 @@ def test_factorization_at_25494_rows_allocates_one_row_group():
     assert extra <= 0.3e6, f"{extra / 1e6:.2f} MB beside the work array"
 
 
+def test_norm_fold_bits_at_the_analyze_shapes():
+    # The norms of the 25,500-day analyze's designs fold each column in row
+    # order.  At k = 2 a norm block holds 12,749 rows, more than numpy's
+    # 8,192-element iterator buffer, so a fold that restarts per buffer
+    # fails here.  A single column stays numpy's pairwise sum.
+    rng = np.random.default_rng(47)
+    shapes = [(n, k) for k in (2, 3, 8) for n in range(25_494, 25_500)] + [(9_000, 1)]
+    for n, k in shapes:
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6.0, 8.0, size=k)
+        if k > 1:
+            x[:, 0] = 1.0
+        _assert_same_bits_as_reference(x, rng.standard_normal(n))
+
+
 def _ladder_series(days):
     levels = [u_series(days, UVariant.BY_VOLUME), u_series(days, UVariant.BY_DEPOSIT),
               *days.series().values()]
@@ -561,6 +574,44 @@ def test_a_regressor_whose_squares_overflow_is_named():
                           regressors=(TimeSeries(dates, x[:, 1], name="BIG"),))
     with pytest.raises(InvalidArgumentError, match="^regressor 'BIG' is too large"):
         fit(spec)
+
+
+@pytest.mark.parametrize("column", [
+    # The squares sum to about 2e-317, a subnormal that has lost its digits.
+    pytest.param((np.arange(40.0) ** 2 % 13 + 1) * 1e-160, id="subnormal"),
+    # Every square rounds to 0, though no entry is zero.
+    pytest.param((np.arange(40.0) % 5 + 1) * 2.0**-600, id="zero"),
+])
+def test_a_regressor_whose_squares_underflow_is_named(column):
+    x = np.column_stack([np.ones(40), np.arange(40.0) % 3, column])
+    y = np.arange(40.0) % 7
+    with pytest.raises(InvalidArgumentError,
+                       match="^regressor 'T' is too small: its squares underflow$"):
+        fit_arrays(y, x, reg_names=["C", "S", "T"])
+    dates = trading_dates(40)
+    spec = RegressionSpec(dependent=TimeSeries(dates, y, name="Y"),
+                          regressors=(TimeSeries(dates, column, name="TINY"),))
+    with pytest.raises(InvalidArgumentError, match="^regressor 'TINY' is too small"):
+        fit(spec)
+    x[:, 2] = 0.0  # a column that is zero stays a singular design
+    with pytest.raises(SingularMatrixError,
+                       match="^regressor 'T' is identically zero$") as exc_info:
+        fit_arrays(y, x, reg_names=["C", "S", "T"])
+    assert exc_info.value.column == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_fit_arrays_rejects_inputs_that_are_not_finite(bad, where):
+    rng = np.random.default_rng(46)
+    x = np.column_stack([np.ones(20), rng.standard_normal(20)])
+    y = rng.standard_normal(20)
+    if where == "x":
+        x[7, 1] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(InvalidArgumentError, match="^regression inputs must be finite$"):
+        fit_arrays(y, x)
 
 
 _C = math.sqrt(0.5 * np.finfo(np.float64).max / 40)

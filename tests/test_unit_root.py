@@ -328,7 +328,7 @@ def test_adf_test_forms_no_tail_diagnostic_or_full_fit(monkeypatch):
         raise AssertionError("the ADF test formed what it does not report")
 
     for module, name in ((special, "student_t_sf"), (special, "f_sf"),
-                         (ols, "student_t_sf"), (ols, "f_sf"), (ols, "durbin_watson"),
+                         (ols, "student_t_sf"), (ols, "f_sf"),
                          (ols, "OlsFit"), (ols, "fit_arrays")):
         monkeypatch.setattr(module, name, forbidden)
     assert not hasattr(unit_root, "fit_arrays")
