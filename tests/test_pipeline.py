@@ -1,6 +1,8 @@
 """Whole-run checks of ``analyze``: pinned CSV bytes at scale and the heap it holds."""
 
 import contextlib
+import dataclasses
+import datetime
 import gc
 import hashlib
 import io
@@ -8,7 +10,10 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloss.cli import main
 from specloss.dataio import RunConfig, load_market_csv, write_market_csv
@@ -161,3 +166,104 @@ def test_writing_25500_days_stays_under_1_5_mb(market_25500, tmp_path):
     days = load_market_csv(market_25500)
     peak = _peak_bytes(lambda: write_market_csv(days, str(tmp_path / "out.csv")))
     assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+# The binary exponent each printed series carries per value column: a
+# series scales by 2^(m*k) when the column scales by 2^k, since
+# u = I*R/(365*U).  C is a pure number.
+_COLUMN_FIELDS = {"i_mrub": "invest_i", "r_pct": "rate_r",
+                  "u_big_vol": "u_big_vol", "u_big_dep": "u_big_dep"}
+_UNITS = {
+    "C": {}, "I": {"i_mrub": 1}, "R": {"r_pct": 1},
+    "U_BIG_VOL": {"u_big_vol": 1}, "U_BIG_DEP": {"u_big_dep": 1},
+    "U_SMALL_VOL": {"i_mrub": 1, "r_pct": 1, "u_big_vol": -1},
+    "U_SMALL_DEP": {"i_mrub": 1, "r_pct": 1, "u_big_dep": -1},
+}
+_VARIANT_U = {"by_volume": "U_SMALL_VOL", "by_deposit": "U_SMALL_DEP"}
+_COVERAGE_UNITS = {"stock_utilization": {"u_big_vol": 1, "u_big_dep": -1},
+                   "money_coverage": {"i_mrub": 1, "u_big_dep": -1}}
+_BREAK_DATE = datetime.date(2012, 5, 10)
+_baseline_rows: dict[int, list[list[str]]] = {}
+
+
+def _analyze_rows(path, break_date):
+    """The rows of ``analyze --format csv``; the run must exit 0 and write no error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--input", str(path), "--break-date", str(break_date),
+                     "--format", "csv"])
+    assert (code, err.getvalue()) == (0, "")
+    return [line.split(",", 2) for line in out.getvalue().splitlines()[1:]]
+
+
+def _predicted(table, field, old, rows_of, column, k, weeks):
+    """What a row of the unscaled run reads with ``column`` scaled by 2^k
+    and the calendar moved by ``weeks``: the same text, or a float."""
+    def exponent(name):
+        return _UNITS[name].get(column, 0) * k
+
+    head, _, variant = table.partition(".")
+    if table == "run" and field == "break_date":
+        return str(_BREAK_DATE + datetime.timedelta(weeks=weeks))
+    if head == "ols":
+        dep = exponent(rows_of[table]["dependent"])
+        nobs = int(rows_of[table]["nobs"])
+        kind, _, regressor = field.partition(".")
+        if kind in ("coef", "stderr"):
+            return math.ldexp(float(old), dep - exponent(regressor))
+        if field in ("se_regression", "mean_dep", "sd_dep"):
+            return math.ldexp(float(old), dep)
+        if field == "ssr":
+            return math.ldexp(float(old), 2 * dep)
+        # log L = -T/2 (1 + log 2 pi + log(SSR/T)); the criteria are -2 log L / T + c.
+        if field == "log_likelihood":
+            return float(old) - nobs * dep * math.log(2.0)
+        if field in ("aic", "schwarz", "hannan_quinn"):
+            return float(old) + 2.0 * dep * math.log(2.0)
+    if head in ("constancy", "break") and field not in ("threshold", "ratio"):
+        u = exponent(_VARIANT_U[variant])
+        if field == "passes":  # sd < a hundredth of the mean price in kopecks
+            sd = math.ldexp(float(rows_of[table]["stddev"]), u)
+            return str(sd < float(rows_of[table]["threshold"])).lower()
+        return math.ldexp(float(old), u)
+    if table == "coverage":
+        return math.ldexp(float(old), _COVERAGE_UNITS[field].get(column, 0) * k)
+    return old
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), column=st.sampled_from(sorted(_COLUMN_FIELDS)),
+       k=st.integers(-60, 60), weeks=st.integers(-520, 520))
+def test_analyze_of_a_rescaled_input_is_the_predicted_report(tmp_path_factory, seed, column,
+                                                             k, weeks):
+    # Scaling a value column by 2^k is exact, and the report's statistics do
+    # not depend on units: t, p, lags, verdicts, R^2, F and Durbin-Watson
+    # keep their bits, a field in units moves by exactly its power of two,
+    # and the likelihood rows shift by T*k*ln 2.  Moving the calendar by
+    # whole weeks, with the break date, moves only the break date's row.
+    # Traded stocks never exceed deposited ones: u_big_vol only shrinks, u_big_dep only grows.
+    k = {"u_big_vol": -abs(k), "u_big_dep": abs(k)}.get(column, k)
+    path = tmp_path_factory.mktemp("scaled") / "market.csv"
+    days = gen_market_days(SynthConfig(seed=seed))
+    if seed not in _baseline_rows:
+        write_market_csv(days, str(path))
+        _baseline_rows[seed] = _analyze_rows(path, _BREAK_DATE)
+    want = _baseline_rows[seed]
+    field = _COLUMN_FIELDS[column]
+    scaled = dataclasses.replace(days, dates=days.dates + np.timedelta64(7 * weeks, "D"),
+                                 **{field: np.ldexp(getattr(days, field), k)})
+    write_market_csv(scaled, str(path))
+    got = _analyze_rows(path, _BREAK_DATE + datetime.timedelta(weeks=weeks))
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    rows_of: dict[str, dict[str, str]] = {}
+    for table, name, value in want:
+        rows_of.setdefault(table, {})[name] = value
+    for (table, name, old), (_, _, new) in zip(want, got):
+        expected = _predicted(table, name, old, rows_of, column, k, weeks)
+        where = f"{table},{name} at {column} * 2^{k}"
+        if isinstance(expected, str):
+            assert new == expected, where
+        elif name in ("log_likelihood", "aic", "schwarz", "hannan_quinn"):
+            assert float(new) == pytest.approx(expected, rel=1e-12), where
+        else:
+            assert float(new) == expected, where
