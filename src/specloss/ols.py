@@ -3,32 +3,24 @@
 The solver is Householder QR on a column-equilibrated design matrix,
 held transposed with y as one more row.  Equilibration (scaling every
 column to unit Euclidean norm) keeps the rank test meaningful when
-regressors differ by many orders of magnitude, which happens as soon as
-volumes in pieces meet rates in fractions.  Reductions call the
-``np.add.reduce`` ufunc on elementwise products, not BLAS, so results
-are bit-stable on a platform: numpy sums each contiguous row pairwise
-like a 1-D reduction, which ``tests/test_ols.py`` checks against column
-loops.  Each reflection goes over groups of rows that fit in cache
-together with their products, a row at a time at 25,500 days and all
-rows at once at a few hundred; a row's sum does not depend on its
-group.  This module alone builds and factors a work array: one private
-function copies the design's columns and y straight into a fresh one,
-whether the columns are those of an (n, k) matrix or the separate
-arrays of :func:`fit` and the ADF regressions, and factors it in place;
-the column norms are a row-order fold, block by block in the
-reflections' scratch, that ``np.einsum`` runs down the strided rows with
-the bits of the C-ordered design.  The ADF lag search calls it directly.
-Only :func:`fit_arrays` takes raw arrays, so only it checks that its
-inputs are finite; every other caller passes ``TimeSeries`` columns,
-finite when built.  Standard errors need only the diagonal of (X'X)^-1,
-so only that is formed.  One private kernel solves and forms the
-residuals, the SSR and the standard errors for :func:`fit`,
-:func:`fit_arrays` and the ADF test's t-statistic alike.  A fit keeps no
-n-vector: its residuals give the SSR and the Durbin-Watson statistic and
-are dropped, except that a dated dependent keeps them as the residual
-series.  A regressor whose squares overflow or underflow, or a
-dependent whose SSR, TSS or Durbin-Watson sum overflows, is an input
-error that names it, not an inf.
+regressors differ by many orders of magnitude, as volumes in pieces and
+rates in fractions do.  Reductions call the ``np.add.reduce`` ufunc on
+elementwise products, not BLAS, so results are bit-stable on a
+platform, which ``tests/test_ols.py`` checks against column loops.
+This module alone builds and factors a work array: one private function
+copies the design's columns and y into a fresh one, for :func:`fit`,
+:func:`fit_arrays` and the ADF regressions alike, and factors it in
+place; the ADF lag search calls it directly.  One private kernel solves
+and forms the residuals, the SSR and the standard errors, of which only
+the diagonal of (X'X)^-1 is formed.  Only :func:`fit_arrays` takes raw
+arrays, so only it checks that its inputs are finite.  A fit keeps no
+n-vector but a dated dependent's residual series.
+
+One range rule covers every float: a regressor whose squares sum, or a
+dependent whose largest magnitude, leaves a fixed band is fitted scaled
+by an exact power of two, so a statistic without a unit keeps its bits.
+Only printed fields in a unit are scaled back, at the end; one that
+leaves the normal floats there is an input error naming it.
 
 The information criteria follow the finite-sample conventions used by
 EViews: AIC = (-2*logL + 2*k)/T and so on, with the Gaussian
@@ -68,8 +60,8 @@ _RANK_RTOL = 1e-10
 # for their products is as large, and the two together fit in a typical
 # L2 cache.
 _REFLECT_BYTES = 1 << 18
-# The smallest normal float: a sum of squares below it has lost digits.
-_TINY = float(np.finfo(np.float64).tiny)
+# The band of the range rule: largest magnitudes in [2^-_BAND, 2^_BAND).
+_BAND = 256
 
 
 @dataclass(frozen=True)
@@ -172,52 +164,64 @@ def se_regression_from_ssr(ssr: float, nobs: int, n_params: int) -> float:
     return math.sqrt(ssr / (nobs - n_params))
 
 
-def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Euclidean norms of the columns of the (n, k) design ``x``.
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` and 0 in the band, else values * 2^-e and e, the largest then in [1/2, 1)."""
+    e = math.frexp(max(-float(values.min()), float(values.max())))[1]
+    return (values, 0) if -_BAND < e <= _BAND else (np.ldexp(values, -e), e)
 
-    The squares go into ``scratch`` C-ordered whatever the layout of
-    ``x``, a block of as many rows as it holds, and the running sums are
-    added into each later block's first row, so every norm is one
-    row-order fold down its column and a transposed view of a work array
-    gives the bits of the C-ordered design.  ``np.einsum("ij->j")`` folds
-    a block: it keeps one running sum per column down the strided rows,
-    the order and bits of ``np.add.reduce(axis=0)`` at a quarter of its
-    time at 25,500 rows, where the ufunc calls its add loop once a row.
-    Squares are never -0.0, so adding the sums in changes no bit.  A
-    single column's squares fill one block, which ``np.add.reduce`` sums
-    pairwise like a 1-D row, as it sums an (n, 1) design; einsum would
-    not.  A column whose squares overflow raises, naming the first one,
-    and so does one whose squares sum below the smallest normal float:
-    a zero column is a singular design, any other has lost its digits.
+
+def _scaled_back(value: float, e: int, field: str = "") -> float | None:
+    """value * 2^e, exact; where that is neither 0 nor normal, None or an error naming ``field``."""
+    if e and value and not -1021 <= math.frexp(value)[1] + e <= 1024:
+        if field:
+            raise InvalidArgumentError(f"{field} is outside the float range")
+        return None
+    return math.ldexp(value, e)
+
+
+def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> tuple:
+    """Euclidean norms of the columns of the (n, k) design ``x``, and their exponents.
+
+    Each norm is one row-order fold down its column, so a transposed view
+    of a work array gives the bits of the C-ordered design: the squares
+    go into ``scratch`` C-ordered, a block of as many rows as it holds,
+    and the running sums are added into each later block's first row
+    (squares are never -0.0, so that changes no bit).  ``np.einsum``
+    folds a block with one running sum per column down the strided rows,
+    the bits of ``np.add.reduce(axis=0)`` at a quarter of its time at
+    25,500 rows.  A single column is summed pairwise by ``np.add.reduce``
+    like an (n, 1) design.  The range rule: a column whose squares sum
+    outside [2^-2B, 2n 4^B], B the band, is scaled in place as
+    :func:`_scaled` says, its exponent kept, and the design folded again;
+    over its norm it keeps its bits.  A zero column is singular.
     """
     n, k = x.shape
     rows = scratch.size // k
     squares = scratch.reshape(-1)[: rows * k].reshape(rows, k)
-    with np.errstate(over="ignore"):
-        for lo in range(0, n, rows):
-            block = x[lo : lo + rows]
-            sq = np.square(block, out=squares[: len(block)])
-            if lo:
-                sq[0] += sums
-            sums = np.einsum("ij->j", sq) if k > 1 else np.add.reduce(sq, axis=0)
-    listed = sums.tolist()
-    if math.inf in listed:
-        j = listed.index(math.inf)  # the first column too large to square
-        raise InvalidArgumentError(f"regressor '{names[j]}' is too large: its squares overflow")
-    if min(listed) < _TINY:
-        j = next(j for j, total in enumerate(listed) if total < _TINY)
-        if x[:, j].any():
-            raise InvalidArgumentError(f"regressor '{names[j]}' is too small: its squares underflow")
-        raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
-    return np.sqrt(sums)
+    lo, hi, exps = 2.0 ** (-2 * _BAND), n * 2.0 ** (2 * _BAND + 1), [0] * k
+    while True:  # at most twice: a scaled column's squares sum to [1/4, n]
+        with np.errstate(over="ignore"):
+            for top in range(0, n, rows):
+                block = x[top : top + rows]
+                sq = np.square(block, out=squares[: len(block)])
+                if top:
+                    sq[0] += sums
+                sums = np.einsum("ij->j", sq) if k > 1 else np.add.reduce(sq, axis=0)
+        listed = sums.tolist()
+        if lo <= min(listed) and max(listed) <= hi:
+            return np.sqrt(sums), exps
+        for j in [j for j, total in enumerate(listed) if not lo <= total <= hi]:
+            x[:, j], exps[j] = _scaled(x[:, j])
+            if not exps[j]:
+                raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
 
 
 # A read-only column of ones as long as any float64 array, holding one float.
 _ONES = np.broadcast_to(1.0, np.iinfo(np.intp).max // 8)
 
 
-def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR in place of the (k+1, n) work array: returns (R, norms).
+def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list]:
+    """Householder QR in place of the (k+1, n) work array: returns (R, norms, exps).
 
     Rows 0..k-1 of ``a`` are the design's columns, first scaled to unit
     norm here, and row k is y, which ends as Q'y.  Reflection j only
@@ -237,7 +241,7 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
     k, n = a.shape[0] - 1, a.shape[1]
     group = max(1, _REFLECT_BYTES // (8 * n))
     scratch = np.empty((min(group, k), n))  # the norms' squares, then products
-    norms = _column_norms(a[:k].T, scratch, names)
+    norms, exps = _column_norms(a[:k].T, scratch, names)
     a[:k] /= norms[:, None]
     for j in range(k):
         v = a[j, j:]
@@ -270,7 +274,7 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
             f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
             column=bad,
         )
-    return a[:k, :k].T, norms
+    return a[:k, :k].T, norms, exps
 
 
 def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,34 +308,27 @@ def _residuals(y: np.ndarray, columns: Sequence[np.ndarray], beta) -> np.ndarray
 
 
 def _factor(y: np.ndarray, columns: Sequence[np.ndarray],
-            names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, Q'y, norms) of the design, factored in place in a fresh work array."""
+            names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """(R, Q'y, norms, exps) of the design, factored in place in a fresh work array."""
     a = np.array([*columns, y])  # the work array, the only copy of the design
-    r, norms = _householder_qr(a, names)
-    return r, a[-1], norms
+    r, norms, exps = _householder_qr(a, names)
+    return r, a[-1], norms, exps
 
 
-def _sum_of_squares(x: np.ndarray, dep_name: str) -> float:
-    """``np.add.reduce(x * x)`` of values from the dependent; an overflow raises, naming it."""
-    with np.errstate(over="ignore"):
-        total = float(np.add.reduce(x * x))
-    if math.isinf(total):
-        raise InvalidArgumentError(f"dependent '{dep_name}' is too large: its squares overflow")
-    return total
-
-
-def _solve(y: np.ndarray, columns: Sequence[np.ndarray], names: Sequence[str],
-           dep_name: str) -> tuple[np.ndarray, list[float], float, np.ndarray]:
-    """Least squares of y on the columns: (beta, standard errors, SSR, residuals)."""
-    r, qy, norms = _factor(y, columns, names)
+def _solve(y: np.ndarray, columns: Sequence[np.ndarray],
+           names: Sequence[str]) -> tuple[np.ndarray, list[float], float, np.ndarray, list]:
+    """Fit y on the columns scaled by 2^-exps: (beta, standard errors, SSR, residuals, exps)."""
+    r, qy, norms, exps = _factor(y, columns, names)
     beta_s, var_s = _solve_triangular(r, qy)
     del r, qy  # the work array goes before the residuals are formed
     beta = beta_s / norms
+    if any(exps):
+        columns = [np.ldexp(c, -e) if e else c for c, e in zip(columns, exps)]
     resid = _residuals(y, columns, beta)
-    ssr = _sum_of_squares(resid, dep_name)
+    ssr = float(np.add.reduce(resid * resid))
     s2 = ssr / (len(y) - len(columns))
     se = [math.sqrt(s2 * v) for v in (var_s / (norms * norms)).tolist()]
-    return beta, se, ssr, resid
+    return beta, se, ssr, resid, exps
 
 
 def _t_ratio(b: float, se: float) -> float:
@@ -390,26 +387,29 @@ def _fit(y: np.ndarray, columns: Sequence[np.ndarray], dep_name: str,
         raise InsufficientDataError(
             f"need more observations than parameters, got n={n}, k={k}"
         )
-    beta, se, ssr, resid = _solve(y, columns, reg_names, dep_name)
-    # Durbin-Watson over the SSR at hand, so that an overflow names the dependent.
-    dw = _sum_of_squares(resid[1:] - resid[:-1], dep_name) / ssr if ssr else math.nan
+    y, d = _scaled(y)
+    beta, se, ssr, resid, exps = _solve(y, columns, reg_names)
+
+    its = f"dependent '{dep_name}': its"  # a printed field outside the float range
+    ssr_back = _scaled_back(ssr, 2 * d, f"{its} sum of squared residuals")
+    dw = float(np.add.reduce(np.square(np.diff(resid)))) / ssr if ssr else math.nan
     series = (None if dates is None
-              else TimeSeries(_Frozen(dates), _Frozen(resid), name="RESID"))
+              else TimeSeries(_Frozen(dates), _Frozen(np.ldexp(resid, d) if d else resid), "RESID"))
     del resid
 
-    with np.errstate(over="ignore"):  # a sum that overflows leaves the TSS inf
-        mean_dep = float(np.add.reduce(y)) / n
-        dev = y - mean_dep
-    tss = _sum_of_squares(dev, dep_name)
-    sd_dep = math.sqrt(tss / (n - 1))
+    mean_dep = float(np.add.reduce(y)) / n
+    dev = y - mean_dep
+    tss = float(np.add.reduce(dev * dev))
     r2 = 1.0 - ssr / tss if tss > 0.0 else math.nan
     df = n - k
-    loglik = log_likelihood_from_ssr(ssr, n)
+    loglik = log_likelihood_from_ssr(ssr_back, n)
 
     rows = []
-    for name, b, s in zip(reg_names, beta.tolist(), se):
+    for name, b, s, e in zip(reg_names, beta.tolist(), se, exps):
         t = _t_ratio(b, s)
         p = 2.0 * student_t_sf(abs(t), df)  # nan for a nan t, 0 for an infinite one
+        b, s = (_scaled_back(v, d - e, f"{its} {field} on {name}")
+                for v, field in ((b, "coefficient"), (s, "standard error")))
         rows.append(CoefRow(name=str(name), coef=b, std_err=s, t_stat=t, p_value=p))
 
     # R^2 < 0 (no constant) leaves no F test against the mean-only model.
@@ -421,10 +421,10 @@ def _fit(y: np.ndarray, columns: Sequence[np.ndarray], dep_name: str,
         coef_rows=tuple(rows),
         nobs=n,
         n_params=k,
-        ssr=ssr,
+        ssr=ssr_back,
         r_squared=r2,
         adj_r_squared=adj_r2_from_r2(r2, n, k) if not math.isnan(r2) else math.nan,
-        se_regression=se_regression_from_ssr(ssr, n, k),
+        se_regression=math.ldexp(se_regression_from_ssr(ssr, n, k), d),
         log_likelihood=loglik,
         aic=aic_from_loglik(loglik, n, k),
         schwarz=schwarz_from_loglik(loglik, n, k),
@@ -432,8 +432,8 @@ def _fit(y: np.ndarray, columns: Sequence[np.ndarray], dep_name: str,
         f_statistic=fstat,
         f_prob=fprob,
         durbin_watson=dw,
-        mean_dep=mean_dep,
-        sd_dep=sd_dep,
+        mean_dep=_scaled_back(mean_dep, d, f"{its} mean"),
+        sd_dep=_scaled_back(math.sqrt(tss / (n - 1)), d, f"{its} standard deviation"),
         residual_series=series,
     )
 

@@ -10,9 +10,9 @@ of the max_lag design yields every candidate's SSR and no candidate is
 fitted.  Only the winning lag is refitted, on its own longest sample,
 and only for the t-statistic on γ.  The least-squares core of
 :mod:`specloss.ols` does both: the lag search factors its work array,
-the refit solves and takes the standard error from it.  A series whose
-differences overflow is an input error.  The regression always carries
-a constant and no trend, the only case the shipped tables cover.
+the refit solves and takes the standard error from it, and its range
+rule scales a series outside its band first.  The regression always
+carries a constant and no trend, the only case the shipped tables cover.
 
 Critical values use the MacKinnon (2010) response surface evaluated at
 the regression's included observations, T_eff = N − 1 − lag.  P-values
@@ -40,8 +40,9 @@ from .errors import (
 from .ols import (
     _ONES,
     _factor,
+    _scaled,
+    _scaled_back,
     _solve,
-    _sum_of_squares,
     _t_ratio,
     log_likelihood_from_ssr,
     schwarz_from_loglik,
@@ -187,21 +188,19 @@ def mackinnon_pvalue(t_stat: float, *, n_variables: int = 1) -> float:
     return min(max(_norm_cdf(z), _PVAL_CLAMP_LO), _PVAL_CLAMP_HI)
 
 
-def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+def _adf_columns(y: TimeSeries, lag: int,
+                 yv: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
     """ADF regression at ``lag`` on its longest sample: (dep, columns, names).
 
     Columns are [C, y(-1), Δy(-1), ..., Δy(-lag)], so the design of a
     smaller lag on this sample is a column prefix of this one.  C is a
-    read-only view that holds no n-vector.
+    read-only view that holds no n-vector.  ``yv`` is y's values brought
+    into the band (y's own by default), so no difference overflows.
     """
-    yv, n, label = y.values, len(y), y.name or "Y"
+    yv, n, label = y.values if yv is None else yv, len(y), y.name or "Y"
     if n - 1 - lag <= lag + 2:
         raise InsufficientDataError(f"series {label} of length {n} is too short "
                                     f"for an ADF regression with lag {lag}")
-    if math.isinf(float(yv.max()) - float(yv.min())):  # only then can a difference overflow
-        with np.errstate(over="ignore"):
-            if not np.isfinite(yv[1:] - yv[:-1]).all():
-                raise InvalidArgumentError(f"series {label} is too large: its differences overflow")
     dy = yv[1:] - yv[:-1]
     names = ["C", f"{label}(-1)"] + [f"D({label}(-{i}))" for i in range(1, lag + 1)]
     cols = [_ONES[: n - 1 - lag], yv[lag : n - 1]]
@@ -220,15 +219,16 @@ def select_lag(y: TimeSeries, max_lag: int) -> int:
     """
     if max_lag < 0:
         raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
-    dep, cols, names = _adf_columns(y, max_lag)
+    yv, e = _scaled(y.values)
+    dep, cols, names = _adf_columns(y, max_lag, yv)
     z = _factor(dep, cols, names)[1][2:]  # Q'y past C and y(-1)
     nobs = len(dep)
-    _sum_of_squares(z, f"D({y.name or 'Y'})")  # lag 0's SSR, the largest
     sq = z * z
-    scores = []
-    for lag in range(max_lag + 1):
-        loglik = log_likelihood_from_ssr(float(np.add.reduce(sq[lag:])), nobs)
-        scores.append(schwarz_from_loglik(loglik, nobs, 2 + lag))
+    ssrs = [float(np.add.reduce(sq[lag:])) for lag in range(max_lag + 1)]
+    if e and None not in (back := [_scaled_back(ssr, 2 * e) for ssr in ssrs]):
+        ssrs = back  # the SSRs of the series as given, so the choice keeps its bits
+    scores = [schwarz_from_loglik(log_likelihood_from_ssr(ssr, nobs), nobs, 2 + lag)
+              for lag, ssr in enumerate(ssrs)]
     return scores.index(min(scores))  # the first minimum: ties go to the smaller lag
 
 
@@ -252,8 +252,8 @@ def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
     regression.
     """
     lag = select_lag(y, max_lag)
-    dep, cols, names = _adf_columns(y, lag)
-    beta, se = _solve(dep, cols, names, f"D({y.name or 'Y'})")[:2]
+    dep, cols, names = _adf_columns(y, lag, _scaled(y.values)[0])
+    beta, se = _solve(dep, cols, names)[:2]  # both scaled alike: t keeps its bits
     t_eff = len(dep)
     t_stat = _t_ratio(float(beta[1]), se[1])
     cvs = {

@@ -114,6 +114,28 @@ def ols_oracle(y, cols):
     }
 
 
+def lstsq_fit(y, x):
+    """Coefficients, standard errors and t-statistics of y on the (n, k) columns of x.
+
+    numpy's SVD solves the fit after y and each column are scaled by an
+    exact power of two to a largest magnitude in [1/2, 1), so squares
+    near the ends of the float range cannot overflow or underflow; the
+    coefficients and standard errors are scaled back.  A t-statistic
+    does not depend on the scaling.
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n, k = x.shape
+    ex = np.frexp(np.abs(x).max(axis=0))[1]
+    ey = int(np.frexp(np.abs(y).max())[1])
+    xs, ys = np.ldexp(x, -ex), np.ldexp(y, -ey)
+    beta = np.linalg.lstsq(xs, ys, rcond=None)[0]
+    resid = ys - xs @ beta
+    _, sv, vt = np.linalg.svd(xs, full_matrices=False)
+    se = np.sqrt(float(resid @ resid) / (n - k) * ((vt.T / sv) ** 2).sum(axis=1))
+    return {"coefs": np.ldexp(beta, ey - ex), "std_errs": np.ldexp(se, ey - ex),
+            "t_stats": beta / se}
+
+
 def random_instance(rng, max_n=20, max_k=4):
     """One random well-scaled regression problem as (y, cols).
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from generators import gen_ar1, gen_random_walk, write_series_csv
+from oracles import lstsq_fit
 from test_api import FLAGS
 from specloss import dataio
 from specloss.cli import build_parser, main
 from specloss.dataio import load_market_csv, load_series_csv, write_market_csv
+from specloss.market import UVariant, u_series
 from specloss.ols import RegressionSpec, fit
 from specloss.report import render_adf_block, render_regression
 from specloss.series import TimeSeries, trading_dates
@@ -140,52 +142,113 @@ def test_analyze_names_the_variant_and_day_where_u_overflows(tmp_path, capsys):
                   f"I = 1e+308, R = {days.rate_r[4]}, U = {days.u_big_vol[4]}\n"
 
 
-def test_analyze_of_an_input_whose_squares_overflow_is_one_error_line(tmp_path, capsys):
-    # I scaled by 1e150 keeps u finite, but the squares of I(-1) overflow.
+def _scaled_market(tmp_path, capsys, factor):
+    """The synth seed-42 file with I times ``factor``."""
     data = tmp_path / "m.csv"
     assert run_cli(["synth", "--seed", "42", "--out", str(data)], capsys)[0] == 0
     days = load_market_csv(str(data))
-    write_market_csv(dataclasses.replace(days, invest_i=days.invest_i * 1e150), str(data))
-    assert run_cli(["analyze", "--input", str(data)], capsys) == (
-        1, "", "specloss: error: regressor 'I(-1)' is too large: its squares overflow\n")
+    write_market_csv(dataclasses.replace(days, invest_i=days.invest_i * factor), str(data))
+    return data
 
 
-@pytest.mark.parametrize("argv, message", [
+def _csv_rows(text):
+    return {(table, field): value for table, field, value in
+            (line.split(",", 2) for line in text.splitlines()[1:])}
+
+
+def test_analyze_of_an_input_whose_squares_overflow_is_one_error_line(tmp_path, capsys):
+    # I scaled by 1e150 keeps u finite, and the squares of I(-1) overflow.
+    # Each such column is fitted scaled by a power of two, so the report
+    # prints, and its stage-one t-statistics are those of numpy's lstsq.
+    data = _scaled_market(tmp_path, capsys, 1e150)
+    code, out, err = run_cli(["analyze", "--input", str(data), "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    rows = _csv_rows(out)
+    days = load_market_csv(str(data))
+    for variant, u_big in ((UVariant.BY_VOLUME, "U_BIG_VOL"), (UVariant.BY_DEPOSIT, "U_BIG_DEP")):
+        x = np.column_stack([np.ones(len(days)), days.series()[u_big].values,
+                             days.rate_r, days.invest_i])
+        want = lstsq_fit(u_series(days, variant).values, x)["t_stats"]
+        got = [float(rows[f"ols.{variant.value}", f"tstat.{name}"])
+               for name in ("C", u_big, "R", "I")]
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    # An exactly alternating series has D(alt(-1)) = -2 alt(-1): scaled
+    # into range, its ADF design is singular.
     pytest.param(["adf", "--column", "alt"],
-                 "series alt is too large: its differences overflow", id="adf-alt"),
-    pytest.param(["ols", "--dep", "small", "--regressors", "big"],
-                 "regressor 'big' is too large: its squares overflow", id="ols-small-on-big"),
-    pytest.param(["coint", "--dep", "small", "--regressors", "big"],
-                 "regressor 'big' is too large: its squares overflow", id="coint-small-on-big"),
+                 (2, "design matrix column 4 is numerically zero after reduction"), id="adf-alt"),
+    # big's squares overflow; tiny's and near's sum to a subnormal, and
+    # near is nearly collinear with C.  Each is fitted scaled.
+    pytest.param(["ols", "--dep", "small", "--regressors", "big"], "big", id="ols-small-on-big"),
+    pytest.param(["coint", "--dep", "small", "--regressors", "big"], "big", id="coint-small-on-big"),
+    pytest.param(["ols", "--dep", "small", "--regressors", "tiny"], "tiny", id="ols-small-on-tiny"),
+    pytest.param(["coint", "--dep", "small", "--regressors", "tiny"], "tiny",
+                 id="coint-small-on-tiny"),
+    pytest.param(["ols", "--dep", "small", "--regressors", "near"], "near", id="ols-small-on-near"),
+    # A dependent fitted scaled whose SSR, scaled back, leaves the float range.
     pytest.param(["ols", "--dep", "big", "--regressors", "small"],
-                 "dependent 'big' is too large: its squares overflow", id="ols-big-on-small"),
-    # tiny's squares sum to about 2e-317, a subnormal: the norm would have
-    # lost its digits and the standard error would overflow to inf.
-    pytest.param(["ols", "--dep", "small", "--regressors", "tiny"],
-                 "regressor 'tiny' is too small: its squares underflow", id="ols-small-on-tiny"),
-    pytest.param(["coint", "--dep", "small", "--regressors", "tiny"],
-                 "regressor 'tiny' is too small: its squares underflow", id="coint-small-on-tiny"),
+                 (1, "dependent 'big': its sum of squared residuals is outside the float range"),
+                 id="ols-big-on-small"),
+    pytest.param(["ols", "--dep", "alt", "--regressors", "small"],
+                 (1, "dependent 'alt': its sum of squared residuals is outside the float range"),
+                 id="ols-alt-on-small"),
+    pytest.param(["coint", "--dep", "alt", "--regressors", "small"],
+                 (1, "dependent 'alt': its sum of squared residuals is outside the float range"),
+                 id="coint-alt-on-small"),
+    pytest.param(["ols", "--dep", "tinydep", "--regressors", "small"],
+                 (1, "dependent 'tinydep': its sum of squared residuals is outside the float "
+                     "range"), id="ols-tinydep-on-small"),
 ])
-def test_series_whose_squares_overflow_are_one_error_line(tmp_path, capsys, argv, message):
+def test_series_whose_squares_overflow_are_one_error_line(tmp_path, capsys, argv, outcome):
+    # Either one error line, naming the field that leaves the float range
+    # where one does, or a report whose t-statistics are lstsq's.
     t = np.arange(40)
+    columns = {"big": (t % 7 + 1) * 1e200, "alt": (-1.0) ** t * 1e308,
+               "small": (t * t % 11) * 0.5, "tiny": (t * t % 13 + 1) * 1e-160,
+               "near": (1 + 0.01 * (t % 7)) * 3e-154, "tinydep": (t % 7 + 1) * 1e-170}
     path = tmp_path / "s.csv"
-    write_series_csv([TimeSeries(trading_dates(40), values, name=name) for name, values in (
-        ("big", (t % 7 + 1) * 1e200), ("alt", (-1.0) ** t * 1e308),
-        ("small", (t * t % 11) * 0.5), ("tiny", (t * t % 13 + 1) * 1e-160))], str(path))
-    assert run_cli([*argv, "--input", str(path)], capsys) == (
-        1, "", f"specloss: error: {message}\n")
+    write_series_csv([TimeSeries(trading_dates(40), values, name=name)
+                      for name, values in columns.items()], str(path))
+    code, out, err = run_cli([*argv, "--input", str(path)], capsys)
+    if isinstance(outcome, tuple):
+        assert (code, out, err) == (outcome[0], "", f"specloss: error: {outcome[1]}\n")
+        return
+    assert (code, err) == (0, "")
+    want = lstsq_fit(columns["small"], np.column_stack([np.ones(40), columns[outcome]]))
+    lines = out.splitlines()
+    table = lines[lines.index("Variable             Coefficient   Std. Error   t-Statistic    "
+                              "Prob.") + 1:][:2]
+    assert [line.split()[0] for line in table] == ["C", outcome]
+    printed = [float(line.split()[3]) for line in table]
+    assert printed == pytest.approx(want["t_stats"], abs=5e-7)  # printed to 6 decimals
 
 
 def test_analyze_of_an_input_whose_squares_underflow_is_one_error_line(tmp_path, capsys):
-    # I scaled by 2^-900 scales u alike; the squares of U_SMALL_VOL(-1)
-    # round to 0, though the column is not zero.
-    data = tmp_path / "m.csv"
-    assert run_cli(["synth", "--seed", "42", "--out", str(data)], capsys)[0] == 0
-    days = load_market_csv(str(data))
-    write_market_csv(dataclasses.replace(days, invest_i=days.invest_i * 2.0**-900), str(data))
+    # I scaled by 2^-900 scales u alike.  The ADF tests and the stage-one
+    # fits run scaled back into range, but the SSR of u_small_vol's fit is
+    # 2^-1800 times that of the unscaled run: no float holds it.
+    data = _scaled_market(tmp_path, capsys, 2.0**-900)
     assert run_cli(["analyze", "--input", str(data)], capsys) == (
-        1, "", "specloss: error: regressor 'U_SMALL_VOL(-1)' is too small: "
-               "its squares underflow\n")
+        1, "", "specloss: error: dependent 'U_SMALL_VOL': its sum of squared residuals is "
+               "outside the float range\n")
+
+
+def test_analyze_of_an_input_scaled_by_2_to_the_minus_500_prints_the_same_t_statistics(
+        tmp_path, capsys):
+    # s^2 times diag (X'X)^-1 for U_BIG_DEP was a subnormal of 2^-500 scale
+    # before its square root, which printed t = -437.9056 for -437.8850.
+    reports = [run_cli(["analyze", "--input", str(_scaled_market(tmp_path, capsys, factor))],
+                       capsys) for factor in (1.0, 2.0**-500)]
+    assert [(code, err) for code, _, err in reports] == [(0, ""), (0, "")]
+
+    def t_columns(text):
+        return [line.split()[-2:] for line in text.splitlines()
+                if line.split()[:1] in (["C"], ["U_BIG_VOL"], ["U_BIG_DEP"], ["R"], ["I"])]
+
+    assert t_columns(reports[1][1]) == t_columns(reports[0][1])
+    assert "U_BIG_DEP             -2.71E-158    6.19E-161     -437.8850   0.0000\n" in reports[1][1]
 
 
 def test_synth_reruns_identical(tmp_path, capsys):

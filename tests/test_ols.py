@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from generators import adf_regression, gen_cointegrated
-from oracles import durbin_watson, ols_oracle, random_instance
+from oracles import durbin_watson, lstsq_fit, ols_oracle, random_instance
 from specloss.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -413,7 +413,7 @@ def _reference_solve(r, z):
 def _qr(x, y, names):
     """(R, Q'y, norms) of the (n, k) design ``x`` through the library's work array."""
     a = np.array([*x.T, y])
-    r, norms = _householder_qr(a, names)
+    r, norms, _ = _householder_qr(a, names)
     return r, a[-1], norms
 
 
@@ -561,19 +561,26 @@ def test_fit_has_the_bits_of_fit_arrays_on_the_stacked_aligned_design():
     assert got.nobs == 124  # the trimmed spec keeps the even dates from the 5th to the 251st
 
 
+def _assert_fit_matches_lstsq(got, y, x):
+    want = lstsq_fit(y, x)
+    for key, field in (("coefs", "coef"), ("std_errs", "std_err"), ("t_stats", "t_stat")):
+        assert [getattr(row, field) for row in got.coef_rows] == pytest.approx(
+            want[key], rel=1e-9), key
+
+
 def test_a_regressor_whose_squares_overflow_is_named():
-    # 2e154 squared overflows; the norm would read inf and the scaled
-    # column zero.  Any numpy warning fails the suite.
+    # 2e154 squared overflows: the column is fitted scaled by a power of
+    # two, and its coefficient and standard error are scaled back.  Any
+    # numpy warning fails the suite.
     x = np.column_stack([np.ones(40), np.arange(40.0) * 2e153, np.arange(40.0) % 3])
     y = np.arange(40.0) % 7
-    with pytest.raises(InvalidArgumentError,
-                       match="^regressor 'B' is too large: its squares overflow$"):
-        fit_arrays(y, x, reg_names=["C", "B", "S"])
+    got = fit_arrays(y, x, reg_names=["C", "B", "S"])
+    assert [row.name for row in got.coef_rows] == ["C", "B", "S"]
+    _assert_fit_matches_lstsq(got, y, x)
     dates = trading_dates(40)
     spec = RegressionSpec(dependent=TimeSeries(dates, y, name="Y"),
                           regressors=(TimeSeries(dates, x[:, 1], name="BIG"),))
-    with pytest.raises(InvalidArgumentError, match="^regressor 'BIG' is too large"):
-        fit(spec)
+    _assert_fit_matches_lstsq(fit(spec), y, x[:, :2])
 
 
 @pytest.mark.parametrize("column", [
@@ -583,16 +590,15 @@ def test_a_regressor_whose_squares_overflow_is_named():
     pytest.param((np.arange(40.0) % 5 + 1) * 2.0**-600, id="zero"),
 ])
 def test_a_regressor_whose_squares_underflow_is_named(column):
+    # Such a column is fitted scaled by a power of two, as one whose
+    # squares overflow is.
     x = np.column_stack([np.ones(40), np.arange(40.0) % 3, column])
     y = np.arange(40.0) % 7
-    with pytest.raises(InvalidArgumentError,
-                       match="^regressor 'T' is too small: its squares underflow$"):
-        fit_arrays(y, x, reg_names=["C", "S", "T"])
+    _assert_fit_matches_lstsq(fit_arrays(y, x, reg_names=["C", "S", "T"]), y, x)
     dates = trading_dates(40)
     spec = RegressionSpec(dependent=TimeSeries(dates, y, name="Y"),
                           regressors=(TimeSeries(dates, column, name="TINY"),))
-    with pytest.raises(InvalidArgumentError, match="^regressor 'TINY' is too small"):
-        fit(spec)
+    _assert_fit_matches_lstsq(fit(spec), y, x[:, [0, 2]])
     x[:, 2] = 0.0  # a column that is zero stays a singular design
     with pytest.raises(SingularMatrixError,
                        match="^regressor 'T' is identically zero$") as exc_info:
@@ -617,19 +623,33 @@ def test_fit_arrays_rejects_inputs_that_are_not_finite(bad, where):
 _C = math.sqrt(0.5 * np.finfo(np.float64).max / 40)
 
 
-@pytest.mark.parametrize("y, x", [
-    # The SSR overflows: the residuals are about 1e200.
-    pytest.param((np.arange(40.0) % 7 + 1) * 1e200, np.ones((40, 1)), id="ssr"),
-    # The fit is exact to 1e144, but the deviations from the mean square past 1e308.
-    pytest.param(np.arange(40.0) * 1e160,
-                 np.column_stack([np.ones(40), np.arange(40.0)]), id="tss"),
+@pytest.mark.parametrize("y, x, want", [
+    # The residuals are about 1e200: no float holds their SSR.
+    pytest.param((np.arange(40.0) % 7 + 1) * 1e200, np.ones((40, 1)), None, id="ssr"),
+    # The fit is exact to 1e144, and the deviations from the mean square
+    # past 1e308, but the TSS is only formed scaled.
+    pytest.param(np.arange(40.0) * 1e160, np.column_stack([np.ones(40), np.arange(40.0)]),
+                 {"r_squared": 1.0, "mean_dep": 19.5e160,
+                  "sd_dep": math.sqrt(40 * 41 / 12) * 1e160}, id="tss"),
     # Residuals of +-_C: the SSR is half the float range, the steps' squares twice it.
-    pytest.param(np.tile([_C, -_C], 20), np.ones((40, 1)), id="durbin-watson"),
+    pytest.param(np.tile([_C, -_C], 20), np.ones((40, 1)),
+                 {"ssr": 40 * _C * _C, "durbin_watson": 39 * 4 / 40, "mean_dep": 0.0},
+                 id="durbin-watson"),
 ])
-def test_a_dependent_whose_sums_of_squares_overflow_is_named(y, x):
-    with pytest.raises(InvalidArgumentError,
-                       match="^dependent 'DEP' is too large: its squares overflow$"):
-        fit_arrays(y, x, dep_name="DEP")
+def test_a_dependent_whose_sums_of_squares_overflow_is_named(y, x, want):
+    # A dependent outside the band is fitted scaled by a power of two; only
+    # the printed fields in its unit are scaled back, and one that leaves
+    # the float range there is named.
+    if want is None:
+        with pytest.raises(InvalidArgumentError, match="^dependent 'DEP': its sum of squared "
+                                                       "residuals is outside the float range$"):
+            fit_arrays(y, x, dep_name="DEP")
+        return
+    got = fit_arrays(y, x, dep_name="DEP")
+    for field, value in want.items():
+        assert getattr(got, field) == pytest.approx(value, rel=1e-15), field
+    assert [row.coef for row in got.coef_rows] == pytest.approx(
+        lstsq_fit(y, x)["coefs"], rel=1e-12, abs=1e-12 * float(np.abs(y).max()))
 
 
 def test_singular_designs_name_the_reference_column():

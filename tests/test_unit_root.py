@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import adf_regression, gen_ar1, gen_random_walk
+from oracles import lstsq_fit
 from specloss.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -338,23 +339,37 @@ def test_adf_test_forms_no_tail_diagnostic_or_full_fit(monkeypatch):
 
 
 def test_adf_on_a_series_whose_differences_overflow_names_it():
+    # The differences of +-1e308 overflow, so the levels are scaled into
+    # range first; there D(ALT(-1)) = -2 ALT(-1), a singular design, the
+    # error the same series scaled by hand gives.
     s = TimeSeries(trading_dates(40), np.tile([1e308, -1e308], 20), name="ALT")
+    unit = TimeSeries(s.dates, np.ldexp(s.values, -1023), name="ALT")
     for run in (adf_test, stationarity_ladder, select_lag):
-        with pytest.raises(InvalidArgumentError,
-                           match="^series ALT is too large: its differences overflow$"):
+        with pytest.raises(SingularMatrixError) as want:
+            run(unit, 5)
+        with pytest.raises(SingularMatrixError) as got:
             run(s, 5)
+        assert str(got.value) == str(want.value)
 
 
 def test_lag_search_whose_ssr_overflows_names_the_dependent():
     # Only the last level is large, so no regressor's squares overflow,
-    # but the last difference's square does, and with it every SSR.
+    # but the last difference's square does, and with it every SSR.  The
+    # lag search scores the SSRs of the series scaled into range, and the
+    # t-statistic at the chosen lag is lstsq's.
     values = np.random.default_rng(3).standard_normal(40)
     values[-1] = 1.5e154
     s = TimeSeries(trading_dates(40), values, name="S")
     for max_lag in (0, 5):
-        for run in (select_lag, adf_test):
-            with pytest.raises(InvalidArgumentError, match=r"^dependent 'D\(S\)' is too large"):
-                run(s, max_lag)
+        lag = select_lag(s, max_lag)
+        assert lag == select_lag(TimeSeries(s.dates, np.ldexp(values, -512), name="S"), max_lag)
+        result = adf_test(s, max_lag)
+        assert result.chosen_lag == lag
+        dy = np.diff(values)
+        x = np.column_stack([np.ones(39 - lag), values[lag:39]]
+                            + [dy[lag - i : 39 - i] for i in range(1, lag + 1)])
+        assert result.t_statistic == pytest.approx(lstsq_fit(dy[lag:], x)["t_stats"][1],
+                                                   rel=1e-9)
 
 
 def test_adf_test_fixed_lag():
