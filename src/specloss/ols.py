@@ -171,7 +171,8 @@ def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _scaled_back(value: float, e: int, field: str = "") -> float | None:
-    """value * 2^e, exact; where that is neither 0 nor normal, None or an error naming ``field``."""
+    """value * 2^e, exact; where that is neither 0 nor normal (frexp exponents -1021..1024),
+    None, or with a printed ``field``, an error naming it."""
     if e and value and not -1021 <= math.frexp(value)[1] + e <= 1024:
         if field:
             raise InvalidArgumentError(f"{field} is outside the float range")
@@ -389,8 +390,7 @@ def _fit(y: np.ndarray, columns: Sequence[np.ndarray], dep_name: str,
         )
     y, d = _scaled(y)
     beta, se, ssr, resid, exps = _solve(y, columns, reg_names)
-
-    its = f"dependent '{dep_name}': its"  # a printed field outside the float range
+    its = f"dependent '{dep_name}': its"  # names a printed field that leaves the float range
     ssr_back = _scaled_back(ssr, 2 * d, f"{its} sum of squared residuals")
     dw = float(np.add.reduce(np.square(np.diff(resid)))) / ssr if ssr else math.nan
     series = (None if dates is None

@@ -160,7 +160,8 @@ def diff(s: TimeSeries) -> TimeSeries:
             f"first difference needs at least 2 values, got {len(s)}"
         )
     name = f"D({s.name})" if s.name else ""
-    return TimeSeries(_Frozen(s.dates[1:]), _Frozen(s.values[1:] - s.values[:-1]), name)
+    with np.errstate(over="ignore"):  # TimeSeries rejects a difference past the float range
+        return TimeSeries(_Frozen(s.dates[1:]), _Frozen(s.values[1:] - s.values[:-1]), name)
 
 
 def mean(s: TimeSeries) -> float:

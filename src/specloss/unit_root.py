@@ -194,8 +194,7 @@ def _adf_columns(y: TimeSeries, lag: int,
 
     Columns are [C, y(-1), Δy(-1), ..., Δy(-lag)], so the design of a
     smaller lag on this sample is a column prefix of this one.  C is a
-    read-only view that holds no n-vector.  ``yv`` is y's values brought
-    into the band (y's own by default), so no difference overflows.
+    read-only view that holds no n-vector.  ``yv``: y's values in the band.
     """
     yv, n, label = y.values if yv is None else yv, len(y), y.name or "Y"
     if n - 1 - lag <= lag + 2:

@@ -372,6 +372,20 @@ def test_lag_search_whose_ssr_overflows_names_the_dependent():
                                                    rel=1e-9)
 
 
+def test_ladder_of_a_series_whose_differences_overflow_is_one_error():
+    # The level test scales the series into range and does not reject; the
+    # first differences, one of them past the float range, are no series.
+    # Any numpy warning fails the suite.
+    values = np.cumsum(np.random.default_rng(1).standard_normal(80))
+    values *= 1.7e308 / np.abs(values).max()
+    values[40:42] = -1.7e308, 1.7e308
+    s = TimeSeries(trading_dates(80), values, name="X")
+    assert not adf_test(s).verdict.rejects_at_5
+    with pytest.raises(InvalidArgumentError, match=f"^non-finite value inf at {s.dates[41]}; "
+                                                   "series values must be finite$"):
+        stationarity_ladder(s)
+
+
 def test_adf_test_fixed_lag():
     # max_lag=0 leaves the lag search one candidate: the lag is fixed at 0.
     s = gen_random_walk(8, 120, label="FIX")
