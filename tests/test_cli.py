@@ -151,11 +151,6 @@ def _scaled_market(tmp_path, capsys, factor):
     return data
 
 
-def _csv_rows(text):
-    return {(table, field): value for table, field, value in
-            (line.split(",", 2) for line in text.splitlines()[1:])}
-
-
 def test_analyze_of_an_input_whose_squares_overflow_is_one_error_line(tmp_path, capsys):
     # I scaled by 1e150 keeps u finite, and the squares of I(-1) overflow.
     # Each such column is fitted scaled by a power of two, so the report
@@ -163,7 +158,8 @@ def test_analyze_of_an_input_whose_squares_overflow_is_one_error_line(tmp_path, 
     data = _scaled_market(tmp_path, capsys, 1e150)
     code, out, err = run_cli(["analyze", "--input", str(data), "--format", "csv"], capsys)
     assert (code, err) == (0, "")
-    rows = _csv_rows(out)
+    rows = {(table, field): value for table, field, value in
+            (line.split(",", 2) for line in out.splitlines()[1:])}
     days = load_market_csv(str(data))
     for variant, u_big in ((UVariant.BY_VOLUME, "U_BIG_VOL"), (UVariant.BY_DEPOSIT, "U_BIG_DEP")):
         x = np.column_stack([np.ones(len(days)), days.series()[u_big].values,
