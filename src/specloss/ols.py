@@ -237,7 +237,8 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
     it is applied and then column j of R, so it is never reflected.
     ||v||^2 reuses the squares of the column's norm, as v differs from
     the column in its first entry only.  The rank test compares diagonal
-    magnitudes of R, which is only fair at unit column norms.
+    magnitudes of R, which is only fair at unit column norms; it also
+    runs on the columns before one that reduces to exact zeros.
     """
     k, n = a.shape[0] - 1, a.shape[1]
     group = max(1, _REFLECT_BYTES // (8 * n))
@@ -249,6 +250,7 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
         sq = np.multiply(v, v, out=scratch[0, j:])
         norm = math.sqrt(float(np.add.reduce(sq)))
         if norm == 0.0:
+            _check_rank(np.abs(np.diagonal(a)[:j]))
             raise SingularMatrixError(
                 f"design matrix column {j} is numerically zero after reduction",
                 column=j,
@@ -267,15 +269,19 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
             block -= np.multiply(w, v, out=prod)
         v[0] = alpha
         v[1 : k - j] = 0.0
-    diag = np.abs(np.diagonal(a)[:k])
-    if float(diag.min()) < _RANK_RTOL * float(diag.max()):
-        bad = int(diag.argmin())
+    _check_rank(np.abs(np.diagonal(a)[:k]))
+    return a[:k, :k].T, norms, exps
+
+
+def _check_rank(diag: np.ndarray) -> None:
+    """Name the first column whose |R_jj| is below the tolerance, if one is."""
+    if float(diag.min()) < (tol := _RANK_RTOL * float(diag.max())):
+        bad = int(np.argmax(diag < tol))
         raise SingularMatrixError(
             f"design matrix is rank deficient at column {bad} "
             f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
             column=bad,
         )
-    return a[:k, :k].T, norms, exps
 
 
 def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

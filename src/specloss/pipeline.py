@@ -1,7 +1,7 @@
 """The full analysis pipeline: one run configuration in, one report out.
 
-A first-approach check that the data cannot support is marked skipped in
-the report instead of failing the run.
+A first-approach check that the data cannot support does not fail the run:
+its slot holds a ``report.Skipped`` with the reason, given once here.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .market import (
     u_series,
 )
 from .ols import RegressionSpec
-from .report import AnalysisReport, VariantResult
+from .report import AnalysisReport, Skipped, VariantResult
 from .synth import SynthConfig, gen_market_days
 from .unit_root import stationarity_ladder
 
@@ -51,12 +51,11 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
     # neither, so the break splits them alike.
     try:
         breaks = [break_analysis(u[variant], config.break_date) for variant in UVariant]
-        break_skipped = None
     except (InvalidArgumentError, DivisionDomainError) as exc:
-        breaks = [None] * len(UVariant)
-        break_skipped = str(exc)
+        breaks = [Skipped(str(exc))] * len(UVariant)
     # The constancy check needs only the mean price of the days that have
     # one; the coverage ratios need a price on every day.
+    no_price = Skipped("no mean price available")
     prices = np.empty(0) if days.mean_price is None else days.mean_price
     priced = prices[~np.isnan(prices)]
     mean_price = float(np.mean(priced)) if priced.size else None
@@ -67,10 +66,9 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
         ladders=ladders,
         variants=tuple(
             VariantResult(variant, coint,
-                          None if mean_price is None else constancy_check(u[variant], mean_price),
+                          no_price if mean_price is None else constancy_check(u[variant], mean_price),
                           brk)
             for variant, coint, brk in zip(UVariant, coints, breaks)
         ),
-        break_skipped=break_skipped,
-        coverage=coverage_ratios(days) if priced.size == len(days) else None,
+        coverage=coverage_ratios(days) if priced.size == len(days) else no_price,
     )

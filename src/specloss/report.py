@@ -8,6 +8,10 @@ the same convention those packages print: eight significant characters
 (decimals = 7 minus integer digits) switching to scientific notation
 below 1e-4, probabilities with four decimals.  Rendering is a pure
 function of the report object; nothing is recomputed here.
+
+A skipped first-approach check holds a ``Skipped(reason)`` in place of its
+result: the text prints the reason, and the CSV has no rows for it, where
+any other result has one row per dataclass field.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import csv
 import datetime
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .cointegration import CointResult
@@ -26,6 +30,7 @@ from .unit_root import LEVELS, AdfResult, LadderResult
 
 __all__ = [
     "AnalysisReport",
+    "Skipped",
     "VariantResult",
     "fmt_stat",
     "fmt_prob",
@@ -36,24 +41,27 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class VariantResult:
-    """The analysis of u for one U variant.
+class Skipped:
+    """Stands for a first-approach result whose check the data cannot support."""
 
-    A first-approach result is None when its check was skipped.
-    """
+    reason: str
+
+
+@dataclass(frozen=True)
+class VariantResult:
+    """The analysis of u for one U variant."""
 
     variant: UVariant
     coint: CointResult
-    constancy: ConstancyResult | None
-    break_means: BreakResult | None
+    constancy: ConstancyResult | Skipped
+    break_means: BreakResult | Skipped
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything one full pipeline run produced, ready to render.
 
-    ``ladders`` and ``variants`` are in report order; ``coverage`` is None
-    when its check was skipped.
+    ``ladders`` and ``variants`` are in report order.
     """
 
     n_days: int
@@ -61,8 +69,7 @@ class AnalysisReport:
     break_date: datetime.date
     ladders: Mapping[str, LadderResult]
     variants: tuple[VariantResult, ...]
-    break_skipped: str | None  # why every variant's break_means is None
-    coverage: CoverageResult | None
+    coverage: CoverageResult | Skipped
 
 
 def fmt_stat(x: float) -> str:
@@ -243,28 +250,28 @@ def render_analysis_text(report: AnalysisReport) -> str:
     out += _rule("First-approach analysis")
     out.append("")
     for result in report.variants:
-        label, constancy = _label(result.variant, " "), result.constancy
-        if constancy is None:
-            out.append(f"Constancy ({label}): skipped, no mean price available.")
-        else:
-            out.append(
-                f"Constancy ({label}): mean {fmt_stat(constancy.mean)} kopecks, "
-                f"stddev {fmt_stat(constancy.stddev)}, "
-                f"threshold {fmt_stat(constancy.threshold)}, "
-                f"passes: {'yes' if constancy.passes else 'no'}"
-            )
+        head, constancy = f"Constancy ({_label(result.variant, ' ')})", result.constancy
+        if isinstance(constancy, Skipped):
+            out.append(f"{head}: skipped, {constancy.reason}.")
+            continue
+        out.append(
+            f"{head}: mean {fmt_stat(constancy.mean)} kopecks, "
+            f"stddev {fmt_stat(constancy.stddev)}, "
+            f"threshold {fmt_stat(constancy.threshold)}, "
+            f"passes: {'yes' if constancy.passes else 'no'}"
+        )
     for result in report.variants:
         head = f"Break at {report.break_date.isoformat()} ({_label(result.variant, ' ')})"
         brk = result.break_means
-        if brk is None:
-            out.append(f"{head} skipped: {report.break_skipped}")
+        if isinstance(brk, Skipped):
+            out.append(f"{head} skipped: {brk.reason}")
             continue
         out.append(
             f"{head}: mean before {fmt_stat(brk.mean_before)}, "
             f"after {fmt_stat(brk.mean_after)}, ratio {fmt_stat(brk.ratio)}"
         )
-    if report.coverage is None:
-        out.append("Coverage: skipped, no mean price available.")
+    if isinstance(report.coverage, Skipped):
+        out.append(f"Coverage: skipped, {report.coverage.reason}.")
     else:
         out.append(
             f"Coverage: stock utilization {fmt_stat(report.coverage.stock_utilization)}, "
@@ -352,29 +359,13 @@ def render_analysis_csv(report: AnalysisReport) -> str:
                  _csv_value(coint.critical_values_dm[level]))
             )
         rows.append((f"coint.{key}", "verdict", coint.verdict.value))
-    for result in report.variants:
-        key, constancy = result.variant.value, result.constancy
-        if constancy is not None:
-            rows += [
-                (f"constancy.{key}", "mean", _csv_value(constancy.mean)),
-                (f"constancy.{key}", "stddev", _csv_value(constancy.stddev)),
-                (f"constancy.{key}", "threshold", _csv_value(constancy.threshold)),
-                (f"constancy.{key}", "passes", _csv_value(constancy.passes)),
-            ]
-    for result in report.variants:
-        key, brk = result.variant.value, result.break_means
-        if brk is not None:
-            rows += [
-                (f"break.{key}", "mean_before", _csv_value(brk.mean_before)),
-                (f"break.{key}", "mean_after", _csv_value(brk.mean_after)),
-                (f"break.{key}", "ratio", _csv_value(brk.ratio)),
-            ]
-    if report.coverage is not None:
-        rows += [
-            ("coverage", "stock_utilization",
-             _csv_value(report.coverage.stock_utilization)),
-            ("coverage", "money_coverage", _csv_value(report.coverage.money_coverage)),
-        ]
+    checks = [(f"constancy.{r.variant.value}", r.constancy) for r in report.variants]
+    checks += [(f"break.{r.variant.value}", r.break_means) for r in report.variants]
+    checks.append(("coverage", report.coverage))
+    for table, result in checks:
+        if not isinstance(result, Skipped):
+            rows += [(table, f.name, _csv_value(getattr(result, f.name)))
+                     for f in fields(result)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["table", "field", "value"])

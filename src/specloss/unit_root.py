@@ -188,23 +188,24 @@ def mackinnon_pvalue(t_stat: float, *, n_variables: int = 1) -> float:
     return min(max(_norm_cdf(z), _PVAL_CLAMP_LO), _PVAL_CLAMP_HI)
 
 
-def _adf_columns(y: TimeSeries, lag: int,
-                 yv: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
-    """ADF regression at ``lag`` on its longest sample: (dep, columns, names).
+def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray], list[str], int]:
+    """ADF regression at ``lag`` on its longest sample: (dep, columns, names, e).
 
     Columns are [C, y(-1), Δy(-1), ..., Δy(-lag)], so the design of a
     smaller lag on this sample is a column prefix of this one.  C is a
-    read-only view that holds no n-vector.  ``yv``: y's values in the band.
+    read-only view that holds no n-vector.  They are those of y·2^-e, y as
+    :func:`~specloss.ols._scaled` gives it, whose differences are finite.
     """
-    yv, n, label = y.values if yv is None else yv, len(y), y.name or "Y"
+    n, label = len(y), y.name or "Y"
     if n - 1 - lag <= lag + 2:
         raise InsufficientDataError(f"series {label} of length {n} is too short "
                                     f"for an ADF regression with lag {lag}")
+    yv, e = _scaled(y.values)
     dy = yv[1:] - yv[:-1]
     names = ["C", f"{label}(-1)"] + [f"D({label}(-{i}))" for i in range(1, lag + 1)]
     cols = [_ONES[: n - 1 - lag], yv[lag : n - 1]]
     cols += [dy[lag - i : n - 1 - i] for i in range(1, lag + 1)]
-    return dy[lag:], cols, names
+    return dy[lag:], cols, names, e
 
 
 def select_lag(y: TimeSeries, max_lag: int) -> int:
@@ -218,8 +219,7 @@ def select_lag(y: TimeSeries, max_lag: int) -> int:
     """
     if max_lag < 0:
         raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
-    yv, e = _scaled(y.values)
-    dep, cols, names = _adf_columns(y, max_lag, yv)
+    dep, cols, names, e = _adf_columns(y, max_lag)
     z = _factor(dep, cols, names)[1][2:]  # Q'y past C and y(-1)
     nobs = len(dep)
     sq = z * z
@@ -251,7 +251,7 @@ def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
     regression.
     """
     lag = select_lag(y, max_lag)
-    dep, cols, names = _adf_columns(y, lag, _scaled(y.values)[0])
+    dep, cols, names, _ = _adf_columns(y, lag)
     beta, se = _solve(dep, cols, names)[:2]  # both scaled alike: t keeps its bits
     t_eff = len(dep)
     t_stat = _t_ratio(float(beta[1]), se[1])
@@ -284,11 +284,15 @@ def classify_ladder(level_verdict: Verdict, diff_verdict: Verdict | None) -> str
 
 
 def stationarity_ladder(y: TimeSeries, max_lag: int = 5) -> LadderResult:
-    """Test the level; if it fails to reject at 5%, test first differences."""
+    """Test the level; if it fails to reject at 5%, test first differences.
+
+    These are of y as :func:`~specloss.ols._scaled` gives it: the test is scale-free.
+    """
     level_result = adf_test(y, max_lag)
     diff_result = None
     if not level_result.verdict.rejects_at_5:
-        diff_result = adf_test(diff(y), max_lag)
+        yv, e = _scaled(y.values)
+        diff_result = adf_test(diff(TimeSeries(y.dates, yv, y.name) if e else y), max_lag)
     return LadderResult(
         level_result=level_result,
         diff_result=diff_result,

@@ -69,7 +69,7 @@ def adf_regression(y: TimeSeries, lag: int) -> OlsFit:
     """
     if lag < 0:
         raise InvalidArgumentError(f"lag must be >= 0, got {lag}")
-    dep, cols, names = _adf_columns(y, lag)
+    dep, cols, names, _ = _adf_columns(y, lag)
     return fit_arrays(dep, np.column_stack(cols), dep_name=f"D({y.name or 'Y'})",
                       reg_names=names)
 

@@ -371,6 +371,7 @@ def _reference_qr(x, y, names):
         col = r[j:, j]
         norm = math.sqrt(float(np.sum(col * col)))
         if norm == 0.0:
+            _reference_rank_test(np.abs(np.diag(r)[:j]))
             raise SingularMatrixError(
                 f"design matrix column {j} is numerically zero after reduction",
                 column=j,
@@ -386,15 +387,19 @@ def _reference_qr(x, y, names):
         z[j:] -= w * v
         r[j, j] = alpha
         r[j + 1 :, j] = 0.0
-    diag = np.abs(np.diag(r)[:k])
-    if float(np.min(diag)) < 1e-10 * float(np.max(diag)):
-        bad = int(np.argmin(diag))
-        raise SingularMatrixError(
-            f"design matrix is rank deficient at column {bad} "
-            f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
-            column=bad,
-        )
+    _reference_rank_test(np.abs(np.diag(r)[:k]))
     return r[:k], z, norms
+
+
+def _reference_rank_test(diag):
+    """Name the first |R_jj| below 1e-10 of the largest, if any."""
+    for bad, d in enumerate(diag.tolist()):
+        if d < 1e-10 * float(np.max(diag)):
+            raise SingularMatrixError(
+                f"design matrix is rank deficient at column {bad} "
+                f"(|R[{bad},{bad}]| = {d:.3e})",
+                column=bad,
+            )
 
 
 def _reference_solve(r, z):
@@ -419,7 +424,7 @@ def _qr(x, y, names):
 
 def _adf_design(s, lag):
     """The ADF regression at ``lag`` as (dep, x, names), x the C-ordered design."""
-    dep, cols, names = _adf_columns(s, lag)
+    dep, cols, names, _ = _adf_columns(s, lag)
     return dep, np.column_stack(cols), names
 
 
@@ -675,7 +680,7 @@ def _assert_lag_search_bits(s, max_lag):
     """select_lag's Q'y and lag equal those of the C-ordered design's QR."""
     dep, x, names = _adf_design(s, max_lag)
     _, z_ref, _ = _qr(x, dep, names)
-    assert np.array_equal(_bits(_factor(*_adf_columns(s, max_lag))[1]), _bits(z_ref))
+    assert np.array_equal(_bits(_factor(*_adf_columns(s, max_lag)[:3])[1]), _bits(z_ref))
     nobs = dep.shape[0]
     scores = [schwarz_from_loglik(log_likelihood_from_ssr(
                   float(np.sum(z_ref[k:] * z_ref[k:])), nobs), nobs, k)

@@ -1,6 +1,7 @@
 """Whole-run checks of ``analyze``: pinned CSV bytes at scale and the heap it holds."""
 
 import contextlib
+import csv
 import dataclasses
 import datetime
 import gc
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from specloss.cli import main
 from specloss.dataio import RunConfig, load_market_csv, write_market_csv
 from specloss.pipeline import build_analysis
+from specloss.report import Skipped, render_analysis_csv, render_analysis_text
 from specloss.synth import SynthConfig, gen_market_days
 
 _PINNED = Path(__file__).parent / "data" / "analyze_csv_sha256.txt"
@@ -57,12 +59,18 @@ _PRICE_FORMS = {
 }
 
 
-def _analyze_priced(tmp_path, command, form, fmt):
-    """The analyze report of the synth file ``command`` with its prices in ``form``."""
+def _priced_file(tmp_path, command, form):
+    """The synth file ``command`` with its prices in ``form``."""
     path = tmp_path / f"{form}.csv"
     _synth(command, path)
     lines = _PRICE_FORMS[form](path.read_text(encoding="utf-8").splitlines())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _analyze_priced(tmp_path, command, form, fmt):
+    """The analyze report of the synth file ``command`` with its prices in ``form``."""
+    path = _priced_file(tmp_path, command, form)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["analyze", "--input", str(path), "--format", fmt]) == 0
@@ -110,6 +118,49 @@ def test_one_blank_price_changes_only_the_constancy_lines(tmp_path, fmt):
         prices = [float(row.rsplit(",", 1)[1]) for row in rows]
         threshold = float(blank.split("constancy.by_volume,threshold,", 1)[1].split("\n")[0])
         assert threshold == pytest.approx(math.fsum(prices) / len(prices), rel=1e-12)
+
+
+def _every_slot_skipped(report):
+    skipped = Skipped("no data for this check")
+    return dataclasses.replace(
+        report, coverage=skipped,
+        variants=tuple(dataclasses.replace(result, constancy=skipped, break_means=skipped)
+                       for result in report.variants),
+    )
+
+
+@pytest.mark.parametrize("command, form, skipped", [
+    pytest.param("synth --seed 42", None, set(), id="full"),
+    pytest.param("synth --seed 42", "cut", {"constancy", "coverage"}, id="price-cut"),
+    pytest.param("synth --seed 42", "blank", {"coverage"}, id="one-blank-price"),
+    pytest.param("synth --seed 3 --days 60", None, {"break"}, id="skipped-break"),
+    pytest.param("synth --seed 42", "skip-all", {"constancy", "break", "coverage"},
+                 id="every-slot-skipped"),
+])
+def test_renderers_agree_on_which_slots_exist(tmp_path, command, form, skipped):
+    # A first-approach check has CSV rows exactly when its text line gives
+    # results, not a reason it was skipped.
+    if form in _PRICE_FORMS:
+        path = _priced_file(tmp_path, command, form)
+    else:
+        _synth(command, path := tmp_path / "market.csv")
+    report = build_analysis(RunConfig(input_path=str(path)))
+    if form == "skip-all":
+        report = _every_slot_skipped(report)
+    lines = render_analysis_text(report).splitlines()
+    tables = {row[0] for row in csv.reader(io.StringIO(render_analysis_csv(report)))}
+    slots = [("coverage", "Coverage:")]
+    for result in report.variants:
+        key, label = result.variant.value, result.variant.value.replace("_", " ")
+        slots += [(f"constancy.{key}", f"Constancy ({label}):"),
+                  (f"break.{key}", f"Break at {report.break_date.isoformat()} ({label})")]
+    seen = set()
+    for table, head in slots:
+        [line] = [line for line in lines if line.startswith(head)]
+        assert (table in tables) == ("skipped" not in line), (table, line)
+        if table not in tables:
+            seen.add(table.split(".")[0])
+    assert seen == skipped
 
 
 def _peak_bytes(run):

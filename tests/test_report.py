@@ -17,6 +17,7 @@ from specloss.market import UVariant
 from specloss.ols import fit_arrays
 from specloss.pipeline import build_analysis
 from specloss.report import (
+    Skipped,
     fmt_prob,
     fmt_stat,
     render_adf_block,
@@ -194,9 +195,10 @@ def test_render_analysis_text_sections(analysis):
 
 
 def test_render_analysis_text_skips_price_sections_when_absent(analysis):
+    no_price = Skipped("no mean price available")
     stripped = dataclasses.replace(
-        analysis, coverage=None,
-        variants=tuple(dataclasses.replace(result, constancy=None)
+        analysis, coverage=no_price,
+        variants=tuple(dataclasses.replace(result, constancy=no_price)
                        for result in analysis.variants),
     )
     text = render_analysis_text(stripped)
@@ -207,7 +209,7 @@ def test_render_analysis_text_skips_price_sections_when_absent(analysis):
 def test_report_holds_one_result_per_variant(analysis):
     fields = [field.name for field in dataclasses.fields(analysis)]
     assert fields == ["n_days", "max_lag", "break_date", "ladders", "variants",
-                      "break_skipped", "coverage"]
+                      "coverage"]
     assert [result.variant for result in analysis.variants] == list(UVariant)
     assert [result.coint.residual_test.series_name
             for result in analysis.variants] == ["RESID1", "RESID2"]

@@ -373,17 +373,19 @@ def test_lag_search_whose_ssr_overflows_names_the_dependent():
 
 
 def test_ladder_of_a_series_whose_differences_overflow_is_one_error():
-    # The level test scales the series into range and does not reject; the
-    # first differences, one of them past the float range, are no series.
-    # Any numpy warning fails the suite.
+    # The level test scales the series into range and does not reject; one
+    # first difference of the series as given is past the float range, so
+    # the differences are taken of the series as scaled, and the ladder is
+    # that of the series scaled by 2^-1024 by hand.  Any numpy warning
+    # fails the suite.
     values = np.cumsum(np.random.default_rng(1).standard_normal(80))
     values *= 1.7e308 / np.abs(values).max()
     values[40:42] = -1.7e308, 1.7e308
     s = TimeSeries(trading_dates(80), values, name="X")
     assert not adf_test(s).verdict.rejects_at_5
-    with pytest.raises(InvalidArgumentError, match=f"^non-finite value inf at {s.dates[41]}; "
-                                                   "series values must be finite$"):
-        stationarity_ladder(s)
+    by_hand = stationarity_ladder(TimeSeries(s.dates, np.ldexp(values, -1024), name="X"))
+    assert by_hand.diff_result is not None
+    assert stationarity_ladder(s) == by_hand
 
 
 def test_adf_test_fixed_lag():
