@@ -25,6 +25,7 @@ from specloss.errors import (
     CsvSchemaError,
     CsvValidationError,
     InvalidArgumentError,
+    SpeclossError,
 )
 from specloss.market import MarketData
 from specloss.series import TimeSeries, _Frozen, trading_dates
@@ -457,17 +458,19 @@ def _streaming(load, path):
         return load(path)
 
 
-def _outcome(path):
-    """What loading a market file gives: (error type, message, line, date),
-    or (None, dates, column bits)."""
+def _outcome(path, load=load_market_csv):
+    """What loading a market (or, with ``load_series_csv``, a series) file
+    gives: (error type, message, line, date), or (None, dates, column bits)."""
     try:
-        days = load_market_csv(path)
-    except (CsvParseError, CsvSchemaError, CsvValidationError) as exc:
+        loaded = load(path)
+    except SpeclossError as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "date", None)
-    columns = [days.invest_i, days.rate_r, days.u_big_vol, days.u_big_dep]
-    if days.mean_price is not None:
-        columns.append(days.mean_price)
-    return None, days.dates.tolist(), [_bits(c) for c in columns]
+    if isinstance(loaded, list):
+        return None, loaded[0].dates.tolist(), [(s.name, _bits(s.values)) for s in loaded]
+    columns = [loaded.invest_i, loaded.rate_r, loaded.u_big_vol, loaded.u_big_dep]
+    if loaded.mean_price is not None:
+        columns.append(loaded.mean_price)
+    return None, loaded.dates.tolist(), [_bits(c) for c in columns]
 
 
 _SPACE = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\u2003", "\u3000"])
@@ -574,6 +577,91 @@ def test_fast_path_gives_todays_result_or_error(tmp_path, text, expected):
     assert caught == []  # a header-only file makes loadtxt warn
     assert got == _streaming(_outcome, path)
     assert got[0] is expected
+
+
+# Good and bad bodies alike: the fast path's result, when it gives one, is
+# the row reader's, and any error is the row reader's own.
+# numpy's date parser takes the last four too, and "today" is a moving day.
+_BAD_DATES = ("20120107", "2012-02-30", "2013-02-29", "2012-13-01", "2012-00-10",
+              "2012-01-00", "0000-01-01", "NaT", "today", "-2012-01-03", "2012-01-03T00")
+_BAD_CELLS = ("", " ", "1_0", "0x10", "1e400", '"1.5"', "\u0661\u0662", "nan",
+              "1\x00", "\x001", "\x1c1", "1\x1d", "\x1e1\x1e", "1\x1f")
+_BAD_LINES = ("", " ", "\t", "#2012-01-03,1,1,1,2")
+# Each flaw once: a bad date, a bad cell, an extra line or a byte after a
+# date, each of them; then a padded cell, a short or long row and a
+# duplicate date.
+_FLAWS = ([("date", text) for text in _BAD_DATES] + [("cell", text) for text in _BAD_CELLS]
+          + [("line", text) for text in _BAD_LINES]
+          + [("date-end", "\x00"), ("date-end", "\x1f")]
+          + [("space", None), ("short-row", None), ("long-row", None), ("duplicate", None)])
+
+
+@st.composite
+def _mixed_file(draw, shape, flaw):
+    """The text of a market or series file with ``flaw``, if any, and at
+    most one more."""
+    dates = draw(st.permutations(draw(_calendars())))
+    number = st.floats(0.0, 1e6).map(repr)
+    if shape == "market":
+        price = draw(st.sampled_from([None, "5.5", ""]))  # "" is a blank price
+        header = HEADER if price is None else PRICE_HEADER
+        rows = []
+        for day in dates:
+            vol = draw(st.integers(0, 10**6))
+            row = [day.isoformat(), draw(number), draw(number), str(vol),
+                   str(vol + draw(st.integers(1, 10**6)))]
+            rows.append(row if price is None else row + [draw(st.sampled_from([price, "1e2"]))])
+    else:
+        width = draw(st.integers(1, 3))
+        header = "date," + ",".join(f"x{j}" for j in range(width))
+        rows = [[day.isoformat()] + [repr(draw(_finite())) for _ in range(width)]
+                for day in dates]
+    lines = []
+    flaws = [flaw] if flaw else []
+    for flaw, text in flaws + draw(st.lists(st.sampled_from(_FLAWS), max_size=1)):
+        k = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(1, len(rows[k]) - 1)) if len(rows[k]) > 1 else 0
+        if flaw == "date":
+            rows[k][0] = text
+        elif flaw == "date-end":
+            rows[k][0] += text
+        elif flaw == "cell":
+            rows[k][j] = text
+        elif flaw == "space":
+            rows[k][j] = draw(_SPACE) + rows[k][j] + draw(_SPACE)
+        elif flaw == "short-row":
+            rows[k] = rows[k][:-1]
+        elif flaw == "long-row":
+            rows[k] = rows[k] + ["1"]
+        elif flaw == "duplicate":
+            rows.insert(k, [draw(st.sampled_from(rows))[0]] + rows[k][1:])
+        else:
+            lines.append((k, text))
+    body = [",".join(row) for row in rows]
+    for k, line in lines:
+        body.insert(k, line)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join([header] + body) + draw(st.sampled_from([newline, ""]))
+
+
+# Eight files for each flaw, 288 for each shape: every flaw is drawn in
+# files otherwise sound, which a single draw over all flaws does not promise.
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@pytest.mark.parametrize("flaw", [None, *_FLAWS], ids=lambda flaw: "sound" if flaw is None
+                         else flaw[0] if flaw[1] is None else f"{flaw[0]}-{ascii(flaw[1])[1:-1]}")
+@pytest.mark.parametrize("shape", ["market", "series"])
+@given(data=st.data())
+def test_fast_path_and_row_reader_agree_on_good_and_bad_files(tmp_path_factory, shape, flaw,
+                                                              data):
+    path = tmp_path_factory.mktemp("mixed") / "m.csv"
+    path.write_bytes(data.draw(_mixed_file(shape, flaw)).encode("utf-8"))
+    load = load_market_csv if shape == "market" else load_series_csv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(str(path), load)
+    assert caught == []
+    assert got == _streaming(lambda p: _outcome(p, load), str(path))
 
 
 def test_fast_path_sorts_rows_itself(tmp_path):
