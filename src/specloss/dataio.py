@@ -22,17 +22,18 @@ blank and holds no empty cell, no NUL, none of the separators
 U+001C..U+001F and no line over the ``csv`` field size limit, every row
 has the header's width (``loadtxt`` enforces it), every date text has
 the shape YYYY-MM-DD in ASCII digits and is a date from year 1 on, no
-date repeats, and no value is NaN.  The days are worked out from the
-checked digits.  numpy parses a number as ``float()`` does, but rejects
-underscores and non-ASCII digits.  Rows out of date order are sorted on
-either path.  In every other case (numpy raises, blank or quoted cells,
-a ``#`` line, a header-only file, any bad input) the file is read row by
-row, and that reader alone decides every error message.  Either path
-hands back the dates as one ``datetime64[D]`` array, checked and frozen,
-so the data types built on it do not walk the dates again.  The writer
-formats them a block of rows at a time.  A byte-order mark before the
-header is dropped, and a byte that is not UTF-8 is a parse error naming
-its line.
+date repeats, and no value is NaN.  numpy's date parser reads the dates
+that have the shape; of the dates the row reader rejects, it takes only
+those of year 0000.  numpy parses a number as ``float()`` does, but
+rejects underscores and non-ASCII digits.  Rows out of date order are
+sorted on either path.  In every other case (numpy raises, blank or
+quoted cells, a ``#`` line, a header-only file, any bad input) the file
+is read row by row, and that reader alone decides every error message.
+Either path hands back the dates as one ``datetime64[D]`` array, checked
+and frozen, so the data types built on it do not walk the dates again.
+The writer formats them a block of rows at a time.  A byte-order mark
+before the header is dropped, and a byte that is not UTF-8 is a parse
+error naming its line.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import (
     InvalidDayError,
 )
 from .market import MarketData
-from .series import TimeSeries, _Frozen
+from .series import _FIRST_DAY, TimeSeries, _Frozen
 
 __all__ = [
     "RunConfig",
@@ -147,8 +148,6 @@ _DATE_LO = np.array([48] * 4 + [45] + [48] * 2 + [45] + [48] * 2 + [0], np.uint8
 _DATE_HI = np.array([57] * 4 + [45] + [57] * 2 + [45] + [57] * 2 + [0], np.uint8)
 # Bytes per block of the body scan in _loadtxt_may_differ.
 _SCAN_BYTES = 1 << 18
-# Python's first date, in days since 1970-01-01; year 0000 has the shape.
-_FIRST_DAY = int(np.datetime64("0001-01-01", "D").astype(np.int64))
 
 
 def _loadtxt_may_differ(raw: BinaryIO) -> bool:
@@ -211,32 +210,6 @@ def _loadtxt_may_differ(raw: BinaryIO) -> bool:
     return blank or last == ord(",")
 
 
-def _calendar(text: np.ndarray) -> np.ndarray | None:
-    """The ``datetime64[D]`` days of (n, 11) date texts, or None.
-
-    Every row of ``text`` holds the bytes of YYYY-MM-DD in ASCII digits,
-    so each field is read from its digits, one n-vector at a time.  None
-    stands where numpy's date parser would raise: a month outside 1..12,
-    or a day 0 or past the end of its month, which rolls into another.
-    """
-    def number(lo: int, hi: int) -> np.ndarray:
-        value = np.zeros(len(text), np.int32)
-        for i in range(lo, hi):
-            value *= 10
-            value += text[:, i]
-            value -= ord("0")
-        return value
-
-    month, day = number(5, 7), number(8, 10)
-    if not ((month >= 1) & (month <= 12)).all():
-        return None
-    months = number(0, 4) * 12 + month - (1970 * 12 + 1)  # since 1970-01
-    days = months.astype("datetime64[M]").astype("datetime64[D]") + (day - 1)
-    if (days.astype("datetime64[M]").view(np.int64) != months).any():
-        return None
-    return days
-
-
 def _read_body_fast(
     path: str, width: int
 ) -> tuple[_Frozen, np.ndarray] | None:
@@ -246,9 +219,9 @@ def _read_body_fast(
     differ from the streaming reader's.  The date column is read as 11
     bytes, one more than an ISO date, so a longer cell fails the shape
     check; a character past Latin-1 makes numpy raise, and any other one
-    fails that check too.  The calendar is then worked out from the
-    checked digits, declining wherever numpy's date parser would raise,
-    so a date's own text is the cell.
+    fails that check too.  Only then does numpy's date parser see the
+    cells: the check keeps out ``NaT``, ``today``, times and signed
+    years, which it also takes, so a date's own text is the cell.
     """
     with open(path, "rb") as raw:
         if _loadtxt_may_differ(raw):
@@ -263,8 +236,9 @@ def _read_body_fast(
     text = body.view(np.uint8).reshape(len(body), -1)[:, :11]
     if ((text < _DATE_LO) | (text > _DATE_HI)).any():
         return None
-    days = _calendar(text)
-    if days is None:
+    try:
+        days = body["date"].astype("datetime64[D]")
+    except ValueError:  # a month or a day out of range
         return None
     # A view of the records: the loaders copy each column out of it, so
     # no whole table of values is made while the date texts are held.
@@ -278,7 +252,8 @@ def _read_body_fast(
         days, values = days[order], values[order]
         stamps = days.view(np.int64)
         increasing = (np.diff(stamps) > 0).all()
-    if not (stamps.size and _FIRST_DAY <= stamps[0] and increasing
+    # Year 0000 has the shape and numpy takes it; Python's dates start at 1.
+    if not (stamps.size and _FIRST_DAY <= days[0] and increasing
             and not np.isnan(values).any()):
         return None
     return _Frozen(days), values

@@ -674,29 +674,39 @@ def test_fast_path_sorts_rows_itself(tmp_path):
     assert table[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
-def _date_bytes(texts):
-    """Date texts as the fast path's (n, 11) NUL-padded bytes."""
-    return np.array([t.encode("ascii") for t in texts], "S11").view(np.uint8).reshape(-1, 11)
-
-
-def test_calendar_from_digits_is_numpys_or_declines_where_numpy_raises():
-    valid, parsed = [], []
-    for year in ("0000", "0001", "1900", "2000", "2012", "2013", "2100", "9999"):
+def test_calendar_from_digits_is_numpys_or_declines_where_numpy_raises(tmp_path):
+    """numpy's parse of the fast path's 11 date bytes is the row reader's
+    date, or raises where the row reader does, but in year 0000, which the
+    row reader rejects and the fast path declines."""
+    path = tmp_path / "m.csv"
+    valid, parsed, year_zero = [], [], 0
+    for year in ("0000", "0001", "0004", "1600", "1900", "2000", "2012", "2013", "2100",
+                 "9999"):
         for month in range(20):
             for day in range(40):
                 text = f"{year}-{month:02d}-{day:02d}"
-                got = dataio._calendar(_date_bytes([text]))
                 try:
-                    want = np.array([text]).astype("datetime64[D]")
+                    want = dataio._parse_date(text)
                 except ValueError:
-                    assert got is None, text
+                    want = None
+                try:
+                    got = np.array([text.encode("ascii")], "S11").astype("datetime64[D]")[0]
+                except ValueError:
+                    assert want is None, text
                     continue
-                assert got.dtype == want.dtype and got.view(np.int64) == want.view(np.int64), text
-                valid.append(text)
-                parsed.append(want[0])
-    assert len(valid) == 8 * 365 + 3  # leap days in 0000, 2000 and 2012, not 1900 or 2100
-    assert np.array_equal(dataio._calendar(_date_bytes(valid)), np.array(parsed))
-    assert dataio._calendar(_date_bytes(valid + ["2013-02-29"])) is None
+                if want is None:
+                    assert year == "0000", text
+                    path.write_text(f"{HEADER}\n{text},1,1,1,2\n", encoding="utf-8")
+                    assert dataio._read_body_fast(str(path), 5) is None, text
+                    year_zero += 1
+                    continue
+                assert got == np.datetime64(want, "D"), text
+                valid.append(text.encode("ascii"))
+                parsed.append(want)
+    assert year_zero == 366
+    assert len(valid) == 9 * 365 + 4  # leap days in 0004, 1600, 2000 and 2012
+    assert np.array_equal(np.array(valid, "S11").astype("datetime64[D]"),
+                          np.array(parsed, "datetime64[D]"))
 
 
 @pytest.mark.parametrize("text", [
