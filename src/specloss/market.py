@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivisionDomainError, InvalidArgumentError, InvalidDayError
+from .ols import _scaled, _scaled_back
 from .series import TimeSeries, _Frozen, check_dates, mean, stddev
 
 __all__ = [
@@ -231,12 +232,17 @@ def constancy_check(u: TimeSeries, mean_price: float) -> ConstancyResult:
 
     Passes when the sample standard deviation stays strictly below one
     hundredth of the mean stock price, both in kopecks (``mean_price``
-    arrives in rubles and must be positive and finite).
+    arrives in rubles and must be positive and finite).  The threshold is
+    formed on the price scaled by an exact power of two, as ols scales its
+    inputs: a price in the band keeps every bit, one near the float limits
+    does not overflow, and a threshold outside the normal floats is an
+    error naming it.
     """
     if not 0 < mean_price < np.inf:
         raise InvalidArgumentError(f"mean_price must be positive and finite, got {mean_price}")
     sd = stddev(u)
-    threshold = mean_price * RUB_TO_KOPECKS / 100.0
+    price, e = _scaled(np.float64(mean_price))
+    threshold = _scaled_back(float(price * RUB_TO_KOPECKS / 100.0), e, "the constancy threshold")
     return ConstancyResult(
         mean=mean(u), stddev=sd, threshold=threshold, passes=sd < threshold
     )
@@ -273,7 +279,8 @@ def coverage_ratios(days: MarketData) -> CoverageResult:
 
     stock_utilization averages u_big_vol/u_big_dep; money_coverage
     averages deposited money over the market value of deposited stocks
-    (rubles per ruble).  Every day must carry a mean price.
+    (rubles per ruble).  Every day must carry a mean price.  The prices
+    are scaled by an exact power of two, as in :func:`constancy_check`.
     """
     if not days:
         raise InvalidArgumentError("coverage_ratios needs at least one day")
@@ -286,9 +293,9 @@ def coverage_ratios(days: MarketData) -> CoverageResult:
     missing = _first(np.isnan(price))
     if missing is not None:
         raise InvalidArgumentError(f"mean_price missing on {days.dates[missing]}")
+    price, e = _scaled(price)
+    money = float(np.mean(days.invest_i * MRUB_TO_RUB / (days.u_big_dep * price)))
     return CoverageResult(
         stock_utilization=float(np.mean(days.u_big_vol / days.u_big_dep)),
-        money_coverage=float(
-            np.mean(days.invest_i * MRUB_TO_RUB / (days.u_big_dep * price))
-        ),
+        money_coverage=_scaled_back(money, -e, "the money coverage"),
     )

@@ -1,7 +1,8 @@
 """The full analysis pipeline: one run configuration in, one report out.
 
 A first-approach check that the data cannot support does not fail the run:
-its slot holds a ``report.Skipped`` with the reason, given once here.
+its slot holds a ``report.Skipped`` with the reason.  That is the error the
+check raised, or "no mean price available", given once here.
 """
 
 from __future__ import annotations
@@ -18,12 +19,20 @@ from .market import (
     coverage_ratios,
     u_series,
 )
-from .ols import RegressionSpec
+from .ols import RegressionSpec, _scaled, _scaled_back
 from .report import AnalysisReport, Skipped, VariantResult
 from .synth import SynthConfig, gen_market_days
 from .unit_root import stationarity_ladder
 
 __all__ = ["build_analysis"]
+
+
+def _skipped_or(check, *args):
+    """``check(*args)``, or a Skipped slot holding the reason it raised."""
+    try:
+        return check(*args)
+    except (InvalidArgumentError, DivisionDomainError) as exc:
+        return Skipped(str(exc))
 
 
 def build_analysis(config: RunConfig) -> AnalysisReport:
@@ -47,18 +56,16 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
         )
         for number, variant in enumerate(UVariant, 1)
     ]
-    # Both u series share one calendar, and a day's u is zero in both or in
-    # neither, so the break splits them alike.
-    try:
-        breaks = [break_analysis(u[variant], config.break_date) for variant in UVariant]
-    except (InvalidArgumentError, DivisionDomainError) as exc:
-        breaks = [Skipped(str(exc))] * len(UVariant)
     # The constancy check needs only the mean price of the days that have
-    # one; the coverage ratios need a price on every day.
+    # one, summed scaled by an exact power of two as ols scales its inputs;
+    # the coverage ratios need a price on every day.
     no_price = Skipped("no mean price available")
     prices = np.empty(0) if days.mean_price is None else days.mean_price
     priced = prices[~np.isnan(prices)]
-    mean_price = float(np.mean(priced)) if priced.size else None
+    mean_price = no_price
+    if priced.size:
+        scaled, e = _scaled(priced)
+        mean_price = _skipped_or(_scaled_back, float(np.mean(scaled)), e, "the mean price")
     return AnalysisReport(
         n_days=len(days),
         max_lag=config.max_lag,
@@ -66,9 +73,10 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
         ladders=ladders,
         variants=tuple(
             VariantResult(variant, coint,
-                          no_price if mean_price is None else constancy_check(u[variant], mean_price),
-                          brk)
-            for variant, coint, brk in zip(UVariant, coints, breaks)
+                          mean_price if isinstance(mean_price, Skipped)
+                          else _skipped_or(constancy_check, u[variant], mean_price),
+                          _skipped_or(break_analysis, u[variant], config.break_date))
+            for variant, coint in zip(UVariant, coints)
         ),
-        coverage=coverage_ratios(days) if priced.size == len(days) else no_price,
+        coverage=_skipped_or(coverage_ratios, days) if priced.size == len(days) else no_price,
     )

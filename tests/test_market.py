@@ -167,6 +167,28 @@ def test_constancy_check_rejects_a_non_finite_price(price):
         constancy_check(u, mean_price=price)
 
 
+@pytest.mark.parametrize("price", [5320.0, 0.1 + 0.2, 3e-300, 7e300, 2.0 ** -257, 2.0 ** 257])
+def test_constancy_threshold_keeps_the_bits_of_the_unscaled_formula(price):
+    u = TimeSeries(trading_dates(3), np.array([1.0, 2.0, 3.0]))
+    assert constancy_check(u, mean_price=price).threshold == price * 100.0 / 100.0
+
+
+def test_constancy_threshold_and_coverage_of_prices_near_the_float_limits():
+    u = TimeSeries(trading_dates(3), np.array([1.0, 2.0, 3.0]))
+    # price * 100 overflows, the threshold does not.
+    assert constancy_check(u, mean_price=1e308).threshold == pytest.approx(1e308, rel=1e-15)
+    with pytest.raises(InvalidArgumentError,
+                       match="^the constancy threshold is outside the float range$"):
+        constancy_check(u, mean_price=1e-310)
+    rows = [(20000.0, 5.5, 6e6, 5.4e7)] * 3
+    coverage = coverage_ratios(make_days(rows, price=1e308))
+    assert coverage.money_coverage == pytest.approx(2e10 / 5.4e7 / 1e308, rel=1e-15)
+    assert coverage.stock_utilization == coverage_ratios(make_days(rows, price=1.0)).stock_utilization
+    with pytest.raises(InvalidArgumentError,
+                       match="^the money coverage is outside the float range$"):
+        coverage_ratios(make_days(rows, price=1e-310))
+
+
 def test_break_analysis_step_series():
     values = np.array([1.0] * 10 + [2.0] * 10)
     dates = trading_dates(20)

@@ -9,6 +9,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,38 @@ def test_one_blank_price_changes_only_the_constancy_lines(tmp_path, fmt):
         prices = [float(row.rsplit(",", 1)[1]) for row in rows]
         threshold = float(blank.split("constancy.by_volume,threshold,", 1)[1].split("\n")[0])
         assert threshold == pytest.approx(math.fsum(prices) / len(prices), rel=1e-12)
+
+
+@pytest.mark.parametrize("price", ["1e308", "1e-310"])
+def test_prices_near_the_float_limits_give_a_report_without_a_warning(tmp_path, price):
+    path = tmp_path / "market.csv"
+    _synth("synth --seed 42", path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0]] + [row.rsplit(",", 1)[0] + "," + price
+                                            for row in lines[1:]]) + "\n", encoding="utf-8")
+    reports = {}
+    for fmt in ("text", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--input", str(path), "--format", fmt]) == 0
+        reports[fmt] = out.getvalue()
+    text, rows = reports["text"], dict(
+        ((table, field), value) for table, field, value in csv.reader(io.StringIO(reports["csv"]))
+        if table.startswith(("constancy", "coverage")))
+    if price == "1e308":
+        # Every day's price is the same, so the money coverage is the mean
+        # of I/U_dep scaled down, a normal float.
+        days = [row.split(",") for row in lines[1:]]
+        coverage = math.fsum(float(d[1]) * 1e6 / float(d[4]) for d in days) / len(days) / 1e308
+        assert text.count(", threshold 1.00E+308, passes: yes\n") == 2
+        assert f"money coverage {coverage:.2E}\n" in text
+        assert float(rows["coverage", "money_coverage"]) == pytest.approx(coverage, rel=1e-12)
+        assert float(rows["constancy.by_volume", "threshold"]) == pytest.approx(1e308, rel=1e-15)
+    else:
+        assert text.count("): skipped, the mean price is outside the float range.\n") == 2
+        assert "Coverage: skipped, the money coverage is outside the float range.\n" in text
+        assert rows == {}
 
 
 def _every_slot_skipped(report):
