@@ -212,14 +212,15 @@ def align(*series: TimeSeries) -> list[TimeSeries]:
     return out
 
 
-def trading_dates(n: int, start: datetime.date = datetime.date(2012, 1, 3)) -> np.ndarray:
-    """First ``n`` weekdays (Mon-Fri) from ``start`` onward, a ``datetime64[D]`` array.
+def trading_dates(n: int) -> np.ndarray:
+    """First ``n`` weekdays (Mon-Fri) from 2012-01-03 on, a ``datetime64[D]`` array.
 
     A stand-in trading calendar for generated data; real calendars arrive
     with the data files and are never hardcoded in the statistics.
     """
+    start = np.datetime64("2012-01-03", "D")
     if n < 1:
         raise InvalidArgumentError(f"need at least one date, got n={n}")
     if n > int(np.busday_count(start, _LAST_DAY + 1)):  # before any array is made
         raise InvalidArgumentError(f"{n} weekdays from {start} pass {datetime.date.max}")
-    return np.busday_offset(start, np.arange(n), roll="forward")
+    return np.busday_offset(start, np.arange(n))

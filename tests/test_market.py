@@ -21,10 +21,10 @@ from specloss.series import TimeSeries, _Frozen, stddev, trading_dates
 
 
 def make_days(rows, start=datetime.date(2012, 1, 3), price=None):
-    """Build MarketData from (i, r, vol, dep) tuples, one per day."""
+    """Build MarketData from (i, r, vol, dep) tuples, one per weekday from ``start``."""
     i, r, vol, dep = np.array(rows, dtype=float).reshape(len(rows), 4).T
     return MarketData(
-        dates=trading_dates(len(rows), start) if rows else (),
+        dates=np.busday_offset(start, np.arange(len(rows)), roll="forward"),
         invest_i=i,
         rate_r=r,
         u_big_vol=vol,

@@ -22,8 +22,9 @@ from specloss.series import (
 
 
 def make_series(values, start=datetime.date(2012, 1, 3), name="X"):
-    return TimeSeries(trading_dates(len(values), start), np.array(values, dtype=float),
-                      name=name)
+    """A series on the weekdays from ``start`` on."""
+    return TimeSeries(np.busday_offset(start, np.arange(len(values)), roll="forward"),
+                      np.array(values, dtype=float), name=name)
 
 
 def test_constructor_copies_and_freezes_values():
@@ -168,7 +169,7 @@ def test_mean_stddev_degenerate_inputs():
 def test_align_restricts_to_common_dates():
     a = make_series([1.0, 2.0, 3.0, 4.0])
     # b starts one trading day later, so its last date is past a's range.
-    later = trading_dates(1, a.dates[-1].item() + datetime.timedelta(days=1))
+    later = np.busday_offset(a.dates[-1:], 1)
     b = TimeSeries(np.concatenate([a.dates[1:], later]),
                    np.array([20.0, 30.0, 40.0, 50.0]), name="B")
     out_a, out_b = align(a, b)
@@ -260,7 +261,7 @@ def test_series_compare_by_dates_and_values_and_are_unhashable():
     a = TimeSeries(d, [1.0, 2.0, 3.0], name="A")
     assert a == TimeSeries(d, [1.0, 2.0, 3.0])  # the name does not count
     assert a != TimeSeries(d, [1.0, 2.0, 4.0])
-    assert a != TimeSeries(trading_dates(3, datetime.date(2013, 1, 3)), [1.0, 2.0, 3.0])
+    assert a != make_series([1.0, 2.0, 3.0], start=datetime.date(2013, 1, 3))
     assert a != TimeSeries(d[:2], [1.0, 2.0])
     assert a != (d, [1.0, 2.0, 3.0])
     assert TimeSeries((), []) == TimeSeries((), [])

@@ -207,16 +207,19 @@ def _weekday_walk(n, start):
 @pytest.mark.parametrize("n", [1, 2000])
 @pytest.mark.parametrize("start_day", range(2, 9))  # Monday 2012-01-02 to Sunday
 def test_trading_dates_are_the_weekday_walk(n, start_day):
+    # From any day of the first week on, the calendar is the weekday walk
+    # from that day, or from the calendar's first day if that is later.
     start = datetime.date(2012, 1, start_day)
-    dates = trading_dates(n, start)
+    dates = trading_dates(n + 5)
     assert dates.dtype == np.dtype("datetime64[D]")
-    assert tuple(dates.tolist()) == _weekday_walk(n, start)
+    later = dates[dates >= np.datetime64(start, "D")][:n]
+    assert tuple(later.tolist()) == _weekday_walk(n, max(start, datetime.date(2012, 1, 3)))
 
 
 def test_trading_dates_stop_at_the_last_date():
-    assert trading_dates(1, datetime.date(9999, 12, 31)).tolist() == [datetime.date(9999, 12, 31)]
+    assert trading_dates(synth._MAX_DAYS)[-1].item() == datetime.date(9999, 12, 31)
     with pytest.raises(InvalidArgumentError, match="9999-12-31"):
-        trading_dates(3, datetime.date(9999, 12, 30))
+        trading_dates(synth._MAX_DAYS + 1)
     with pytest.raises(InvalidArgumentError):
         trading_dates(0)
 
