@@ -4,9 +4,10 @@ The solver is Householder QR on a column-equilibrated design matrix,
 held transposed with y as one more row.  Equilibration (scaling every
 column to unit Euclidean norm) keeps the rank test meaningful when
 regressors differ by many orders of magnitude, as volumes in pieces and
-rates in fractions do.  Reductions call the ``np.add.reduce`` ufunc on
-elementwise products, not BLAS, so results are bit-stable on a
-platform, which ``tests/test_ols.py`` checks against column loops.
+rates in fractions do.  Reductions call the ``np.add.reduce`` ufunc, or
+``np.einsum`` for the column norms of a design of two columns or more, on
+elementwise products, not BLAS, so results are bit-stable on a platform,
+which ``tests/test_ols.py`` checks against column loops.
 This module alone builds and factors a work array: one private function
 copies the design's columns and y into a fresh one, for :func:`fit`,
 :func:`fit_arrays` and the ADF regressions alike, and factors it in
