@@ -618,22 +618,22 @@ def _mixed_file(draw, shape, flaw):
                 for day in dates]
     lines = []
     flaws = [flaw] if flaw else []
-    for flaw, text in flaws + draw(st.lists(st.sampled_from(_FLAWS), max_size=1)):
+    for kind, text in flaws + draw(st.lists(st.sampled_from(_FLAWS), max_size=1)):
         k = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(1, len(rows[k]) - 1)) if len(rows[k]) > 1 else 0
-        if flaw == "date":
+        if kind == "date":
             rows[k][0] = text
-        elif flaw == "date-end":
+        elif kind == "date-end":
             rows[k][0] += text
-        elif flaw == "cell":
+        elif kind == "cell":
             rows[k][j] = text
-        elif flaw == "space":
+        elif kind == "space":
             rows[k][j] = draw(_SPACE) + rows[k][j] + draw(_SPACE)
-        elif flaw == "short-row":
+        elif kind == "short-row":
             rows[k] = rows[k][:-1]
-        elif flaw == "long-row":
+        elif kind == "long-row":
             rows[k] = rows[k] + ["1"]
-        elif flaw == "duplicate":
+        elif kind == "duplicate":
             rows.insert(k, [draw(st.sampled_from(rows))[0]] + rows[k][1:])
         else:
             lines.append((k, text))

@@ -183,7 +183,8 @@ def test_constancy_threshold_and_coverage_of_prices_near_the_float_limits():
     rows = [(20000.0, 5.5, 6e6, 5.4e7)] * 3
     coverage = coverage_ratios(make_days(rows, price=1e308))
     assert coverage.money_coverage == pytest.approx(2e10 / 5.4e7 / 1e308, rel=1e-15)
-    assert coverage.stock_utilization == coverage_ratios(make_days(rows, price=1.0)).stock_utilization
+    unit_price = coverage_ratios(make_days(rows, price=1.0))
+    assert coverage.stock_utilization == unit_price.stock_utilization
     with pytest.raises(InvalidArgumentError,
                        match="^the money coverage is outside the float range$"):
         coverage_ratios(make_days(rows, price=1e-310))
