@@ -51,7 +51,6 @@ from .market import (
 )
 from .synth import SynthConfig, gen_market_days
 from .dataio import (
-    RunConfig,
     load_market_csv,
     load_series_csv,
     parse_config_file,
@@ -112,7 +111,6 @@ __all__ = [
     "coverage_ratios",
     "SynthConfig",
     "gen_market_days",
-    "RunConfig",
     "load_market_csv",
     "write_market_csv",
     "load_series_csv",

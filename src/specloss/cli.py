@@ -20,8 +20,8 @@ from typing import Any, Sequence
 
 from .cointegration import engle_granger
 from .dataio import (
-    RunConfig,
     _parse_date,
+    load_market_csv,
     load_series_csv,
     parse_config_file,
     write_market_csv,
@@ -93,7 +93,7 @@ def _required(value: Any, flag: str) -> Any:
 
 
 def _given(**values: Any) -> dict[str, Any]:
-    """``values`` without the None ones, so a config class's own default applies to those."""
+    """``values`` without the None ones, so the callee's own default applies to those."""
     return {name: value for name, value in values.items() if value is not None}
 
 
@@ -108,13 +108,13 @@ def _require_series(series: Sequence[TimeSeries], name: str) -> TimeSeries:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.synth_seed is None):
         raise _UsageError("exactly one of --input and --synth-seed is required")
-    config = RunConfig(
-        input_path=args.input,
-        synth_seed=args.synth_seed,
-        **_given(break_date=args.break_date, max_lag=args.maxlag),
-    )
+    if args.input is not None:
+        days = load_market_csv(args.input)
+    else:
+        days = gen_market_days(SynthConfig(seed=args.synth_seed))
+    report = build_analysis(days, **_given(max_lag=args.maxlag, break_date=args.break_date))
     render = render_analysis_csv if args.format == "csv" else render_analysis_text
-    sys.stdout.write(render(build_analysis(config)))
+    sys.stdout.write(render(report))
     return EXIT_OK
 
 

@@ -1,6 +1,10 @@
-"""CSV ingestion and emission, plus run configuration.
+"""The file formats: market and series CSV files, and key=value config files.
 
-Two file shapes exist.  Market files hold one validated MarketData, a
+This module reads and writes files and nothing else: what a run does
+with the table it reads is ``pipeline``'s job, and what a config key
+means is the CLI's.
+
+Two CSV shapes exist.  Market files hold one validated MarketData, a
 trading day per row, under the fixed header
 ``date,i_mrub,r_pct,u_big_vol,u_big_dep`` with an optional trailing
 ``mean_price_rub``, written in shortest round-trip decimal form so
@@ -44,7 +48,6 @@ import datetime
 import math
 import os
 import re
-from dataclasses import dataclass
 from typing import BinaryIO, Callable
 
 import numpy as np
@@ -60,7 +63,6 @@ from .market import MarketData
 from .series import _FIRST_DAY, TimeSeries, _Frozen
 
 __all__ = [
-    "RunConfig",
     "load_market_csv",
     "write_market_csv",
     "load_series_csv",
@@ -72,24 +74,6 @@ MARKET_PRICE_COLUMN = "mean_price_rub"
 # Rows per write call of write_market_csv.  The whole file in one string
 # would hold every cell's text at once (a 17.9 MB peak at 25,500 days).
 _WRITE_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings of one pipeline run (CLI flags or config-file keys)."""
-
-    input_path: str | None = None
-    synth_seed: int | None = None
-    break_date: datetime.date = datetime.date(2012, 5, 10)
-    max_lag: int = 5
-
-    def __post_init__(self) -> None:
-        if (self.input_path is None) == (self.synth_seed is None):
-            raise InvalidArgumentError(
-                "exactly one of input_path and synth_seed must be set"
-            )
-        if self.max_lag < 0:
-            raise InvalidArgumentError(f"max_lag must be >= 0, got {self.max_lag}")
 
 
 def _reject_undecodable(text: str, where: str, line_no: int) -> None:

@@ -280,7 +280,8 @@ def coverage_ratios(days: MarketData) -> CoverageResult:
     stock_utilization averages u_big_vol/u_big_dep; money_coverage
     averages deposited money over the market value of deposited stocks
     (rubles per ruble).  Every day must carry a mean price.  The prices
-    are scaled by an exact power of two, as in :func:`constancy_check`.
+    are scaled by an exact power of two, as in :func:`constancy_check`;
+    a money coverage past the float range is an error naming it.
     """
     if not days:
         raise InvalidArgumentError("coverage_ratios needs at least one day")
@@ -294,7 +295,13 @@ def coverage_ratios(days: MarketData) -> CoverageResult:
     if missing is not None:
         raise InvalidArgumentError(f"mean_price missing on {days.dates[missing]}")
     price, e = _scaled(price)
-    money = float(np.mean(days.invest_i * MRUB_TO_RUB / (days.u_big_dep * price)))
+    stock_value = days.u_big_dep * price  # one past the float range still warns
+    # A price far below the largest makes its ratio overflow, or divide by
+    # the 0 it scales to; the mean is then not finite.
+    with np.errstate(over="ignore", divide="ignore"):
+        money = float(np.mean(days.invest_i * MRUB_TO_RUB / stock_value))
+    if not np.isfinite(money):
+        raise InvalidArgumentError("the money coverage is outside the float range")
     return CoverageResult(
         stock_utilization=float(np.mean(days.u_big_vol / days.u_big_dep)),
         money_coverage=_scaled_back(money, -e, "the money coverage"),

@@ -15,7 +15,7 @@ place; the ADF lag search calls it directly.  One private kernel solves
 and forms the residuals, the SSR and the standard errors, of which only
 the diagonal of (X'X)^-1 is formed.  Only :func:`fit_arrays` takes raw
 arrays, so only it checks that its inputs are finite.  A fit keeps no
-n-vector but a dated dependent's residual series.
+n-vector but the residual series that :func:`fit` sets.
 
 One range rule covers every float: a regressor whose squares sum, or a
 dependent whose largest magnitude, leaves a fixed band is fitted scaled
@@ -347,7 +347,7 @@ def _t_ratio(b: float, se: float) -> float:
 
 
 def fit_arrays(
-    y: np.ndarray | TimeSeries,
+    y: np.ndarray,
     x: np.ndarray,
     *,
     dep_name: str = "Y",
@@ -357,14 +357,12 @@ def fit_arrays(
 
     Parameters
     ----------
-    y : (n,) array of the dependent variable, or a series on the rows'
-        dates; the fit then keeps its residuals as ``residual_series``.
+    y : (n,) array of the dependent variable.
     x : (n, k) design matrix, one column per regressor.
     dep_name : label for reports.
     reg_names : k labels; defaults to X0..X{k-1}.
     """
-    dated = isinstance(y, TimeSeries)
-    yv = y.values if dated else np.asarray(y, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 2:
         raise InvalidArgumentError(f"design matrix must be 2-D, got ndim={xv.ndim}")
@@ -384,7 +382,7 @@ def fit_arrays(
     # The only raw arrays: every other caller passes TimeSeries columns, finite when built.
     if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise InvalidArgumentError("regression inputs must be finite")
-    return _fit(yv, xv.T, dep_name, reg_names, y.dates if dated else None)
+    return _fit(yv, xv.T, dep_name, reg_names, None)
 
 
 def _fit(y: np.ndarray, columns: Sequence[np.ndarray], dep_name: str,

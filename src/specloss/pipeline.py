@@ -1,4 +1,7 @@
-"""The full analysis pipeline: one run configuration in, one report out.
+"""The full analysis pipeline: one market table in, one report out.
+
+Reading a file or generating a table is the caller's job, so a table in
+memory is analyzed as one loaded from a CSV file is.
 
 A first-approach check that the data cannot support does not fail the run:
 its slot holds a ``report.Skipped`` with the reason.  That is the error the
@@ -7,12 +10,14 @@ check raised, or "no mean price available", given once here.
 
 from __future__ import annotations
 
+import datetime
+
 import numpy as np
 
 from .cointegration import engle_granger
-from .dataio import RunConfig, load_market_csv
 from .errors import DivisionDomainError, InvalidArgumentError
 from .market import (
+    MarketData,
     UVariant,
     break_analysis,
     constancy_check,
@@ -21,7 +26,6 @@ from .market import (
 )
 from .ols import RegressionSpec, _scaled, _scaled_back
 from .report import AnalysisReport, Skipped, VariantResult
-from .synth import SynthConfig, gen_market_days
 from .unit_root import stationarity_ladder
 
 __all__ = ["build_analysis"]
@@ -35,23 +39,23 @@ def _skipped_or(check, *args):
         return Skipped(str(exc))
 
 
-def build_analysis(config: RunConfig) -> AnalysisReport:
-    """Run the full pipeline for a RunConfig and assemble the report."""
-    if config.input_path is not None:
-        days = load_market_csv(config.input_path)
-    else:
-        days = gen_market_days(SynthConfig(seed=config.synth_seed))
+def build_analysis(days: MarketData, *, max_lag: int = 5,
+                   break_date: datetime.date = datetime.date(2012, 5, 10)) -> AnalysisReport:
+    """Run the full pipeline on one market table and assemble the report.
+
+    ``max_lag`` bounds every ADF lag search; the break check splits the days at ``break_date``.
+    """
     u = {variant: u_series(days, variant) for variant in UVariant}
     raw = days.series()
     ladders = {
-        series.name: stationarity_ladder(series, config.max_lag)
+        series.name: stationarity_ladder(series, max_lag)
         for series in (*u.values(), *raw.values())
     }
     u_big = {UVariant.BY_VOLUME: raw["U_BIG_VOL"], UVariant.BY_DEPOSIT: raw["U_BIG_DEP"]}
     coints = [
         engle_granger(
             RegressionSpec(dependent=u[variant], regressors=(u_big[variant], raw["R"], raw["I"])),
-            max_lag=config.max_lag,
+            max_lag=max_lag,
             resid_name=f"RESID{number}",
         )
         for number, variant in enumerate(UVariant, 1)
@@ -68,14 +72,14 @@ def build_analysis(config: RunConfig) -> AnalysisReport:
         mean_price = _skipped_or(_scaled_back, float(np.mean(scaled)), e, "the mean price")
     return AnalysisReport(
         n_days=len(days),
-        max_lag=config.max_lag,
-        break_date=config.break_date,
+        max_lag=max_lag,
+        break_date=break_date,
         ladders=ladders,
         variants=tuple(
             VariantResult(variant, coint,
                           mean_price if isinstance(mean_price, Skipped)
                           else _skipped_or(constancy_check, u[variant], mean_price),
-                          _skipped_or(break_analysis, u[variant], config.break_date))
+                          _skipped_or(break_analysis, u[variant], break_date))
             for variant, coint in zip(UVariant, coints)
         ),
         coverage=_skipped_or(coverage_ratios, days) if priced.size == len(days) else no_price,

@@ -47,7 +47,7 @@ from .ols import (
     log_likelihood_from_ssr,
     schwarz_from_loglik,
 )
-from .series import TimeSeries, diff
+from .series import TimeSeries, _Frozen, diff
 
 __all__ = [
     "Verdict",
@@ -292,7 +292,8 @@ def stationarity_ladder(y: TimeSeries, max_lag: int = 5) -> LadderResult:
     diff_result = None
     if not level_result.verdict.rejects_at_5:
         yv, e = _scaled(y.values)
-        diff_result = adf_test(diff(TimeSeries(y.dates, yv, y.name) if e else y), max_lag)
+        scaled = TimeSeries(_Frozen(y.dates), _Frozen(yv), y.name) if e else y
+        diff_result = adf_test(diff(scaled), max_lag)
     return LadderResult(
         level_result=level_result,
         diff_result=diff_result,

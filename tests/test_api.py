@@ -2,10 +2,12 @@
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import specloss
 from specloss.cli import build_parser
+from specloss.pipeline import build_analysis
 
 # Every name `from specloss import *` gives.  A name added to or taken out
 # of the package's exports is an API change, and changes this set with it.
@@ -24,7 +26,7 @@ SHIPPED = {
     "daily_loss_limit", "mean_loss_per_stock", "u_series", "constancy_check",
     "break_analysis", "coverage_ratios",
     "SynthConfig", "gen_market_days",
-    "RunConfig", "load_market_csv", "write_market_csv", "load_series_csv",
+    "load_market_csv", "write_market_csv", "load_series_csv",
     "parse_config_file",
     "AnalysisReport", "fmt_stat", "render_analysis_text", "render_analysis_csv",
     "__version__",
@@ -37,8 +39,9 @@ def test_package_exports_exactly_the_shipped_names():
     assert all(hasattr(specloss, name) for name in specloss.__all__)
 
 
-# Every knob a user can turn: each subcommand's long flags, and the fields
-# of the two settings classes.  Adding or removing one is a reviewed change.
+# Every knob a user can turn: each subcommand's long flags, the fields of
+# the settings class and the keywords of the pipeline.  Adding or removing
+# one is a reviewed change.
 FLAGS = {
     "analyze": {"config", "input", "synth-seed", "break-date", "maxlag", "format"},
     "adf": {"config", "input", "column", "maxlag"},
@@ -46,8 +49,8 @@ FLAGS = {
     "coint": {"config", "input", "dep", "regressors", "maxlag"},
     "synth": {"config", "seed", "days", "out", "noise-scale", "break-factor", "break-index"},
 }
-RUN_CONFIG_FIELDS = ("input_path", "synth_seed", "break_date", "max_lag")
 SYNTH_CONFIG_FIELDS = ("seed", "n_days", "noise_scale", "break_factor", "break_index")
+ANALYSIS_PARAMETERS = ("days", "max_lag", "break_date")
 
 
 def test_cli_flags_and_config_fields_are_the_pinned_ones():
@@ -55,8 +58,8 @@ def test_cli_flags_and_config_fields_are_the_pinned_ones():
     for command, flags in FLAGS.items():
         # A config file may set every long flag but --config itself.
         assert set(parser.parse_args([command]).config_keys) | {"config"} == flags, command
-    assert tuple(f.name for f in dataclasses.fields(specloss.RunConfig)) == RUN_CONFIG_FIELDS
     assert tuple(f.name for f in dataclasses.fields(specloss.SynthConfig)) == SYNTH_CONFIG_FIELDS
+    assert tuple(inspect.signature(build_analysis).parameters) == ANALYSIS_PARAMETERS
 
 
 def test_every_module_exports_only_names_it_has():

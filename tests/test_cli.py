@@ -328,6 +328,23 @@ def test_usage_errors_exit_3(capsys):
     code, _, err = run_cli(["analyze"], capsys)
     assert code == 3
     assert "exactly one of --input and --synth-seed is required" in err
+    code, _, err = run_cli(["ols", "--input", "x.csv", "--dep", "A", "--regressors", ","],
+                           capsys)
+    assert code == 3
+    assert "--regressors must list at least one column" in err
+
+
+@pytest.mark.parametrize("source", ["input", "synth-seed"])
+def test_analyze_negative_maxlag_is_one_error_line(tmp_path, capsys, source):
+    # The ADF lag search rejects it, whichever way the table comes in.
+    argv = ["--synth-seed", "11"]
+    if source == "input":
+        data = tmp_path / "m.csv"
+        assert run_cli(["synth", "--seed", "11", "--out", str(data)], capsys)[0] == 0
+        argv = ["--input", str(data)]
+    code, out, err = run_cli(["analyze", *argv, "--maxlag", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "specloss: error: max_lag must be >= 0, got -1\n"
 
 
 def test_data_errors_exit_1(tmp_path, capsys):

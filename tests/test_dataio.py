@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from generators import gen_random_walk, write_series_csv
 from specloss import dataio
 from specloss.dataio import (
-    RunConfig,
     load_market_csv,
     load_series_csv,
     parse_config_file,
@@ -70,6 +69,14 @@ def test_market_round_trip_with_gaps_in_price(tmp_path):
     loaded = load_market_csv(path)
     prices = [None if math.isnan(p) else p for p in loaded.mean_price.tolist()]
     assert prices == [None, 100.0, None, 100.0]
+
+
+def test_writing_no_days_is_an_error_and_writes_no_file(tmp_path):
+    days = MarketData(dates=(), invest_i=(), rate_r=(), u_big_vol=(), u_big_dep=())
+    path = tmp_path / "empty.csv"
+    with pytest.raises(InvalidArgumentError, match="^no days to write$"):
+        write_market_csv(days, str(path))
+    assert not path.exists()
 
 
 def test_market_rows_sorted_on_load(tmp_path):
@@ -254,17 +261,6 @@ def test_data_csv_may_start_with_a_byte_order_mark_and_keeps_the_fast_path(tmp_p
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert [s.name for s in load_series_csv(str(marked))] == ["R"]
     assert load_series_csv(str(marked)) == series
-
-
-def test_run_config_validation():
-    RunConfig(input_path=None, synth_seed=1)
-    RunConfig(input_path="market.csv")
-    for sources in ({}, {"input_path": "market.csv", "synth_seed": 1}):
-        with pytest.raises(InvalidArgumentError,
-                           match="exactly one of input_path and synth_seed must be set"):
-            RunConfig(**sources)
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(input_path=None, synth_seed=1, max_lag=-2)
 
 
 def test_market_blank_required_cell_fails_validation_naming_its_date(tmp_path):

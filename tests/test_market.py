@@ -1,5 +1,6 @@
 """Tests for the loss formulas and the first-approach analyses."""
 
+import dataclasses
 import datetime
 import math
 
@@ -280,6 +281,22 @@ def test_coverage_ratios_errors():
     zero_dep = make_days([(1.0, 1.0, 0.0, 0.0)], price=5.0)
     with pytest.raises(DivisionDomainError, match=str(zero_dep.dates[0])):
         coverage_ratios(zero_dep)
+    two = make_days([(1.0, 1.0, 1e5, 1e6)] * 2, price=5.0)
+    one_missing = dataclasses.replace(two, mean_price=np.array([5.0, math.nan]))
+    with pytest.raises(InvalidArgumentError, match=f"^mean_price missing on {two.dates[1]}$"):
+        coverage_ratios(one_missing)
+
+
+@pytest.mark.parametrize("first", [[1e-310], [1e-310, 1e308]])
+def test_coverage_past_the_float_range_of_one_far_price_is_an_error(first):
+    # The column's largest price stays in the band or is scaled to it, so
+    # the 1e-310 day's ratio overflows (or divides by the 0 it scales to):
+    # the exact mean is past the float range, and no numpy warning is seen.
+    days = make_days([(20000.0, 5.5, 6e6, 5.4e7)] * 3, price=500.0)
+    prices = np.array(first + [500.0] * (3 - len(first)))
+    with pytest.raises(InvalidArgumentError,
+                       match="^the money coverage is outside the float range$"):
+        coverage_ratios(dataclasses.replace(days, mean_price=prices))
 
 
 def test_analyses_invariant_under_date_relabeling():

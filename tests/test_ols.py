@@ -280,6 +280,8 @@ def test_input_validation():
         fit_arrays(np.array([1.0, math.nan, 2.0, 3.0]), np.ones((4, 1)))
     with pytest.raises(InvalidArgumentError, match="names"):
         fit_arrays(y, np.ones((5, 1)), reg_names=["A", "B"])
+    with pytest.raises(InvalidArgumentError, match="design matrix has no columns"):
+        fit_arrays(y, np.empty((5, 0)))
 
 
 def test_fit_spec_aligns_and_labels():
@@ -549,17 +551,19 @@ def _trimmed(spec):
 
 
 def test_fit_has_the_bits_of_fit_arrays_on_the_stacked_aligned_design():
-    # fit hands the fit core its aligned columns unstacked, with its dates.
+    # fit hands the fit core its aligned columns unstacked, with its dates;
+    # fit_arrays keeps no residuals, so the core given the stacked design's
+    # columns and the dates gives the residual series to compare.
     for spec in [gen_cointegrated(seed) for seed in (0, 7, 23, 101)] + [
             _trimmed(gen_cointegrated(5))]:
         got = fit(spec)
         dep_a, *regs_a = align(spec.dependent, *spec.regressors)
         x = np.column_stack([np.ones(len(dep_a))] + [s.values for s in regs_a])
         names = ["C"] + [s.name for s in regs_a]
-        for y in (dep_a.values, dep_a):
-            want = fit_arrays(y, x, dep_name=spec.dependent.name, reg_names=names)
-            _assert_same_fit_bits(dataclasses.replace(got, residual_series=None),
-                                  dataclasses.replace(want, residual_series=None))
+        want = fit_arrays(dep_a.values, x, dep_name=spec.dependent.name, reg_names=names)
+        assert want.residual_series is None
+        _assert_same_fit_bits(dataclasses.replace(got, residual_series=None), want)
+        want = ols._fit(dep_a.values, x.T, spec.dependent.name, names, dep_a.dates)
         assert np.array_equal(want.residual_series.dates, got.residual_series.dates)
         assert np.array_equal(_bits(want.residual_series.values),
                               _bits(got.residual_series.values))

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specloss.cli import main
-from specloss.dataio import RunConfig, load_market_csv, write_market_csv
+from specloss.dataio import load_market_csv, write_market_csv
 from specloss.pipeline import build_analysis
 from specloss.report import Skipped, render_analysis_csv, render_analysis_text
 from specloss.synth import SynthConfig, gen_market_days
@@ -153,6 +153,29 @@ def test_prices_near_the_float_limits_give_a_report_without_a_warning(tmp_path, 
         assert rows == {}
 
 
+@pytest.mark.parametrize("prices", [("1e-310",), ("1e308",), ("1e-310", "1e308")],
+                         ids=["tiny", "huge", "both"])
+def test_first_prices_far_from_the_rest_skip_the_coverage_without_a_warning(tmp_path, capsys,
+                                                                            prices):
+    # At 1e-310 the largest price stays in the band, so nothing is scaled
+    # and the first day's ratio overflows.  At 1e308 the column is scaled
+    # to that price and the sum in the mean overflows.  With both, the
+    # 1e-310 price scales to 0.  The exact mean is past the float range in
+    # the first case and the last; the coverage is skipped in all three.
+    path = tmp_path / "market.csv"
+    _synth("synth --seed 42", path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for row, price in enumerate(prices, 1):
+        lines[row] = lines[row].rsplit(",", 1)[0] + "," + price
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "\nCoverage: skipped, the money coverage is outside the float range.\n" in out
+
+
 def _every_slot_skipped(report):
     skipped = Skipped("no data for this check")
     return dataclasses.replace(
@@ -177,7 +200,7 @@ def test_renderers_agree_on_which_slots_exist(tmp_path, command, form, skipped):
         path = _priced_file(tmp_path, command, form)
     else:
         _synth(command, path := tmp_path / "market.csv")
-    report = build_analysis(RunConfig(input_path=str(path)))
+    report = build_analysis(load_market_csv(str(path)))
     if form == "skip-all":
         report = _every_slot_skipped(report)
     lines = render_analysis_text(report).splitlines()
@@ -221,7 +244,7 @@ def test_analysis_heap_at_25500_days_stays_under_4_4_mb(market_25500):
     # run holds.  The calendar is one datetime64[D] array, no finished
     # ADF fit keeps its residuals, and the QR reflects one row at a time,
     # so its scratch is one row, not a second design.
-    peak = _peak_bytes(lambda: build_analysis(RunConfig(input_path=market_25500)))
+    peak = _peak_bytes(lambda: build_analysis(load_market_csv(market_25500)))
     assert peak <= 4.4e6, f"peak {peak / 1e6:.2f} MB"
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import gen_random_walk
-from specloss.dataio import RunConfig
 from specloss.market import UVariant
 from specloss.ols import fit_arrays
 from specloss.pipeline import build_analysis
@@ -25,12 +24,13 @@ from specloss.report import (
     render_analysis_text,
     render_regression,
 )
+from specloss.synth import SynthConfig, gen_market_days
 from specloss.unit_root import adf_test
 
 
 @pytest.fixture(scope="module")
 def analysis():
-    return build_analysis(RunConfig(synth_seed=0))
+    return build_analysis(gen_market_days(SynthConfig(seed=0)))
 
 
 def test_fmt_stat_eight_significant_characters():
@@ -204,6 +204,22 @@ def test_render_analysis_text_skips_price_sections_when_absent(analysis):
     text = render_analysis_text(stripped)
     assert "Constancy (by volume): skipped, no mean price available." in text
     assert "Coverage: skipped, no mean price available." in text
+
+
+def test_render_analysis_text_names_the_signs_that_do_not_match(analysis):
+    # R's coefficient flipped and I's set to zero in the first regression.
+    first = analysis.variants[0]
+    stage1 = first.coint.stage1
+    rows = tuple(dataclasses.replace(row, coef={"R": -row.coef, "I": 0.0}.get(row.name, row.coef))
+                 for row in stage1.coef_rows)
+    flipped = dataclasses.replace(
+        analysis, variants=(dataclasses.replace(first, coint=dataclasses.replace(
+            first.coint, stage1=dataclasses.replace(stage1, coef_rows=rows))),
+            *analysis.variants[1:]))
+    lines = render_analysis_text(flipped).splitlines()
+    assert ("Coefficient signs do not all match the formula: "
+            "U_BIG_VOL negative, R negative, I zero.") in lines
+    assert sum(line.startswith("Coefficient signs match the formula: ") for line in lines) == 1
 
 
 def test_report_holds_one_result_per_variant(analysis):

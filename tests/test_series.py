@@ -160,9 +160,13 @@ def test_stddev_uses_sample_divisor():
 
 
 def test_mean_stddev_degenerate_inputs():
-    with pytest.raises(InvalidArgumentError):
-        mean(TimeSeries((), np.array([])))
-    with pytest.raises(InvalidArgumentError):
+    empty = TimeSeries((), np.array([]))
+    with pytest.raises(InvalidArgumentError, match="mean of an empty series is undefined"):
+        mean(empty)
+    with pytest.raises(InvalidArgumentError,
+                       match="standard deviation of an empty series is undefined"):
+        stddev(empty)
+    with pytest.raises(InvalidArgumentError, match="needs at least 2 observations"):
         stddev(make_series([1.0]))
 
 
@@ -197,6 +201,11 @@ def test_align_shared_empty_calendar_raises():
     empty = TimeSeries((), np.array([]), name="E")
     with pytest.raises(AlignmentError):
         align(empty, empty.with_name("F"))
+
+
+def test_align_of_no_series_raises():
+    with pytest.raises(InvalidArgumentError, match="align requires at least one series"):
+        align()
 
 
 def test_trading_dates_skip_weekends():

@@ -16,7 +16,7 @@ from specloss.errors import (
     SingularMatrixError,
     UnsupportedConfigError,
 )
-from specloss import ols, special, unit_root
+from specloss import ols, series, special, unit_root
 from specloss.market import UVariant, u_series
 from specloss.ols import fit_arrays
 from specloss.series import TimeSeries, diff, trading_dates
@@ -386,6 +386,28 @@ def test_ladder_of_a_series_whose_differences_overflow_is_one_error():
     by_hand = stationarity_ladder(TimeSeries(s.dates, np.ldexp(values, -1024), name="X"))
     assert by_hand.diff_result is not None
     assert stationarity_ladder(s) == by_hand
+
+
+def test_ladder_of_a_series_outside_the_band_checks_no_calendar_again(monkeypatch):
+    # The series scaled into the band keeps the checked calendar it was
+    # built on: no calendar is walked again, and the ladder is the one of
+    # the series scaled by hand.
+    walk = gen_random_walk(11, 255, label="LADD")
+    s = TimeSeries(walk.dates, np.ldexp(walk.values, 600), name="W")
+    by_hand = stationarity_ladder(TimeSeries(s.dates, ols._scaled(s.values)[0], name="W"))
+    checked = []
+    check_dates = series.check_dates
+
+    def counting(dates):
+        if type(dates) is not series._Frozen:
+            checked.append(dates)
+        return check_dates(dates)
+
+    monkeypatch.setattr(series, "check_dates", counting)
+    ladder = stationarity_ladder(s)
+    assert ladder.diff_result is not None
+    assert ladder == by_hand
+    assert checked == []
 
 
 def test_adf_test_fixed_lag():
