@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 data or validation error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import datetime
 import functools
 import sys
 from typing import Any, Sequence
@@ -57,6 +58,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _iso_date(text: str) -> datetime.date:
+    """``dataio._parse_date`` as an argparse type, so a bad flag prints its reason."""
+    try:
+        return _parse_date(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def _merge_config(args: argparse.Namespace) -> None:
     """Set each ``--config`` value on ``args`` where its flag was not given.
 
@@ -75,7 +84,7 @@ def _merge_config(args: argparse.Namespace) -> None:
             continue
         try:
             value = convert(text)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise InvalidArgumentError(f"config key {key!r}: {exc}") from None
         if choices is not None and value not in choices:
             raise InvalidArgumentError(
@@ -190,7 +199,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--input", help="market CSV (date,i_mrub,r_pct,u_big_vol,u_big_dep[,mean_price_rub])")
     p.add_argument("--synth-seed", type=int, help="generate data with this seed instead of reading a file")
-    p.add_argument("--break-date", type=_parse_date, help="first-approach break date (default 2012-05-10)")
+    p.add_argument("--break-date", type=_iso_date, help="first-approach break date (default 2012-05-10)")
     p.add_argument("--maxlag", type=int, help="ADF maximum lag (default 5)")
     p.add_argument("--format", choices=("text", "csv"), help="output format (default text)")
     p.set_defaults(func=cmd_analyze)

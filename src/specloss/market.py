@@ -8,7 +8,8 @@ I arrives in million rubles, R in percent per annum (the central bank's
 published form), and u is reported in kopecks per stock.  The formula
 layer itself (:func:`daily_loss_limit`, :func:`mean_loss_per_stock`) is
 unit-agnostic and takes scalars or arrays; the conversions live in
-:func:`u_series` only.
+:func:`u_series` only.  The price rules live here too: the two price
+checks read the table's price column themselves.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class MarketData:
     ``rate_r`` the one-day interbank rate in percent per annum;
     ``u_big_vol`` and ``u_big_dep`` count stocks (pieces) involved in
     deals and deposited in the clearing system; ``mean_price`` is the
-    optional mean stock price in rubles used by the coverage ratios, NaN
+    optional mean stock price in rubles used by both price checks, NaN
     on a day without one, or ``None`` when no day has a price column.
 
     A caller's columns are copied.  A column the library has just made
@@ -227,22 +228,24 @@ def u_series(days: MarketData, variant: UVariant) -> TimeSeries:
     return TimeSeries(_Frozen(days.dates), _Frozen(values), name=name)
 
 
-def constancy_check(u: TimeSeries, mean_price: float) -> ConstancyResult:
+def constancy_check(u: TimeSeries, days: MarketData) -> ConstancyResult:
     """Is the u series constant in the loose sense of the first approach?
 
     Passes when the sample standard deviation stays strictly below one
-    hundredth of the mean stock price, both in kopecks (``mean_price``
-    arrives in rubles and must be positive and finite).  The threshold is
-    formed on the price scaled by an exact power of two, as ols scales its
-    inputs: a price in the band keeps every bit, one near the float limits
-    does not overflow, and a threshold outside the normal floats is an
-    error naming it.
+    hundredth of the mean stock price, both in kopecks; the mean price is
+    that of the days of ``days`` that have one, in rubles.  The prices are
+    scaled by one exact power of two, as ols scales its inputs, and the
+    mean and the threshold are formed on them: a price in the band keeps
+    every bit, one near the float limits does not overflow, and a mean
+    price outside the normal floats is an error naming it.
     """
-    if not 0 < mean_price < np.inf:
-        raise InvalidArgumentError(f"mean_price must be positive and finite, got {mean_price}")
+    prices = np.empty(0) if days.mean_price is None else days.mean_price
+    priced = prices[~np.isnan(prices)]
+    if not priced.size:
+        raise InvalidArgumentError("no mean price available")
     sd = stddev(u)
-    price, e = _scaled(np.float64(mean_price))
-    threshold = _scaled_back(float(price * RUB_TO_KOPECKS / 100.0), e, "the constancy threshold")
+    price, e = _scaled(priced)
+    threshold = _scaled_back(float(np.mean(price)) * RUB_TO_KOPECKS / 100.0, e, "the mean price")
     return ConstancyResult(
         mean=mean(u), stddev=sd, threshold=threshold, passes=sd < threshold
     )
@@ -283,17 +286,15 @@ def coverage_ratios(days: MarketData) -> CoverageResult:
     are scaled by an exact power of two, as in :func:`constancy_check`;
     a money coverage past the float range is an error naming it.
     """
+    price = days.mean_price
+    if price is None:
+        raise InvalidArgumentError("no mean price available")
+    days._reject(np.isnan(price), lambda i: "no mean price available")
     if not days:
         raise InvalidArgumentError("coverage_ratios needs at least one day")
     zero = _first(days.u_big_dep == 0)
     if zero is not None:
         raise DivisionDomainError(f"zero u_big_dep on {days.dates[zero]}")
-    price = days.mean_price
-    if price is None:
-        raise InvalidArgumentError("mean_price column is absent")
-    missing = _first(np.isnan(price))
-    if missing is not None:
-        raise InvalidArgumentError(f"mean_price missing on {days.dates[missing]}")
     price, e = _scaled(price)
     stock_value = days.u_big_dep * price  # one past the float range still warns
     # A price far below the largest makes its ratio overflow, or divide by

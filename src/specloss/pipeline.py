@@ -4,15 +4,13 @@ Reading a file or generating a table is the caller's job, so a table in
 memory is analyzed as one loaded from a CSV file is.
 
 A first-approach check that the data cannot support does not fail the run:
-its slot holds a ``report.Skipped`` with the reason.  That is the error the
-check raised, or "no mean price available", given once here.
+its slot holds a ``report.Skipped`` with the error the check raised as the
+reason.  The checks read the price column themselves; this module only wires.
 """
 
 from __future__ import annotations
 
 import datetime
-
-import numpy as np
 
 from .cointegration import engle_granger
 from .errors import DivisionDomainError, InvalidArgumentError
@@ -24,7 +22,7 @@ from .market import (
     coverage_ratios,
     u_series,
 )
-from .ols import RegressionSpec, _scaled, _scaled_back
+from .ols import RegressionSpec
 from .report import AnalysisReport, Skipped, VariantResult
 from .unit_root import stationarity_ladder
 
@@ -60,16 +58,6 @@ def build_analysis(days: MarketData, *, max_lag: int = 5,
         )
         for number, variant in enumerate(UVariant, 1)
     ]
-    # The constancy check needs only the mean price of the days that have
-    # one, summed scaled by an exact power of two as ols scales its inputs;
-    # the coverage ratios need a price on every day.
-    no_price = Skipped("no mean price available")
-    prices = np.empty(0) if days.mean_price is None else days.mean_price
-    priced = prices[~np.isnan(prices)]
-    mean_price = no_price
-    if priced.size:
-        scaled, e = _scaled(priced)
-        mean_price = _skipped_or(_scaled_back, float(np.mean(scaled)), e, "the mean price")
     return AnalysisReport(
         n_days=len(days),
         max_lag=max_lag,
@@ -77,10 +65,9 @@ def build_analysis(days: MarketData, *, max_lag: int = 5,
         ladders=ladders,
         variants=tuple(
             VariantResult(variant, coint,
-                          mean_price if isinstance(mean_price, Skipped)
-                          else _skipped_or(constancy_check, u[variant], mean_price),
+                          _skipped_or(constancy_check, u[variant], days),
                           _skipped_or(break_analysis, u[variant], break_date))
             for variant, coint in zip(UVariant, coints)
         ),
-        coverage=_skipped_or(coverage_ratios, days) if priced.size == len(days) else no_price,
+        coverage=_skipped_or(coverage_ratios, days),
     )

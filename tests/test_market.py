@@ -34,6 +34,11 @@ def make_days(rows, start=datetime.date(2012, 1, 3), price=None):
     )
 
 
+def priced(*prices):
+    """A table of one plain day per price, given in rubles; NaN is a blank cell."""
+    return make_days([(1.0, 1.0, 1.0, 1.0)] * len(prices), price=list(prices))
+
+
 def test_daily_loss_limit_hand_values():
     assert daily_loss_limit(365.0, 0.05) == 0.05
     assert math.isclose(daily_loss_limit(1000.0, 0.0365), 0.1, rel_tol=1e-15)
@@ -137,50 +142,45 @@ def test_constancy_check_threshold_and_verdicts():
     # numerically equal to the ruble price.
     u = TimeSeries(trading_dates(4), np.array([10.0, 90.0, 10.0, 90.0]))
     sd = stddev(u)
-    result = constancy_check(u, mean_price=5320.0)
+    result = constancy_check(u, priced(5000.0, 5640.0, math.nan, 5320.0))
     assert result.threshold == 5320.0
     assert result.stddev == sd
     assert result.mean == 50.0
     assert result.passes
     # Boundary: stddev exactly at the threshold fails the strict test.
-    at_limit = constancy_check(u, mean_price=sd)
+    at_limit = constancy_check(u, priced(sd, math.nan))
     assert at_limit.threshold == sd
     assert not at_limit.passes
-    assert constancy_check(u, mean_price=sd * 1.001).passes
+    assert constancy_check(u, priced(sd * 1.001)).passes
 
 
 def test_constancy_check_constant_series_always_passes():
     u = TimeSeries(trading_dates(5), np.full(5, 7.0))
-    assert constancy_check(u, mean_price=0.001).passes
+    assert constancy_check(u, priced(0.001)).passes
 
 
-def test_constancy_check_rejects_bad_price():
+@pytest.mark.parametrize("days", [make_days([(1.0, 1.0, 1.0, 1.0)] * 3), priced(*[math.nan] * 3)],
+                         ids=["cut", "blank"])
+def test_constancy_check_without_a_mean_price_is_an_error(days):
     u = TimeSeries(trading_dates(3), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(InvalidArgumentError):
-        constancy_check(u, mean_price=0.0)
-
-
-@pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
-def test_constancy_check_rejects_a_non_finite_price(price):
-    u = TimeSeries(trading_dates(3), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(InvalidArgumentError,
-                       match=f"^mean_price must be positive and finite, got {price}$"):
-        constancy_check(u, mean_price=price)
+    with pytest.raises(InvalidArgumentError, match="^no mean price available$"):
+        constancy_check(u, days)
 
 
 @pytest.mark.parametrize("price", [5320.0, 0.1 + 0.2, 3e-300, 7e300, 2.0 ** -257, 2.0 ** 257])
 def test_constancy_threshold_keeps_the_bits_of_the_unscaled_formula(price):
+    # One priced day: the mean price is the price exactly.
     u = TimeSeries(trading_dates(3), np.array([1.0, 2.0, 3.0]))
-    assert constancy_check(u, mean_price=price).threshold == price * 100.0 / 100.0
+    assert constancy_check(u, priced(price, math.nan, math.nan)).threshold == price * 100.0 / 100.0
 
 
 def test_constancy_threshold_and_coverage_of_prices_near_the_float_limits():
     u = TimeSeries(trading_dates(3), np.array([1.0, 2.0, 3.0]))
     # price * 100 overflows, the threshold does not.
-    assert constancy_check(u, mean_price=1e308).threshold == pytest.approx(1e308, rel=1e-15)
+    assert constancy_check(u, priced(*[1e308] * 3)).threshold == pytest.approx(1e308, rel=1e-15)
     with pytest.raises(InvalidArgumentError,
-                       match="^the constancy threshold is outside the float range$"):
-        constancy_check(u, mean_price=1e-310)
+                       match="^the mean price is outside the float range$"):
+        constancy_check(u, priced(*[1e-310] * 3))
     rows = [(20000.0, 5.5, 6e6, 5.4e7)] * 3
     coverage = coverage_ratios(make_days(rows, price=1e308))
     assert coverage.money_coverage == pytest.approx(2e10 / 5.4e7 / 1e308, rel=1e-15)
@@ -274,8 +274,9 @@ def test_coverage_ratios_tenth_utilization():
 
 def test_coverage_ratios_errors():
     days = make_days([(1.0, 1.0, 1e5, 1e6)], price=None)
-    with pytest.raises(InvalidArgumentError, match="^mean_price column is absent$"):
+    with pytest.raises(InvalidArgumentError, match="^no mean price available$") as exc_info:
         coverage_ratios(days)
+    assert type(exc_info.value) is InvalidArgumentError
     with pytest.raises(InvalidArgumentError):
         coverage_ratios(make_days([]))
     zero_dep = make_days([(1.0, 1.0, 0.0, 0.0)], price=5.0)
@@ -283,8 +284,9 @@ def test_coverage_ratios_errors():
         coverage_ratios(zero_dep)
     two = make_days([(1.0, 1.0, 1e5, 1e6)] * 2, price=5.0)
     one_missing = dataclasses.replace(two, mean_price=np.array([5.0, math.nan]))
-    with pytest.raises(InvalidArgumentError, match=f"^mean_price missing on {two.dates[1]}$"):
+    with pytest.raises(InvalidDayError, match="^no mean price available$") as exc_info:
         coverage_ratios(one_missing)
+    assert exc_info.value.date == two.dates[1].item()
 
 
 @pytest.mark.parametrize("first", [[1e-310], [1e-310, 1e308]])
@@ -310,7 +312,7 @@ def test_analyses_invariant_under_date_relabeling():
     days_b = make_days(rows, start=datetime.date(2015, 6, 1), price=100.0)
     u_a = u_series(days_a, UVariant.BY_VOLUME)
     u_b = u_series(days_b, UVariant.BY_VOLUME)
-    assert constancy_check(u_a, 100.0) == constancy_check(u_b, 100.0)
+    assert constancy_check(u_a, days_a) == constancy_check(u_b, days_b)
     assert coverage_ratios(days_a) == coverage_ratios(days_b)
     split = break_analysis(u_a, u_a.dates[8])
     assert split == break_analysis(u_b, u_b.dates[8])
@@ -359,8 +361,9 @@ def test_market_day_validation():
         one_day(rate_r=[math.nan])
     with pytest.raises(InvalidArgumentError):
         one_day(dates=("2012-01-03",))
-    with pytest.raises(InvalidArgumentError, match="mean_price"):
-        one_day(mean_price=[0.0])
+    for price in (0.0, -1.0, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="^mean_price must be positive"):
+            one_day(mean_price=[price])
     # Optional price may be absent, for all days or for one.
     one_day()
     one_day(mean_price=[math.nan])

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from specloss.cli import main
 from specloss.dataio import load_market_csv, write_market_csv
+from specloss.errors import SpeclossError
+from specloss.market import constancy_check, coverage_ratios, u_series
 from specloss.pipeline import build_analysis
 from specloss.report import Skipped, render_analysis_csv, render_analysis_text
 from specloss.synth import SynthConfig, gen_market_days
@@ -174,6 +176,30 @@ def test_first_prices_far_from_the_rest_skip_the_coverage_without_a_warning(tmp_
     out, err = capsys.readouterr()
     assert err == ""
     assert "\nCoverage: skipped, the money coverage is outside the float range.\n" in out
+
+
+@pytest.mark.parametrize("form", ["full", "blank", "cut"])
+def test_the_price_checks_are_only_wired_by_the_pipeline(form):
+    # Each constancy slot and the coverage slot is what the check itself
+    # gives on the table, or its error as the reason it was skipped.
+    days = gen_market_days(SynthConfig(seed=42))
+    if form == "blank":
+        days = dataclasses.replace(days, mean_price=np.r_[math.nan, days.mean_price[1:]])
+    elif form == "cut":
+        days = dataclasses.replace(days, mean_price=None)
+    report = build_analysis(days)
+
+    def direct(check, *args):
+        try:
+            return check(*args)
+        except SpeclossError as exc:
+            return Skipped(str(exc))
+
+    for result in report.variants:
+        assert result.constancy == direct(constancy_check, u_series(days, result.variant), days)
+        assert isinstance(result.constancy, Skipped) == (form == "cut")
+    assert report.coverage == direct(coverage_ratios, days)
+    assert isinstance(report.coverage, Skipped) == (form != "full")
 
 
 def _every_slot_skipped(report):
