@@ -22,7 +22,7 @@ from .errors import (
 )
 from .series import TimeSeries, align, diff, mean, stddev, trading_dates
 from .special import f_sf, student_t_sf
-from .ols import CoefRow, OlsFit, RegressionSpec, fit, fit_arrays
+from .ols import CoefRow, OlsFit, fit, fit_arrays
 from .unit_root import (
     AdfResult,
     LadderResult,
@@ -49,7 +49,7 @@ from .market import (
     mean_loss_per_stock,
     u_series,
 )
-from .synth import SynthConfig, gen_market_days
+from .synth import gen_market_days
 from .dataio import (
     load_market_csv,
     load_series_csv,
@@ -79,7 +79,6 @@ __all__ = [
     "trading_dates",
     "student_t_sf",
     "f_sf",
-    "RegressionSpec",
     "CoefRow",
     "OlsFit",
     "fit",
@@ -109,7 +108,6 @@ __all__ = [
     "constancy_check",
     "break_analysis",
     "coverage_ratios",
-    "SynthConfig",
     "gen_market_days",
     "load_market_csv",
     "write_market_csv",

@@ -3,7 +3,9 @@
 Subcommands expose the pipeline stages: ``analyze`` runs the full
 six-variable stationarity/cointegration report
 (:func:`specloss.pipeline.build_analysis`), ``adf``/``ols``/``coint``
-run one stage on CSV columns, and ``synth`` writes a generated dataset.
+run one stage on CSV columns, passing the series straight to its function,
+and ``synth`` writes the dataset that
+:func:`specloss.synth.gen_market_days` makes from the flags given.
 Every flag can also come from a ``--config`` key=value file; ``main``
 merges it into the parsed flags once, before the subcommand runs.
 
@@ -28,7 +30,7 @@ from .dataio import (
     write_market_csv,
 )
 from .errors import CsvParseError, InvalidArgumentError, SingularMatrixError, SpeclossError
-from .ols import RegressionSpec, fit
+from .ols import fit
 from .pipeline import build_analysis
 from .report import (
     render_adf_block,
@@ -37,7 +39,7 @@ from .report import (
     render_regression,
 )
 from .series import TimeSeries
-from .synth import SynthConfig, gen_market_days
+from .synth import gen_market_days
 from .unit_root import adf_test
 
 __all__ = ["main"]
@@ -120,7 +122,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.input is not None:
         days = load_market_csv(args.input)
     else:
-        days = gen_market_days(SynthConfig(seed=args.synth_seed))
+        days = gen_market_days(seed=args.synth_seed)
     report = build_analysis(days, **_given(max_lag=args.maxlag, break_date=args.break_date))
     render = render_analysis_csv if args.format == "csv" else render_analysis_text
     sys.stdout.write(render(report))
@@ -138,7 +140,8 @@ def cmd_adf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _regression_spec_from_args(args: argparse.Namespace) -> RegressionSpec:
+def _regression_spec_from_args(args: argparse.Namespace) -> tuple[TimeSeries, tuple[TimeSeries, ...]]:
+    """The ``--dep`` series and the ``--regressors`` series, read from ``--input``."""
     input_path = _required(args.input, "input")
     dep_name = _required(args.dep, "dep")
     regs_text = _required(args.regressors, "regressors")
@@ -146,21 +149,18 @@ def _regression_spec_from_args(args: argparse.Namespace) -> RegressionSpec:
     if not names:
         raise _UsageError("--regressors must list at least one column")
     series = load_series_csv(input_path)
-    return RegressionSpec(
-        dependent=_require_series(series, dep_name),
-        regressors=tuple(_require_series(series, name) for name in names),
-    )
+    return (_require_series(series, dep_name),
+            tuple(_require_series(series, name) for name in names))
 
 
 def cmd_ols(args: argparse.Namespace) -> int:
-    result = fit(_regression_spec_from_args(args))
+    result = fit(*_regression_spec_from_args(args))
     sys.stdout.write("\n".join(render_regression(result)) + "\n")
     return EXIT_OK
 
 
 def cmd_coint(args: argparse.Namespace) -> int:
-    spec = _regression_spec_from_args(args)
-    result = engle_granger(spec, **_given(max_lag=args.maxlag))
+    result = engle_granger(*_regression_spec_from_args(args), **_given(max_lag=args.maxlag))
     lines = render_regression(result.stage1)
     lines += ["", "ADF test results for residuals:", ""]
     lines += render_adf_block(result.residual_test,
@@ -172,11 +172,10 @@ def cmd_coint(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     out_path = _required(args.out, "out")
-    config = SynthConfig(**_given(
+    days = gen_market_days(**_given(
         seed=args.seed, n_days=args.days, noise_scale=args.noise_scale,
         break_factor=args.break_factor, break_index=args.break_index,
     ))
-    days = gen_market_days(config)
     write_market_csv(days, out_path)
     sys.stdout.write(f"wrote {len(days)} days to {out_path}\n")
     return EXIT_OK

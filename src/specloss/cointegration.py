@@ -16,10 +16,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import InvalidArgumentError, UnsupportedConfigError
-from .ols import OlsFit, RegressionSpec, fit
+from .ols import OlsFit, fit
+from .series import TimeSeries
 from .unit_root import (
     LEVELS,
     AdfResult,
@@ -91,23 +92,22 @@ _VERDICT_BY_LEVEL = {
 
 
 def engle_granger(
-    spec: RegressionSpec,
+    dependent: TimeSeries,
+    regressors: Sequence[TimeSeries],
     *,
     max_lag: int = 5,
     resid_name: str = "RESID",
 ) -> CointResult:
-    """Run both Engle-Granger stages on a stage-one regression spec.
+    """Run both Engle-Granger stages: fit ``dependent`` on ``regressors``, test the residuals.
 
     The number of variables (dependent plus regressors, constant
     excluded) must be between 2 and 6, the range the embedded
-    Davidson-MacKinnon table covers.  Both settings are checked before
-    stage one is fitted.
+    Davidson-MacKinnon table covers; that is checked before stage one is
+    fitted.  ``max_lag`` bounds the residual ADF lag search.
     """
-    if max_lag < 0:
-        raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
-    n_variables = 1 + len(spec.regressors)
+    n_variables = 1 + len(regressors)
     dm_cvs = {level: dm_critical_values(n_variables, level) for level in LEVELS}
-    stage1 = fit(spec)
+    stage1 = fit(dependent, regressors)
     assert stage1.residual_series is not None
     residual_test = adf_test(stage1.residual_series.with_name(resid_name), max_lag)
     level = verdict_from_t(residual_test.t_statistic, dm_cvs).level

@@ -41,7 +41,6 @@ from .series import TimeSeries, _Frozen, align
 from .special import f_sf, student_t_sf
 
 __all__ = [
-    "RegressionSpec",
     "CoefRow",
     "OlsFit",
     "fit",
@@ -63,23 +62,6 @@ _RANK_RTOL = 1e-10
 _REFLECT_BYTES = 1 << 18
 # The band of the range rule: largest magnitudes in [2^-_BAND, 2^_BAND).
 _BAND = 256
-
-
-@dataclass(frozen=True)
-class RegressionSpec:
-    """A least-squares problem stated in terms of named series.
-
-    Series are aligned on their common dates before fitting; the constant
-    term is labeled C and listed first as in standard package output.
-    """
-
-    dependent: TimeSeries
-    regressors: tuple[TimeSeries, ...]
-
-    def __post_init__(self) -> None:
-        if not self.regressors:
-            raise InvalidArgumentError("at least one regressor series is required")
-        object.__setattr__(self, "regressors", tuple(self.regressors))
 
 
 @dataclass(frozen=True)
@@ -443,9 +425,11 @@ def _fit(y: np.ndarray, columns: Sequence[np.ndarray], dep_name: str,
     )
 
 
-def fit(spec: RegressionSpec) -> OlsFit:
-    """Align the spec's series on common dates and fit, constant (C) first."""
-    dep_a, *regs_a = align(spec.dependent, *spec.regressors)
+def fit(dependent: TimeSeries, regressors: Sequence[TimeSeries]) -> OlsFit:
+    """Align the series on their common dates and fit, constant (C) first."""
+    if not regressors:
+        raise InvalidArgumentError("at least one regressor series is required")
+    dep_a, *regs_a = align(dependent, *regressors)
     names = ["C"] + [s.name or f"X{j}" for j, s in enumerate(regs_a, start=1)]
     columns = [_ONES[: len(dep_a)]] + [s.values for s in regs_a]
-    return _fit(dep_a.values, columns, spec.dependent.name or "Y", names, dep_a.dates)
+    return _fit(dep_a.values, columns, dependent.name or "Y", names, dep_a.dates)

@@ -22,7 +22,6 @@ from .market import (
     coverage_ratios,
     u_series,
 )
-from .ols import RegressionSpec
 from .report import AnalysisReport, Skipped, VariantResult
 from .unit_root import stationarity_ladder
 
@@ -52,7 +51,7 @@ def build_analysis(days: MarketData, *, max_lag: int = 5,
     u_big = {UVariant.BY_VOLUME: raw["U_BIG_VOL"], UVariant.BY_DEPOSIT: raw["U_BIG_DEP"]}
     coints = [
         engle_granger(
-            RegressionSpec(dependent=u[variant], regressors=(u_big[variant], raw["R"], raw["I"])),
+            u[variant], (u_big[variant], raw["R"], raw["I"]),
             max_lag=max_lag,
             resid_name=f"RESID{number}",
         )

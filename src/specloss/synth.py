@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .errors import InvalidArgumentError
 from .market import MarketData, _first
 from .series import _Frozen, trading_dates
 
-__all__ = ["SynthConfig", "gen_market_days"]
+__all__ = ["gen_market_days"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -121,53 +120,6 @@ def _normals(seed: int, label: str, n: int) -> np.ndarray:
     return out[:n]
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Settings of one generated dataset; the process itself is fixed.
-
-    ``noise_scale`` multiplies the innovation scales of the stationary
-    processes (R, stock counts, price); at 0 they degenerate to constants
-    and u becomes an exact linear function of I.  ``break_factor``
-    multiplies I from ``break_index`` on (1.0 means no break).
-    """
-
-    seed: int = 0
-    n_days: int = 255
-    noise_scale: float = 1.0
-    break_factor: float = 1.0
-    break_index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_days < 30:
-            raise InvalidArgumentError(f"n_days must be >= 30, got {self.n_days}")
-        if self.n_days > _MAX_DAYS:
-            raise InvalidArgumentError(
-                f"n_days must be <= {_MAX_DAYS}, the weekdays from 2012-01-03 "
-                f"through 9999-12-31, got {self.n_days}"
-            )
-        if not math.isfinite(self.break_factor):
-            raise InvalidArgumentError(
-                f"break_factor must be finite, got {self.break_factor}"
-            )
-        if self.break_factor <= 0:
-            raise InvalidArgumentError(
-                f"break_factor must be > 0, got {self.break_factor}"
-            )
-        if not math.isfinite(self.noise_scale):
-            raise InvalidArgumentError(
-                f"noise_scale must be finite, got {self.noise_scale}"
-            )
-        if self.noise_scale < 0:
-            raise InvalidArgumentError(
-                f"noise_scale must be >= 0, got {self.noise_scale}"
-            )
-        if self.break_index is not None and not 0 < self.break_index < self.n_days:
-            raise InvalidArgumentError(
-                f"break_index must be inside 1..{self.n_days - 1}, "
-                f"got {self.break_index}"
-            )
-
-
 def _reflected_walk(seed: int, label: str, n: int, y0: float, scale: float) -> np.ndarray:
     """Driftless random walk from y0 kept positive by reflection at zero."""
     shocks = _normals(seed, label, n)
@@ -207,21 +159,55 @@ def _ar1_around(
     return np.abs(values, out=values)
 
 
-def gen_market_days(config: SynthConfig) -> MarketData:
+def gen_market_days(*, seed: int = 0, n_days: int = 255, noise_scale: float = 1.0,
+                    break_factor: float = 1.0, break_index: int | None = None) -> MarketData:
     """Generate market data for ``n_days`` trading dates from the fixed process.
 
+    Only these settings vary; the process itself is fixed.
+    ``noise_scale`` multiplies the innovation scales of the stationary
+    processes (R, stock counts, price); at 0 they degenerate to constants
+    and u becomes an exact linear function of I.  ``break_factor``
+    multiplies I from ``break_index`` on (1.0 means no break; None puts
+    it mid-sample).  Every setting is checked before anything is drawn.
     A break factor or noise scale so large that a value leaves the float
     range is an error naming that setting and the first such day.
     """
-    n, ns, seed = config.n_days, config.noise_scale, config.seed
+    if n_days < 30:
+        raise InvalidArgumentError(f"n_days must be >= 30, got {n_days}")
+    if n_days > _MAX_DAYS:
+        raise InvalidArgumentError(
+            f"n_days must be <= {_MAX_DAYS}, the weekdays from 2012-01-03 "
+            f"through 9999-12-31, got {n_days}"
+        )
+    if not math.isfinite(break_factor):
+        raise InvalidArgumentError(
+            f"break_factor must be finite, got {break_factor}"
+        )
+    if break_factor <= 0:
+        raise InvalidArgumentError(
+            f"break_factor must be > 0, got {break_factor}"
+        )
+    if not math.isfinite(noise_scale):
+        raise InvalidArgumentError(
+            f"noise_scale must be finite, got {noise_scale}"
+        )
+    if noise_scale < 0:
+        raise InvalidArgumentError(
+            f"noise_scale must be >= 0, got {noise_scale}"
+        )
+    if break_index is not None and not 0 < break_index < n_days:
+        raise InvalidArgumentError(
+            f"break_index must be inside 1..{n_days - 1}, "
+            f"got {break_index}"
+        )
+    n, ns = n_days, noise_scale
     dates = trading_dates(n)
-    break_index = config.break_index
     if break_index is None:
         break_index = n // 2
     with np.errstate(over="ignore", invalid="ignore"):
         invest = _reflected_walk(seed, "invest", n, _I0, _I_SCALE)
-        if config.break_factor != 1.0:
-            invest[break_index:] *= config.break_factor
+        if break_factor != 1.0:
+            invest[break_index:] *= break_factor
         rate = _ar1_around(seed, "rate", n, _R0, _R_PHI, ns * _R_SCALE)
         u_vol = _ar1_around(seed, "u_vol", n, _UVOL0, _UVOL_PHI, ns * _UVOL_SCALE)
         u_dep = _reflected_walk(seed, "u_dep", n, _DEP0, ns * _DEP_SCALE)
@@ -232,9 +218,10 @@ def gen_market_days(config: SynthConfig) -> MarketData:
     for name, column in columns.items():
         bad = _first(~np.isfinite(column))
         if bad is not None:
-            flag = "break_factor" if name == "invest_i" else "noise_scale"
+            flag, value = (("break_factor", break_factor) if name == "invest_i"
+                           else ("noise_scale", noise_scale))
             raise InvalidArgumentError(
-                f"{flag} {getattr(config, flag)} carries {name} past the float "
+                f"{flag} {value} carries {name} past the float "
                 f"range on {dates[bad]}"
             )
     return MarketData(dates=_Frozen(dates),

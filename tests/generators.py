@@ -14,11 +14,12 @@ bit.
 
 import csv
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from specloss.errors import InvalidArgumentError
-from specloss.ols import OlsFit, RegressionSpec, fit_arrays
+from specloss.ols import OlsFit, fit_arrays
 from specloss.series import TimeSeries, trading_dates
 from specloss.synth import _MASK64, _SPLITMIX_GAMMA, _ar1, _fnv1a64, _normals
 from specloss.unit_root import _adf_columns
@@ -90,6 +91,13 @@ def gen_ar1(seed, n, phi, scale=1.0, *, label="AR1"):
     return TimeSeries(trading_dates(n), values, name=label)
 
 
+class Regression(NamedTuple):
+    """A dependent series and its regressors: ``fit(*regression)`` fits one."""
+
+    dependent: TimeSeries
+    regressors: tuple[TimeSeries, ...]
+
+
 def gen_cointegrated(seed, n=255):
     """A 4-variable system cointegrated by construction.
 
@@ -103,7 +111,7 @@ def gen_cointegrated(seed, n=255):
     noise = gen_ar1(seed, n, phi=0.3, scale=0.5, label="COINT_NOISE")
     values = 1.0 + 0.5 * w1.values - 0.3 * w2.values + 2.0 * x3.values + noise.values
     dep = TimeSeries(w1.dates, values, name="Y")
-    return RegressionSpec(dependent=dep, regressors=(w1, w2, x3))
+    return Regression(dep, (w1, w2, x3))
 
 
 def write_series_csv(series, path):

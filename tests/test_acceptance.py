@@ -28,7 +28,6 @@ from specloss.market import (
     u_series,
 )
 from specloss.ols import (
-    RegressionSpec,
     adj_r2_from_r2,
     aic_from_loglik,
     f_statistic_from_r2,
@@ -39,7 +38,7 @@ from specloss.ols import (
     se_regression_from_ssr,
 )
 from specloss.special import student_t_sf
-from specloss.synth import SynthConfig, gen_market_days
+from specloss.synth import gen_market_days
 from specloss.unit_root import (
     LEVELS,
     Verdict,
@@ -214,13 +213,10 @@ def test_c08_adf_size_and_power():
 def test_c09_end_to_end_pipeline():
     good = 0
     for seed in range(100):
-        days = gen_market_days(SynthConfig(seed=seed))
+        days = gen_market_days(seed=seed)
         u = u_series(days, UVariant.BY_VOLUME)
         raw = days.series()
-        result = engle_granger(RegressionSpec(
-            dependent=u,
-            regressors=(raw["U_BIG_VOL"], raw["R"], raw["I"]),
-        ))
+        result = engle_granger(u, (raw["U_BIG_VOL"], raw["R"], raw["I"]))
         signs = {row.name: row.coef for row in result.stage1.coef_rows}
         if (result.verdict is CointVerdict.COINTEGRATED_AT_1
                 and signs["R"] > 0 and signs["I"] > 0
@@ -228,7 +224,7 @@ def test_c09_end_to_end_pipeline():
             good += 1
     assert good >= 95, good
     for seed in range(100):
-        days = gen_market_days(SynthConfig(seed=seed, break_factor=2.0))
+        days = gen_market_days(seed=seed, break_factor=2.0)
         u = u_series(days, UVariant.BY_VOLUME)
         ratio = break_analysis(u, days.dates[127]).ratio
         assert 1.6 <= ratio <= 2.4, (seed, ratio)
@@ -258,7 +254,7 @@ def test_c11_loss_identity_and_homogeneity():
         else:
             assert abs(u_val * u_count - limit) <= 1e-9 * limit
 
-    days = gen_market_days(SynthConfig(seed=5, n_days=40))
+    days = gen_market_days(seed=5, n_days=40)
     base = u_series(days, UVariant.BY_VOLUME)
     scaled_i = dataclasses.replace(days, invest_i=days.invest_i * 3.0)
     scaled_r = dataclasses.replace(days, rate_r=days.rate_r * 2.0)

@@ -1,13 +1,15 @@
 """The names the package exports."""
 
-import dataclasses
 import importlib
 import inspect
 import pkgutil
 
 import specloss
 from specloss.cli import build_parser
+from specloss.cointegration import engle_granger
+from specloss.ols import fit
 from specloss.pipeline import build_analysis
+from specloss.synth import gen_market_days
 
 # Every name `from specloss import *` gives.  A name added to or taken out
 # of the package's exports is an API change, and changes this set with it.
@@ -17,7 +19,7 @@ SHIPPED = {
     "CsvSchemaError", "CsvParseError", "CsvValidationError",
     "TimeSeries", "diff", "mean", "stddev", "align", "trading_dates",
     "student_t_sf", "f_sf",
-    "RegressionSpec", "CoefRow", "OlsFit", "fit", "fit_arrays",
+    "CoefRow", "OlsFit", "fit", "fit_arrays",
     "AdfResult", "LadderResult", "Verdict", "select_lag", "adf_test",
     "mackinnon_critical_values", "mackinnon_pvalue", "stationarity_ladder",
     "verdict_from_t", "classify_ladder",
@@ -25,7 +27,7 @@ SHIPPED = {
     "MarketData", "UVariant", "ConstancyResult", "BreakResult", "CoverageResult",
     "daily_loss_limit", "mean_loss_per_stock", "u_series", "constancy_check",
     "break_analysis", "coverage_ratios",
-    "SynthConfig", "gen_market_days",
+    "gen_market_days",
     "load_market_csv", "write_market_csv", "load_series_csv",
     "parse_config_file",
     "AnalysisReport", "fmt_stat", "render_analysis_text", "render_analysis_csv",
@@ -39,9 +41,9 @@ def test_package_exports_exactly_the_shipped_names():
     assert all(hasattr(specloss, name) for name in specloss.__all__)
 
 
-# Every knob a user can turn: each subcommand's long flags, the fields of
-# the settings class and the keywords of the pipeline.  Adding or removing
-# one is a reviewed change.
+# Every knob a user can turn: each subcommand's long flags and the
+# parameters of the generator, the fit, the cointegration test and the
+# pipeline.  Adding or removing one is a reviewed change.
 FLAGS = {
     "analyze": {"config", "input", "synth-seed", "break-date", "maxlag", "format"},
     "adf": {"config", "input", "column", "maxlag"},
@@ -49,7 +51,9 @@ FLAGS = {
     "coint": {"config", "input", "dep", "regressors", "maxlag"},
     "synth": {"config", "seed", "days", "out", "noise-scale", "break-factor", "break-index"},
 }
-SYNTH_CONFIG_FIELDS = ("seed", "n_days", "noise_scale", "break_factor", "break_index")
+SYNTH_PARAMETERS = ("seed", "n_days", "noise_scale", "break_factor", "break_index")
+FIT_PARAMETERS = ("dependent", "regressors")
+COINT_PARAMETERS = ("dependent", "regressors", "max_lag", "resid_name")
 ANALYSIS_PARAMETERS = ("days", "max_lag", "break_date")
 
 
@@ -58,7 +62,9 @@ def test_cli_flags_and_config_fields_are_the_pinned_ones():
     for command, flags in FLAGS.items():
         # A config file may set every long flag but --config itself.
         assert set(parser.parse_args([command]).config_keys) | {"config"} == flags, command
-    assert tuple(f.name for f in dataclasses.fields(specloss.SynthConfig)) == SYNTH_CONFIG_FIELDS
+    assert tuple(inspect.signature(gen_market_days).parameters) == SYNTH_PARAMETERS
+    assert tuple(inspect.signature(fit).parameters) == FIT_PARAMETERS
+    assert tuple(inspect.signature(engle_granger).parameters) == COINT_PARAMETERS
     assert tuple(inspect.signature(build_analysis).parameters) == ANALYSIS_PARAMETERS
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in-process through ``specloss.cli.main``."""
 
 import dataclasses
+import importlib
 import pathlib
 from unittest import mock
 
@@ -14,12 +15,13 @@ from specloss import dataio
 from specloss.cli import build_parser, main
 from specloss.dataio import load_market_csv, load_series_csv, write_market_csv
 from specloss.market import UVariant, u_series
-from specloss.ols import RegressionSpec, fit
+from specloss.ols import fit
 from specloss.report import render_adf_block, render_regression
 from specloss.series import TimeSeries, trading_dates
 from specloss.unit_root import adf_test
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+BENCH_DIR = pathlib.Path(__file__).parents[1] / "benchmarks"
 
 
 def run_cli(argv, capsys):
@@ -82,6 +84,22 @@ def test_analyze_file_matches_seed(tmp_path, capsys):
     code, from_seed, _ = run_cli(["analyze", "--synth-seed", "11"], capsys)
     assert code == 0
     assert from_file == from_seed
+
+
+@pytest.mark.parametrize("seed, days", [*((seed, 255) for seed in range(6)), (0, 2550)])
+def test_analyze_csv_passes_the_independent_checks(tmp_path, capsys, monkeypatch, seed, days):
+    # The benchmark's checker recomputes every figure of a CSV report with
+    # numpy's lstsq and scipy's tails, and imports nothing of specloss.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    check = importlib.import_module("check")
+    path = str(tmp_path / "m.csv")
+    argv = ["synth", "--seed", str(seed), "--days", str(days), "--out", path]
+    assert run_cli(argv, capsys)[0] == 0
+    for max_lag in (0, 5, 8) if days == 255 else (5,):
+        argv = ["analyze", "--input", path, "--format", "csv", "--maxlag", str(max_lag)]
+        code, report, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert check.check_analysis(path, report) == [], max_lag
 
 
 def test_analyze_skips_break_outside_sample(tmp_path, capsys):
@@ -293,7 +311,7 @@ def test_ols_output_matches_library(tmp_path, capsys):
         ["ols", "--input", str(path), "--dep", "W", "--regressors", "S"], capsys)
     assert code == 0
     series = load_series_csv(str(path))
-    result = fit(RegressionSpec(dependent=series[0], regressors=(series[1],)))
+    result = fit(series[0], (series[1],))
     assert out == "\n".join(render_regression(result)) + "\n"
 
 

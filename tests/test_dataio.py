@@ -28,7 +28,7 @@ from specloss.errors import (
 )
 from specloss.market import MarketData
 from specloss.series import TimeSeries, _Frozen, trading_dates
-from specloss.synth import SynthConfig, gen_market_days
+from specloss.synth import gen_market_days
 
 
 HEADER = "date,i_mrub,r_pct,u_big_vol,u_big_dep"
@@ -40,7 +40,7 @@ def write_text(path, text):
 
 
 def test_market_round_trip_is_exact(tmp_path):
-    days = gen_market_days(SynthConfig(seed=17, n_days=60))
+    days = gen_market_days(seed=17, n_days=60)
     path = str(tmp_path / "market.csv")
     write_market_csv(days, path)
     assert load_market_csv(path) == days
@@ -80,7 +80,7 @@ def test_writing_no_days_is_an_error_and_writes_no_file(tmp_path):
 
 
 def test_market_rows_sorted_on_load(tmp_path):
-    days = gen_market_days(SynthConfig(seed=18, n_days=40))
+    days = gen_market_days(seed=18, n_days=40)
     path = str(tmp_path / "shuffled.csv")
     write_market_csv(days, path)
     lines = (tmp_path / "shuffled.csv").read_text(encoding="utf-8").splitlines()
@@ -247,7 +247,7 @@ def test_parse_config_file_drops_a_leading_byte_order_mark(tmp_path):
 
 
 def test_data_csv_may_start_with_a_byte_order_mark_and_keeps_the_fast_path(tmp_path):
-    days = gen_market_days(SynthConfig(seed=4, n_days=300))
+    days = gen_market_days(seed=4, n_days=300)
     plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
     write_market_csv(days, str(plain))
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from generators import adf_regression, gen_cointegrated
+from generators import Regression, adf_regression, gen_cointegrated
 from oracles import durbin_watson, lstsq_fit, ols_oracle, random_instance
 from specloss.errors import (
     InsufficientDataError,
@@ -21,7 +21,6 @@ from specloss.errors import (
 from specloss import ols
 from specloss.market import UVariant, u_series
 from specloss.ols import (
-    RegressionSpec,
     _factor,
     _householder_qr,
     _residuals,
@@ -37,7 +36,7 @@ from specloss.ols import (
     se_regression_from_ssr,
 )
 from specloss.series import TimeSeries, align, diff, trading_dates
-from specloss.synth import SynthConfig, gen_market_days
+from specloss.synth import gen_market_days
 from specloss.unit_root import _adf_columns, select_lag
 
 
@@ -292,7 +291,7 @@ def test_fit_spec_aligns_and_labels():
     dep = TimeSeries(dates, yv, name="DEP")
     # Regressor misses the first five dates.
     reg = TimeSeries(dates[5:], xv[5:], name="REG")
-    result = fit(RegressionSpec(dependent=dep, regressors=(reg,)))
+    result = fit(dep, (reg,))
     assert result.dep_name == "DEP"
     assert [row.name for row in result.coef_rows] == ["C", "REG"]
     assert result.nobs == 35
@@ -313,7 +312,7 @@ def test_fits_keep_no_residuals_and_the_residual_series_is_frozen():
     rng = np.random.default_rng(44)
     dep = TimeSeries(dates, rng.standard_normal(30), name="DEP")
     reg = TimeSeries(dates, rng.standard_normal(30), name="REG")
-    result = fit(RegressionSpec(dependent=dep, regressors=(reg,)))
+    result = fit(dep, (reg,))
     for ols_fit in (result, fit_arrays(dep.values, np.ones((30, 1)))):
         assert not any(isinstance(getattr(ols_fit, f.name), np.ndarray)
                        for f in dataclasses.fields(ols_fit))
@@ -347,8 +346,8 @@ def test_fit_worse_than_the_mean_has_no_f_test():
 def test_regression_spec_requires_regressors():
     dates = trading_dates(5)
     dep = TimeSeries(dates, np.arange(5.0), name="Y")
-    with pytest.raises(InvalidArgumentError):
-        RegressionSpec(dependent=dep, regressors=())
+    with pytest.raises(InvalidArgumentError, match="^at least one regressor series is required$"):
+        fit(dep, ())
 
 
 # -- Bit-identity with the column-at-a-time factorization ---------------------
@@ -532,7 +531,7 @@ def _assert_same_fit_bits(got, want):
 
 def test_factorization_bits_match_column_loop_on_adf_designs():
     for seed in (0, 7, 23):
-        for s in _ladder_series(gen_market_days(SynthConfig(seed=seed))):
+        for s in _ladder_series(gen_market_days(seed=seed)):
             for lag in range(11):  # 2..12 columns
                 dep, x, names = _adf_design(s, lag)
                 _assert_same_bits_as_reference(x, dep)
@@ -544,10 +543,10 @@ def _trimmed(spec):
     """The spec with calendars that differ: the dependent loses its first
     three dates, one regressor its last four and another its odd rows."""
     dep, (w1, w2, x3) = spec.dependent, spec.regressors
-    return RegressionSpec(
-        dependent=TimeSeries(dep.dates[3:], dep.values[3:], name=dep.name),
-        regressors=(TimeSeries(w1.dates[:-4], w1.values[:-4], name=w1.name),
-                    TimeSeries(w2.dates[::2], w2.values[::2], name=w2.name), x3))
+    return Regression(
+        TimeSeries(dep.dates[3:], dep.values[3:], name=dep.name),
+        (TimeSeries(w1.dates[:-4], w1.values[:-4], name=w1.name),
+         TimeSeries(w2.dates[::2], w2.values[::2], name=w2.name), x3))
 
 
 def test_fit_has_the_bits_of_fit_arrays_on_the_stacked_aligned_design():
@@ -556,7 +555,7 @@ def test_fit_has_the_bits_of_fit_arrays_on_the_stacked_aligned_design():
     # columns and the dates gives the residual series to compare.
     for spec in [gen_cointegrated(seed) for seed in (0, 7, 23, 101)] + [
             _trimmed(gen_cointegrated(5))]:
-        got = fit(spec)
+        got = fit(*spec)
         dep_a, *regs_a = align(spec.dependent, *spec.regressors)
         x = np.column_stack([np.ones(len(dep_a))] + [s.values for s in regs_a])
         names = ["C"] + [s.name for s in regs_a]
@@ -587,9 +586,8 @@ def test_a_regressor_whose_squares_overflow_is_named():
     assert [row.name for row in got.coef_rows] == ["C", "B", "S"]
     _assert_fit_matches_lstsq(got, y, x)
     dates = trading_dates(40)
-    spec = RegressionSpec(dependent=TimeSeries(dates, y, name="Y"),
-                          regressors=(TimeSeries(dates, x[:, 1], name="BIG"),))
-    _assert_fit_matches_lstsq(fit(spec), y, x[:, :2])
+    got = fit(TimeSeries(dates, y, name="Y"), (TimeSeries(dates, x[:, 1], name="BIG"),))
+    _assert_fit_matches_lstsq(got, y, x[:, :2])
 
 
 @pytest.mark.parametrize("column", [
@@ -605,9 +603,8 @@ def test_a_regressor_whose_squares_underflow_is_named(column):
     y = np.arange(40.0) % 7
     _assert_fit_matches_lstsq(fit_arrays(y, x, reg_names=["C", "S", "T"]), y, x)
     dates = trading_dates(40)
-    spec = RegressionSpec(dependent=TimeSeries(dates, y, name="Y"),
-                          regressors=(TimeSeries(dates, column, name="TINY"),))
-    _assert_fit_matches_lstsq(fit(spec), y, x[:, [0, 2]])
+    got = fit(TimeSeries(dates, y, name="Y"), (TimeSeries(dates, column, name="TINY"),))
+    _assert_fit_matches_lstsq(got, y, x[:, [0, 2]])
     x[:, 2] = 0.0  # a column that is zero stays a singular design
     with pytest.raises(SingularMatrixError,
                        match="^regressor 'T' is identically zero$") as exc_info:
@@ -694,10 +691,10 @@ def _assert_lag_search_bits(s, max_lag):
 
 def test_lag_search_work_array_keeps_the_design_bits():
     for seed in (0, 7, 23):
-        for s in _ladder_series(gen_market_days(SynthConfig(seed=seed))):
+        for s in _ladder_series(gen_market_days(seed=seed)):
             for max_lag in range(11):
                 _assert_lag_search_bits(s, max_lag)
-    u = u_series(gen_market_days(SynthConfig(seed=0, n_days=25_500)), UVariant.BY_VOLUME)
+    u = u_series(gen_market_days(seed=0, n_days=25_500), UVariant.BY_VOLUME)
     for s in (u, diff(u)):
         for max_lag in (0, 2, 5, 7):
             _assert_lag_search_bits(s, max_lag)

@@ -23,7 +23,7 @@ from specloss.errors import SpeclossError
 from specloss.market import constancy_check, coverage_ratios, u_series
 from specloss.pipeline import build_analysis
 from specloss.report import Skipped, render_analysis_csv, render_analysis_text
-from specloss.synth import SynthConfig, gen_market_days
+from specloss.synth import gen_market_days
 
 _PINNED = Path(__file__).parent / "data" / "analyze_csv_sha256.txt"
 
@@ -182,7 +182,7 @@ def test_first_prices_far_from_the_rest_skip_the_coverage_without_a_warning(tmp_
 def test_the_price_checks_are_only_wired_by_the_pipeline(form):
     # Each constancy slot and the coverage slot is what the check itself
     # gives on the table, or its error as the reason it was skipped.
-    days = gen_market_days(SynthConfig(seed=42))
+    days = gen_market_days(seed=42)
     if form == "blank":
         days = dataclasses.replace(days, mean_price=np.r_[math.nan, days.mean_price[1:]])
     elif form == "cut":
@@ -288,8 +288,7 @@ def test_generating_25500_days_stays_under_2_0_mb():
     # last column's 0.61 MB of draws in the making (uint64 states,
     # uniforms, radii, the interleaved normals).  Draws and recurrences
     # held as lists of Python floats put the peak at 2.87 MB.
-    config = SynthConfig(seed=0, n_days=25500)
-    peak = _peak_bytes(lambda: gen_market_days(config))
+    peak = _peak_bytes(lambda: gen_market_days(seed=0, n_days=25500))
     assert peak <= 2.0e6, f"peak {peak / 1e6:.2f} MB"
 
 
@@ -382,7 +381,7 @@ def test_analyze_of_a_rescaled_input_is_the_predicted_report(tmp_path_factory, s
     # Traded stocks never exceed deposited ones: u_big_vol only shrinks, u_big_dep only grows.
     k = {"u_big_vol": -abs(k), "u_big_dep": abs(k)}.get(column, k)
     path = tmp_path_factory.mktemp("scaled") / "market.csv"
-    days = gen_market_days(SynthConfig(seed=seed))
+    days = gen_market_days(seed=seed)
     if seed not in _baseline_rows:
         write_market_csv(days, str(path))
         _baseline_rows[seed] = _analyze_rows(path, _BREAK_DATE)

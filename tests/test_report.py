@@ -24,13 +24,13 @@ from specloss.report import (
     render_analysis_text,
     render_regression,
 )
-from specloss.synth import SynthConfig, gen_market_days
+from specloss.synth import gen_market_days
 from specloss.unit_root import adf_test
 
 
 @pytest.fixture(scope="module")
 def analysis():
-    return build_analysis(gen_market_days(SynthConfig(seed=0)))
+    return build_analysis(gen_market_days(seed=0))
 
 
 def test_fmt_stat_eight_significant_characters():

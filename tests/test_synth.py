@@ -10,14 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from generators import NormalStream, gen_ar1, gen_cointegrated, gen_random_walk
+from generators import NormalStream, Regression, gen_ar1, gen_cointegrated, gen_random_walk
 from specloss.cli import main
 from specloss.errors import InvalidArgumentError
 from specloss.market import UVariant, u_series
-from specloss.ols import RegressionSpec
 from specloss import synth
 from specloss.series import trading_dates
-from specloss.synth import SynthConfig, _normals, gen_market_days
+from specloss.synth import _normals, gen_market_days
 
 
 def test_stream_is_deterministic_per_seed_and_label():
@@ -102,21 +101,20 @@ def test_ar1_zero_scale_is_identically_zero():
 
 
 def test_market_days_shape_and_invariants():
-    config = SynthConfig(seed=13, n_days=120)
-    days = gen_market_days(config)
+    days = gen_market_days(seed=13, n_days=120)
     assert len(days) == 120
     assert np.array_equal(days.dates, trading_dates(120))
     assert np.all(days.invest_i >= 0.0)
     assert np.all(days.rate_r >= 0.0)
     assert np.all((0.0 <= days.u_big_vol) & (days.u_big_vol <= days.u_big_dep))
     assert days.mean_price is not None and np.all(days.mean_price > 0.0)
-    assert gen_market_days(config) == days
+    assert gen_market_days(seed=13, n_days=120) == days
 
 
 def test_market_days_break_multiplies_invest_exactly():
-    base = gen_market_days(SynthConfig(seed=3, n_days=60))
-    broken = gen_market_days(SynthConfig(seed=3, n_days=60, break_factor=2.0,
-                                         break_index=40))
+    base = gen_market_days(seed=3, n_days=60)
+    broken = gen_market_days(seed=3, n_days=60, break_factor=2.0,
+                             break_index=40)
     for t in range(60):
         if t < 40:
             assert broken.invest_i[t] == base.invest_i[t]
@@ -129,15 +127,14 @@ def test_market_days_break_multiplies_invest_exactly():
 
 
 def test_market_days_break_defaults_to_midpoint():
-    base = gen_market_days(SynthConfig(seed=4, n_days=50))
-    broken = gen_market_days(SynthConfig(seed=4, n_days=50, break_factor=3.0))
+    base = gen_market_days(seed=4, n_days=50)
+    broken = gen_market_days(seed=4, n_days=50, break_factor=3.0)
     changed = [t for t in range(50) if broken.invest_i[t] != base.invest_i[t]]
     assert changed == list(range(25, 50))
 
 
 def test_zero_noise_scale_makes_u_linear_in_invest():
-    config = SynthConfig(seed=6, n_days=40, noise_scale=0.0)
-    days = gen_market_days(config)
+    days = gen_market_days(seed=6, n_days=40, noise_scale=0.0)
     assert np.all(days.rate_r == synth._R0)
     assert np.all(days.u_big_vol == synth._UVOL0)
     assert np.all(days.u_big_dep == synth._UVOL0 + synth._DEP0)
@@ -149,26 +146,26 @@ def test_zero_noise_scale_makes_u_linear_in_invest():
 
 def test_synth_config_validation():
     with pytest.raises(InvalidArgumentError):
-        SynthConfig(n_days=29)
+        gen_market_days(n_days=29)
     # The longest run is the whole calendar of trading_dates.
     last = np.datetime64(datetime.date.max, "D")
     assert synth._MAX_DAYS == np.busday_count(datetime.date(2012, 1, 3), last + 1)
     with pytest.raises(InvalidArgumentError, match="n_days must be <= 2083969, "):
-        SynthConfig(n_days=2_083_970)
+        gen_market_days(n_days=2_083_970)
     with pytest.raises(InvalidArgumentError):
-        SynthConfig(noise_scale=-0.1)
+        gen_market_days(noise_scale=-0.1)
     with pytest.raises(InvalidArgumentError):
-        SynthConfig(break_factor=0.0)
+        gen_market_days(break_factor=0.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgumentError, match=f"noise_scale must be finite, got {bad}"):
-            SynthConfig(noise_scale=bad)
+            gen_market_days(noise_scale=bad)
         with pytest.raises(InvalidArgumentError, match=f"break_factor must be finite, got {bad}"):
-            SynthConfig(break_factor=bad)
+            gen_market_days(break_factor=bad)
     with pytest.raises(InvalidArgumentError):
-        SynthConfig(break_index=0)
+        gen_market_days(break_index=0)
     with pytest.raises(InvalidArgumentError):
-        SynthConfig(n_days=50, break_index=50)
-    SynthConfig(n_days=50, break_index=49)
+        gen_market_days(n_days=50, break_index=50)
+    gen_market_days(n_days=50, break_index=49)
 
 
 def test_gen_cointegrated_layout():
@@ -180,7 +177,7 @@ def test_gen_cointegrated_layout():
 
 
 def test_default_config_produces_plausible_magnitudes():
-    days = gen_market_days(SynthConfig(seed=0))
+    days = gen_market_days(seed=0)
     u = u_series(days, UVariant.BY_VOLUME)
     # Around 20 billion rubles at around 5.5% over around six million
     # stocks is tens of kopecks per stock per day.
@@ -264,7 +261,7 @@ def _generated_series():
 @pytest.mark.parametrize("call, digests", _generated_series())
 def test_generators_keep_their_pinned_bits(call, digests):
     made = eval(call, {"__builtins__": {}}, _GENERATORS)
-    series = [made.dependent, *made.regressors] if isinstance(made, RegressionSpec) else [made]
+    series = [made.dependent, *made.regressors] if isinstance(made, Regression) else [made]
     got = {}
     for s in series:
         got[s.name, "dates"] = hashlib.sha256(s.dates.astype("datetime64[D]").tobytes()).hexdigest()

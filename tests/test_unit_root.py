@@ -20,7 +20,7 @@ from specloss import ols, series, special, unit_root
 from specloss.market import UVariant, u_series
 from specloss.ols import fit_arrays
 from specloss.series import TimeSeries, diff, trading_dates
-from specloss.synth import SynthConfig, _normals, gen_market_days
+from specloss.synth import _normals, gen_market_days
 from specloss.unit_root import (
     Verdict,
     adf_test,
@@ -224,7 +224,7 @@ def _schwarz_lag_by_separate_fits(y, max_lag):
 
 def test_select_lag_matches_separate_candidate_fits():
     for seed in range(50):
-        days = gen_market_days(SynthConfig(seed=seed))
+        days = gen_market_days(seed=seed)
         levels = [u_series(days, UVariant.BY_VOLUME),
                   u_series(days, UVariant.BY_DEPOSIT),
                   *days.series().values()]
