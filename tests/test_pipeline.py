@@ -34,20 +34,22 @@ def _synth(command, path):
 
 
 def _pinned_runs():
+    # A line is "<digest>  <synth command>", then "  analyze <flags>" if it has any.
     for line in _PINNED.read_text(encoding="utf-8").splitlines():
-        digest, command = line.split("  ", 1)
-        yield pytest.param(digest, command, id=command.replace(" ", ""))
+        digest, run = line.split("  ", 1)
+        command, _, analyze = run.partition("  ")
+        yield pytest.param(digest, command, analyze.split()[1:], id=run.replace(" ", ""))
 
 
-@pytest.mark.parametrize("digest, command", _pinned_runs())
-def test_analyze_csv_keeps_its_pinned_bytes(tmp_path, digest, command):
+@pytest.mark.parametrize("digest, command, flags", _pinned_runs())
+def test_analyze_csv_keeps_its_pinned_bytes(tmp_path, digest, command, flags):
     # The CSV report prints repr of every statistic, so one changed bit in
     # any fit at 255, 2,550 or 25,500 days changes the digest.
     path = tmp_path / "market.csv"
     _synth(command, path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["analyze", "--input", str(path), "--format", "csv"]) == 0
+        assert main(["analyze", "--input", str(path), "--format", "csv", *flags]) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
