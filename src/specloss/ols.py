@@ -305,10 +305,14 @@ def _factor(y: np.ndarray, columns: Sequence[np.ndarray],
     return r, a[-1], norms, exps
 
 
-def _solve(y: np.ndarray, columns: Sequence[np.ndarray],
-           names: Sequence[str]) -> tuple[np.ndarray, list[float], float, np.ndarray, list]:
-    """Fit y on the columns scaled by 2^-exps: (beta, standard errors, SSR, residuals, exps)."""
-    r, qy, norms, exps = _factor(y, columns, names)
+def _solve(y: np.ndarray, columns: Sequence[np.ndarray], names: Sequence[str],
+           factored: tuple | None = None) -> tuple[np.ndarray, list[float], float, np.ndarray, list]:
+    """Fit y on the columns scaled by 2^-exps: (beta, standard errors, SSR, residuals, exps).
+
+    ``factored`` is the design's (R, (Q'y)[:k], norms, exps) from :func:`_factor`
+    if the caller holds it; else the design is factored here.
+    """
+    r, qy, norms, exps = _factor(y, columns, names) if factored is None else factored
     beta_s, var_s = _solve_triangular(r, qy)
     del r, qy  # the work array goes before the residuals are formed
     beta = beta_s / norms

@@ -208,6 +208,32 @@ def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray],
     return dy[lag:], cols, names, e
 
 
+def _lag_search(y: TimeSeries, max_lag: int) -> tuple[int, tuple | None]:
+    """The lag :func:`select_lag` picks, and at max_lag the refit's inputs.
+
+    A lag of max_lag is refitted on the search's own sample and design, so
+    the search hands them on with its factorization: (dep, columns, names,
+    (R, (Q'y)[:k], norms, exps)), R and (Q'y)[:k] copied so the work array
+    is freed here.  A smaller lag gets None and is refitted from scratch.
+    """
+    if max_lag < 0:
+        raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
+    dep, cols, names, e = _adf_columns(y, max_lag)
+    r, qy, norms, exps = _factor(dep, cols, names)
+    z = qy[2:]  # Q'y past C and y(-1)
+    nobs = len(dep)
+    sq = z * z
+    ssrs = [float(np.add.reduce(sq[lag:])) for lag in range(max_lag + 1)]
+    if e and None not in (back := [_scaled_back(ssr, 2 * e) for ssr in ssrs]):
+        ssrs = back  # the SSRs of the series as given, so the choice keeps its bits
+    scores = [schwarz_from_loglik(log_likelihood_from_ssr(ssr, nobs), nobs, 2 + lag)
+              for lag, ssr in enumerate(ssrs)]
+    lag = scores.index(min(scores))  # the first minimum: ties go to the smaller lag
+    if lag < max_lag:
+        return lag, None
+    return lag, (dep, cols, names, (r.copy(), qy[: len(cols)].copy(), norms, exps))
+
+
 def select_lag(y: TimeSeries, max_lag: int) -> int:
     """Pick the lag in 0..max_lag minimizing the Schwarz criterion.
 
@@ -217,18 +243,7 @@ def select_lag(y: TimeSeries, max_lag: int) -> int:
     design gives every candidate's SSR as ||(Q'y)[2+ℓ:]||^2 and no
     candidate is fitted.  Ties go to the smaller lag.
     """
-    if max_lag < 0:
-        raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
-    dep, cols, names, e = _adf_columns(y, max_lag)
-    z = _factor(dep, cols, names)[1][2:]  # Q'y past C and y(-1)
-    nobs = len(dep)
-    sq = z * z
-    ssrs = [float(np.add.reduce(sq[lag:])) for lag in range(max_lag + 1)]
-    if e and None not in (back := [_scaled_back(ssr, 2 * e) for ssr in ssrs]):
-        ssrs = back  # the SSRs of the series as given, so the choice keeps its bits
-    scores = [schwarz_from_loglik(log_likelihood_from_ssr(ssr, nobs), nobs, 2 + lag)
-              for lag, ssr in enumerate(ssrs)]
-    return scores.index(min(scores))  # the first minimum: ties go to the smaller lag
+    return _lag_search(y, max_lag)[0]
 
 
 def verdict_from_t(t_stat: float, critical_values: Mapping[int, float]) -> Verdict:
@@ -245,14 +260,17 @@ def verdict_from_t(t_stat: float, critical_values: Mapping[int, float]) -> Verdi
 def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
     """Run the ADF test: lag choice by SIC, t-statistic, critical values, verdict.
 
-    The t-statistic takes the float operations of
+    The lag is :func:`select_lag`'s.  When it is max_lag, the refit solves
+    from the lag search's factorization, the QR of the same design on the
+    same sample, so each ADF test factors that design once.  The
+    t-statistic takes the float operations of
     :func:`~specloss.ols.fit_arrays` on the same solve, so it has the bits
     of the t-statistic on y(-1) in the full fit of the chosen lag's
     regression.
     """
-    lag = select_lag(y, max_lag)
-    dep, cols, names, _ = _adf_columns(y, lag)
-    beta, se = _solve(dep, cols, names)[:2]  # both scaled alike: t keeps its bits
+    lag, searched = _lag_search(y, max_lag)
+    dep, cols, names, factored = searched or (*_adf_columns(y, lag)[:3], None)
+    beta, se = _solve(dep, cols, names, factored)[:2]  # both scaled alike: t keeps its bits
     t_eff = len(dep)
     t_stat = _t_ratio(float(beta[1]), se[1])
     cvs = {

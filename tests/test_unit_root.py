@@ -301,6 +301,40 @@ def test_adf_t_statistic_has_the_bits_of_the_auxiliary_regression(n, scale):
     assert max(lags) > 0
 
 
+def _ar5_in_differences(seed, n):
+    """A walk whose steps echo the step five days back, so SIC picks lag 5."""
+    e = np.random.default_rng(seed).standard_normal(n)
+    dy = np.zeros(n)
+    for t in range(5, n):
+        dy[t] = 0.8 * dy[t - 5] + e[t]
+    return np.cumsum(dy)
+
+
+@pytest.mark.parametrize("values, max_lag, lag, factors", [
+    pytest.param(gen_random_walk(0, 60, label="RW").values, 0, 0, 1, id="max-lag-0"),
+    pytest.param(_ar5_in_differences(0, 60), 5, 5, 1, id="lag-5-of-5"),
+    pytest.param(gen_random_walk(1, 60, label="RW").values, 5, 2, 2, id="lag-2-of-5"),
+])
+def test_adf_test_factors_the_searched_design_once(monkeypatch, values, max_lag, lag, factors):
+    # A lag of max_lag is refitted on the lag search's design and sample, so
+    # its solve reuses the search's QR; a smaller lag is factored again.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return factor(*args)
+
+    factor = ols._factor
+    for module in (ols, unit_root):
+        monkeypatch.setattr(module, "_factor", counting)
+    s = TimeSeries(trading_dates(len(values)), values, name="F")
+    result = adf_test(s, max_lag)
+    assert (result.chosen_lag, len(calls)) == (lag, factors)
+    reg = adf_regression(s, lag)
+    assert _bits(result.t_statistic) == _bits(reg.coef_rows[1].t_stat)
+    assert result.effective_obs == reg.nobs
+
+
 @pytest.mark.parametrize("values, t_stat", [
     pytest.param(np.arange(17.0), math.nan, id="zero-coef-nan"),
     pytest.param(np.tile([1.0, 2.0], 3), -math.inf, id="minus-inf"),
