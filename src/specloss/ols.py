@@ -13,9 +13,11 @@ copies the design's columns and y into a fresh one, for :func:`fit`,
 :func:`fit_arrays` and the ADF regressions alike, and factors it in
 place; the ADF lag search calls it directly.  One private kernel solves
 and forms the residuals, the SSR and the standard errors, of which only
-the diagonal of (X'X)^-1 is formed.  Only :func:`fit_arrays` takes raw
-arrays, so only it checks that its inputs are finite.  A fit keeps no
-n-vector but the residual series that :func:`fit` sets.
+the diagonal of (X'X)^-1 is formed; it takes a factorization the caller
+already holds, as the ADF refit of the searched design does.  Only
+:func:`fit_arrays` takes raw arrays, so only it checks that its inputs
+are finite.  A fit keeps no n-vector but the residual series that
+:func:`fit` sets.
 
 One range rule covers every float: a regressor whose squares sum, or a
 dependent whose largest magnitude, leaves a fixed band is fitted scaled

@@ -8,10 +8,12 @@ max_lag so the criteria are comparable.  On that sample each candidate's
 design is a column prefix of the max_lag design, so one Householder QR
 of the max_lag design yields every candidate's SSR and no candidate is
 fitted.  Only the winning lag is refitted, on its own longest sample,
-and only for the t-statistic on γ.  The least-squares core of
-:mod:`specloss.ols` does both: the lag search factors its work array,
-the refit solves and takes the standard error from it, and its range
-rule scales a series outside its band first.  The regression always
+and only for the t-statistic on γ.  When the winner is max_lag, that
+sample and design are the ones searched, so the refit solves from the
+search's QR and each such test factors one design.  The least-squares
+core of :mod:`specloss.ols` does both: the lag search factors its work
+array, the refit solves and takes the standard error from it, and its
+range rule scales a series outside its band first.  The regression always
 carries a constant and no trend, the only case the shipped tables cover.
 
 Critical values use the MacKinnon (2010) response surface evaluated at
@@ -241,7 +243,8 @@ def select_lag(y: TimeSeries, max_lag: int) -> int:
     their criteria are comparable.  There the lag-ℓ design is the first
     2+ℓ columns of the max_lag design, so one Householder QR of that
     design gives every candidate's SSR as ||(Q'y)[2+ℓ:]||^2 and no
-    candidate is fitted.  Ties go to the smaller lag.
+    candidate is fitted.  Ties go to the smaller lag.  :func:`adf_test`
+    runs the same search and, when max_lag wins, solves from its QR.
     """
     return _lag_search(y, max_lag)[0]
 

@@ -267,11 +267,13 @@ def market_25500(tmp_path_factory):
 
 
 def test_analysis_heap_at_25500_days_stays_under_4_4_mb(market_25500):
-    # 4.19 MB: the peak is the factorization in the last ADF refit, its
-    # 1.84 MB work array and one 0.20 MB row of scratch beside what the
-    # run holds.  The calendar is one datetime64[D] array, no finished
-    # ADF fit keeps its residuals, and the QR reflects one row at a time,
-    # so its scratch is one row, not a second design.
+    # 4.17 MB: the peak is RESID2's lag search, its 1.63 MB work array,
+    # one 0.20 MB row of scratch and the 0.20 MB of Δy, beside the 1.22 MB
+    # table, both u series and both residual series (0.41 MB a pair).  Its
+    # lag-5 refit solves from that QR and builds no second work array.
+    # The calendar is one datetime64[D] array, no finished ADF fit keeps
+    # its residuals, and the QR reflects one row at a time, so its scratch
+    # is one row, not a second design.
     peak = _peak_bytes(lambda: build_analysis(load_market_csv(market_25500)))
     assert peak <= 4.4e6, f"peak {peak / 1e6:.2f} MB"
 
