@@ -11,10 +11,12 @@ which ``tests/test_ols.py`` checks against column loops.
 This module alone builds and factors a work array: one private function
 copies the design's columns and y into a fresh one, for :func:`fit`,
 :func:`fit_arrays` and the ADF regressions alike, and factors it in
-place; the ADF lag search calls it directly.  One private kernel solves
-and forms the residuals, the SSR and the standard errors, of which only
-the diagonal of (X'X)^-1 is formed; it takes a factorization the caller
-already holds, as the ADF refit of the searched design does.  Only
+place; the exact ADF lag search calls it directly.  Another builds the
+same stacked copy for its Gram matrix, the one BLAS product here, whose
+prefix SSRs it gives with a bound on their error and on the QR's; only
+a lag choice that bound certifies reads them.  One private kernel
+factors, solves and forms the residuals, the SSR and the standard
+errors, of which only the diagonal of (X'X)^-1 is formed.  Only
 :func:`fit_arrays` takes raw arrays, so only it checks that its inputs
 are finite.  A fit keeps no n-vector but the residual series that
 :func:`fit` sets.
@@ -64,6 +66,12 @@ _RANK_RTOL = 1e-10
 _REFLECT_BYTES = 1 << 18
 # The band of the range rule: largest magnitudes in [2^-_BAND, 2^_BAND).
 _BAND = 256
+# The unit roundoff of float64.
+_U = 2.0**-53
+# The constant c of one Householder reflection's backward error, c (d+3) u
+# of a column's norm for inner products of depth d (Higham 2002, Lemma
+# 19.3, whose constant is left as a small integer).
+_QR_C = 8
 
 
 @dataclass(frozen=True)
@@ -307,14 +315,98 @@ def _factor(y: np.ndarray, columns: Sequence[np.ndarray],
     return r, a[-1], norms, exps
 
 
-def _solve(y: np.ndarray, columns: Sequence[np.ndarray], names: Sequence[str],
-           factored: tuple | None = None) -> tuple[np.ndarray, list[float], float, np.ndarray, list]:
-    """Fit y on the columns scaled by 2^-exps: (beta, standard errors, SSR, residuals, exps).
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m*u / (1 - m*u), the error bound of m rounded operations."""
+    return m * _U / (1.0 - m * _U)
 
-    ``factored`` is the design's (R, (Q'y)[:k], norms, exps) from :func:`_factor`
-    if the caller holds it; else the design is factored here.
+
+def _gram_ssrs(y: np.ndarray, columns: Sequence[np.ndarray],
+               first: int) -> tuple[list[float], list[float]] | None:
+    """SSRs of y on the first p columns, p = first..k, from the Gram matrix: (SSRs, deltas).
+
+    The stacked copy A = [X y] is built as the work array is, and one BLAS
+    product gives G = A A', scaled to a unit diagonal S = D G D and
+    factored S = L L'.  The last row and column of S are y's, so
+    rho_p = sum_{i >= p} L[k, i]^2 is the SSR of y*d_y on the first p
+    columns and SSR_p = G_yy * rho_p.  Each delta_p bounds the relative
+    error of that SSR, and of the SSR that :func:`_factor`'s Q'y gives for
+    the same prefix, against the exact one.
+
+    The derivation.  In the unit-diagonal geometry each route's rho_p is
+    the exact rho_p(M) = min_b w'Mw over w = (-b, 1) of a matrix M within
+    F of S, entrywise |F_ij| <= eps.  Comparing each minimizer in the
+    other's form, |rho_p(M) - rho_p(S)| <= eps * W^2, W a bound on
+    ||w||_1 over both minimizers.  Per entry:
+    - the Gram route: gamma_n for the dot products (G's diagonal in the
+      range rule's band makes underflow negligible), 3u for the scaling,
+      and the Cholesky backward error gamma_{k+2} |L||L'| <= gamma_{k+2}
+      (Higham 2002, Theorem 10.3): eps_G = gamma_{n+5} + gamma_{k+3};
+    - the QR search: each reflection moves a column by a backward error
+      of at most c (d+3) u of its norm (Lemma 19.3, the inner products
+      being numpy's pairwise sums of depth d <= 32 + log2 n), so k of
+      them and the equilibration give g = gamma_{c k (d+3) + 1}, and the
+      Gram matrix moves by eps_Q = 2g + g^2.
+    The computed factor is exact for some M within eps_G of S.  Its
+    minimizer b_p = L_p^-T L[k, :p] comes from L_k^-1, L_k the leading
+    k x k block, formed explicitly: kappa = ||L_k^-1||_F^2 bounds
+    ||C^-1||_2 of every leading block C, which its smallest pivot alone
+    does not.  Where kappa * eta <= 1/4, eta = (k+1)(eps_G + eps_Q), every
+    matrix in play has ||C^-1||_2 <= 2 kappa, so every minimizer lies
+    within t ||w||_2 of the computed one, t = 4 kappa eta, and
+    W = ||w||_1 + t sqrt(k) ||w||_2.  The QR's R then has no diagonal
+    below sqrt(2 eta), far above its rank tolerance.  With
+    g' = gamma_{k+5} for the sums of squares and the product by G_yy,
+    delta_p = (max(eps_G, eps_Q) W^2 + g' rho_p) / (rho_p (1 - g') -
+    max(eps_G, eps_Q) W^2).  Second-order terms are left to the caller's
+    safety factor.
+
+    None where no bound holds: a diagonal of G outside the range rule's
+    band, where the QR scales a column or names a zero one; a failed
+    Cholesky factorization; kappa * eta > 1/4; or a delta_p outside
+    (0, 1/2].
     """
-    r, qy, norms, exps = _factor(y, columns, names) if factored is None else factored
+    k, n = len(columns), len(y)
+    a = np.array([*columns, y])
+    g = a @ a.T
+    del a
+    diag = np.diagonal(g)
+    listed = diag.tolist()
+    if not (2.0 ** (-2 * _BAND) <= min(listed) and max(listed) <= n * 2.0 ** (2 * _BAND + 1)):
+        return None
+    s = np.sqrt(diag)
+    try:
+        low = np.linalg.cholesky(g / np.multiply.outer(s, s))
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.linalg.inv(low[:k, :k])
+        kappa = float(np.add.reduce(np.square(inv), axis=None))
+    eps_g = _gamma(n + 5) + _gamma(k + 3)
+    qr = _gamma(_QR_C * k * (32 + n.bit_length() + 3) + 1)
+    eps_q = 2.0 * qr + qr * qr
+    eta = (k + 1) * (eps_g + eps_q)
+    if not kappa * eta <= 0.25:  # an inf or nan kappa fails too
+        return None
+    betas = np.cumsum(inv * low[k, :k, None], axis=0)[first - 1 :]  # row p-1: b_p, zero-padded
+    w1 = 1.0 + np.add.reduce(np.abs(betas), axis=1)
+    w2 = np.sqrt(1.0 + np.add.reduce(np.square(betas), axis=1))
+    wide = (max(eps_g, eps_q) * np.square(w1 + 4.0 * kappa * eta * math.sqrt(k) * w2)).tolist()
+    rhos = np.cumsum(np.square(low[k, first:])[::-1])[::-1].tolist()
+    sums = _gamma(k + 5)
+    deltas = []
+    for rho, err in zip(rhos, wide):
+        floor = rho * (1.0 - sums) - err
+        if not floor > 0.0 or (delta := (err + sums * rho) / floor) > 0.5:
+            return None
+        deltas.append(delta)
+    yy = listed[k]
+    return [rho * yy for rho in rhos], deltas
+
+
+def _solve(y: np.ndarray, columns: Sequence[np.ndarray],
+           names: Sequence[str]) -> tuple[np.ndarray, list[float], float, np.ndarray, list]:
+    """Fit y on the columns scaled by 2^-exps: (beta, standard errors, SSR, residuals, exps)."""
+    r, qy, norms, exps = _factor(y, columns, names)
     beta_s, var_s = _solve_triangular(r, qy)
     del r, qy  # the work array goes before the residuals are formed
     beta = beta_s / norms

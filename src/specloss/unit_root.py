@@ -5,16 +5,18 @@ the t-statistic on γ compared against MacKinnon finite-sample critical
 values.  Lag length is picked automatically by the Schwarz criterion over
 0..max_lag, with every candidate scored on the common sample implied by
 max_lag so the criteria are comparable.  On that sample each candidate's
-design is a column prefix of the max_lag design, so one Householder QR
-of the max_lag design yields every candidate's SSR and no candidate is
-fitted.  Only the winning lag is refitted, on its own longest sample,
-and only for the t-statistic on γ.  When the winner is max_lag, that
-sample and design are the ones searched, so the refit solves from the
-search's QR and each such test factors one design.  The least-squares
-core of :mod:`specloss.ols` does both: the lag search factors its work
-array, the refit solves and takes the standard error from it, and its
-range rule scales a series outside its band first.  The regression always
-carries a constant and no trend, the only case the shipped tables cover.
+design is a column prefix of the max_lag design, so one factorization of
+the max_lag design yields every candidate's SSR and no candidate is
+fitted.  Only the index of the least criterion is read, so it is taken
+from the Cholesky factor of that design's Gram matrix wherever a bound
+on both routes' errors certifies it equal to the Householder QR's; a
+near-tie or a design the QR would scale or reject runs the exact QR
+search instead.  Only the winning lag is refitted, on its own longest
+sample, and only for the t-statistic on γ: each ADF test runs one
+Householder QR, two on a fallback.  The least-squares core of
+:mod:`specloss.ols` does all three, and its range rule scales a series
+outside its band first.  The regression always carries a constant and no
+trend, the only case the shipped tables cover.
 
 Critical values use the MacKinnon (2010) response surface evaluated at
 the regression's included observations, T_eff = N − 1 − lag.  P-values
@@ -41,7 +43,9 @@ from .errors import (
 )
 from .ols import (
     _ONES,
+    _U,
     _factor,
+    _gram_ssrs,
     _scaled,
     _scaled_back,
     _solve,
@@ -68,6 +72,9 @@ LEVELS = (1, 5, 10)
 
 _PVAL_CLAMP_LO = 1e-6
 _PVAL_CLAMP_HI = 0.9999
+# The factor by which every other lag's Schwarz criterion must exceed the
+# least by more than both routes' error bounds for the Gram route's choice.
+_SIC_SAFETY = 100.0
 
 
 class Verdict(enum.Enum):
@@ -210,43 +217,77 @@ def _adf_columns(y: TimeSeries, lag: int) -> tuple[np.ndarray, list[np.ndarray],
     return dy[lag:], cols, names, e
 
 
-def _lag_search(y: TimeSeries, max_lag: int) -> tuple[int, tuple | None]:
-    """The lag :func:`select_lag` picks, and at max_lag the refit's inputs.
+def _schwarz_lag(ssrs: list[float], nobs: int, e: int) -> tuple[int, list[float]]:
+    """The lag of the least Schwarz criterion, the first on a tie, and every lag's criterion.
 
-    A lag of max_lag is refitted on the search's own sample and design, so
-    the search hands them on with its factorization: (dep, columns, names,
-    (R, (Q'y)[:k], norms, exps)), R and (Q'y)[:k] copied so the work array
-    is freed here.  A smaller lag gets None and is refitted from scratch.
+    ``ssrs`` are of the series scaled by 2^-e; they are scored scaled back
+    where every one can be, so the choice keeps the bits of the series as
+    given.
     """
-    if max_lag < 0:
-        raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
-    dep, cols, names, e = _adf_columns(y, max_lag)
-    r, qy, norms, exps = _factor(dep, cols, names)
-    z = qy[2:]  # Q'y past C and y(-1)
-    nobs = len(dep)
-    sq = z * z
-    ssrs = [float(np.add.reduce(sq[lag:])) for lag in range(max_lag + 1)]
     if e and None not in (back := [_scaled_back(ssr, 2 * e) for ssr in ssrs]):
-        ssrs = back  # the SSRs of the series as given, so the choice keeps its bits
+        ssrs = back
     scores = [schwarz_from_loglik(log_likelihood_from_ssr(ssr, nobs), nobs, 2 + lag)
               for lag, ssr in enumerate(ssrs)]
-    lag = scores.index(min(scores))  # the first minimum: ties go to the smaller lag
-    if lag < max_lag:
-        return lag, None
-    return lag, (dep, cols, names, (r.copy(), qy[: len(cols)].copy(), norms, exps))
+    return scores.index(min(scores)), scores
+
+
+def _qr_lag(dep: np.ndarray, cols: list[np.ndarray], names: list[str], e: int) -> int:
+    """The exact search: one Householder QR of the max_lag design gives every SSR.
+
+    The lag-l design is the first 2+l columns of the max_lag design, so
+    its SSR is ||(Q'y)[2+l:]||^2 and no candidate is fitted.
+    """
+    z = _factor(dep, cols, names)[1][2:]  # Q'y past C and y(-1)
+    sq = z * z
+    ssrs = [float(np.add.reduce(sq[lag:])) for lag in range(len(cols) - 1)]
+    return _schwarz_lag(ssrs, len(dep), e)[0]
+
+
+def _gram_lag(dep: np.ndarray, cols: list[np.ndarray], e: int) -> int | None:
+    """The exact search's lag, where the Gram matrix's criteria certify it; else None.
+
+    :func:`~specloss.ols._gram_ssrs` bounds the relative error of each
+    lag's SSR, on this route and on the QR's, by delta_l.  A criterion is
+    log(SSR/T) plus terms alike on both routes, so each route's lies
+    within d_l = delta_l / (1 - delta_l) + s_l of the exact one, s_l
+    bounding the rounding of the formula itself (a few ulps of its
+    magnitude, the scale-back by 4^e included).  The QR search then picks
+    this lag if every other lag's criterion exceeds the least by more
+    than 2 (d_best + d_l): the strict inequality keeps its first-minimum
+    rule.  ``_SIC_SAFETY`` multiplies that margin.  Where no bound is
+    formed, the QR search would raise, scale or settle a near-tie, so it
+    runs instead.
+    """
+    gram = _gram_ssrs(dep, cols, 2)
+    if gram is None:
+        return None
+    ssrs, deltas = gram
+    lag, scores = _schwarz_lag(ssrs, len(dep), e)
+    slack = 8.0 + 2.0 * abs(e) * math.log(2.0)
+    errs = [d / (1.0 - d) + 32 * _U * (abs(sc) + slack) for d, sc in zip(deltas, scores)]
+    margin = [2.0 * _SIC_SAFETY * (errs[lag] + err) for err in errs]
+    if all(sc - scores[lag] > m for j, (sc, m) in enumerate(zip(scores, margin)) if j != lag):
+        return lag
+    return None
 
 
 def select_lag(y: TimeSeries, max_lag: int) -> int:
     """Pick the lag in 0..max_lag minimizing the Schwarz criterion.
 
     Every candidate is scored on the sample of the max_lag regression so
-    their criteria are comparable.  There the lag-ℓ design is the first
-    2+ℓ columns of the max_lag design, so one Householder QR of that
-    design gives every candidate's SSR as ||(Q'y)[2+ℓ:]||^2 and no
-    candidate is fitted.  Ties go to the smaller lag.  :func:`adf_test`
-    runs the same search and, when max_lag wins, solves from its QR.
+    their criteria are comparable.  There the lag-l design is the first
+    2+l columns of the max_lag design, so one factorization of that
+    design gives every candidate's SSR and no candidate is fitted.  The
+    Gram matrix's Cholesky factor gives them first; where its criteria
+    certify their minimum as the Householder QR's, that lag is returned.
+    Else the exact QR search runs: it alone settles a near-tie and raises
+    every error.  Ties go to the smaller lag.
     """
-    return _lag_search(y, max_lag)[0]
+    if max_lag < 0:
+        raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
+    dep, cols, names, e = _adf_columns(y, max_lag)
+    lag = _gram_lag(dep, cols, e)
+    return _qr_lag(dep, cols, names, e) if lag is None else lag
 
 
 def verdict_from_t(t_stat: float, critical_values: Mapping[int, float]) -> Verdict:
@@ -263,17 +304,15 @@ def verdict_from_t(t_stat: float, critical_values: Mapping[int, float]) -> Verdi
 def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
     """Run the ADF test: lag choice by SIC, t-statistic, critical values, verdict.
 
-    The lag is :func:`select_lag`'s.  When it is max_lag, the refit solves
-    from the lag search's factorization, the QR of the same design on the
-    same sample, so each ADF test factors that design once.  The
-    t-statistic takes the float operations of
-    :func:`~specloss.ols.fit_arrays` on the same solve, so it has the bits
-    of the t-statistic on y(-1) in the full fit of the chosen lag's
+    The lag is :func:`select_lag`'s, and its regression is then factored
+    on its own longest sample.  The t-statistic takes the float operations
+    of :func:`~specloss.ols.fit_arrays` on the same solve, so it has the
+    bits of the t-statistic on y(-1) in the full fit of the chosen lag's
     regression.
     """
-    lag, searched = _lag_search(y, max_lag)
-    dep, cols, names, factored = searched or (*_adf_columns(y, lag)[:3], None)
-    beta, se = _solve(dep, cols, names, factored)[:2]  # both scaled alike: t keeps its bits
+    lag = select_lag(y, max_lag)
+    dep, cols, names, _ = _adf_columns(y, lag)
+    beta, se = _solve(dep, cols, names)[:2]  # both scaled alike: t keeps its bits
     t_eff = len(dep)
     t_stat = _t_ratio(float(beta[1]), se[1])
     cvs = {

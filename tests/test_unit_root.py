@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 
 from generators import adf_regression, gen_ar1, gen_random_walk
@@ -310,29 +310,153 @@ def _ar5_in_differences(seed, n):
     return np.cumsum(dy)
 
 
-@pytest.mark.parametrize("values, max_lag, lag, factors", [
-    pytest.param(gen_random_walk(0, 60, label="RW").values, 0, 0, 1, id="max-lag-0"),
-    pytest.param(_ar5_in_differences(0, 60), 5, 5, 1, id="lag-5-of-5"),
-    pytest.param(gen_random_walk(1, 60, label="RW").values, 5, 2, 2, id="lag-2-of-5"),
-])
-def test_adf_test_factors_the_searched_design_once(monkeypatch, values, max_lag, lag, factors):
-    # A lag of max_lag is refitted on the lag search's design and sample, so
-    # its solve reuses the search's QR; a smaller lag is factored again.
-    calls = []
+def _near_tie():
+    """R at 30 days, noise 0.05: at max_lag 13 SIC's best two lags lie within the margin."""
+    return gen_market_days(seed=3617, n_days=30, noise_scale=0.05).series()["R"]
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap ``name`` in each module so that every call is listed; return the list."""
+    calls, wrapped = [], getattr(modules[0], name)
 
     def counting(*args):
         calls.append(args)
-        return factor(*args)
+        return wrapped(*args)
 
-    factor = ols._factor
-    for module in (ols, unit_root):
-        monkeypatch.setattr(module, "_factor", counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("values, max_lag, lag, factors", [
+    pytest.param(gen_random_walk(0, 60, label="RW").values, 0, 0, 1, id="max-lag-0"),
+    pytest.param(_ar5_in_differences(0, 60), 5, 5, 1, id="lag-5-of-5"),
+    pytest.param(gen_random_walk(1, 60, label="RW").values, 5, 2, 1, id="lag-2-of-5"),
+    pytest.param(_near_tie().values, 13, 12, 2, id="near-tie"),
+])
+def test_adf_test_factors_only_the_chosen_lag(monkeypatch, values, max_lag, lag, factors):
+    # Where the Gram route certifies the lag, the refit of that lag is the
+    # one factorization; where it declines, the exact search factors the
+    # max_lag design first.
+    factored = _count_calls(monkeypatch, "_factor", (ols, unit_root))
+    searched = _count_calls(monkeypatch, "_qr_lag", (unit_root,))
     s = TimeSeries(trading_dates(len(values)), values, name="F")
     result = adf_test(s, max_lag)
-    assert (result.chosen_lag, len(calls)) == (lag, factors)
+    assert (result.chosen_lag, len(factored), len(searched)) == (lag, factors, factors - 1)
+    assert len(factored[-1][1]) == 2 + lag  # the refit's columns
     reg = adf_regression(s, lag)
     assert _bits(result.t_statistic) == _bits(reg.coef_rows[1].t_stat)
     assert result.effective_obs == reg.nobs
+
+
+def _walk_120():
+    return gen_random_walk(3, 120, label="W").values
+
+
+def _chosen_or_error(s, max_lag):
+    try:
+        result = adf_test(s, max_lag)
+    except SingularMatrixError as exc:
+        return str(exc)
+    return result.chosen_lag, result.t_statistic.hex(), result.effective_obs
+
+
+# Each way the Gram route declines, and adf_test's result or error there,
+# as the exact search alone gave it before the Gram route was added.
+@pytest.mark.parametrize("make, max_lag, margin, want", [
+    pytest.param(lambda: gen_market_days(seed=7, noise_scale=0).series()["R"], 5, False,
+                 "regressor 'D(R(-1))' is identically zero", id="zero-column"),
+    pytest.param(lambda: TimeSeries(trading_dates(120), 1.0 + 1e-9 * _walk_120(), name="NC"),
+                 3, False, (0, "-0x1.224fcd56d9913p+1", 119), id="near-collinear"),
+    pytest.param(lambda: TimeSeries(trading_dates(120), 1e6 + 1e-4 * _walk_120(), name="NC"),
+                 3, False, (0, "-0x1.224fc2b76c1bbp+1", 119), id="collinear-to-rounding"),
+    pytest.param(lambda: TimeSeries(trading_dates(120),
+                                    np.concatenate([[1.0], 1e-160 * _walk_120()[:-1]]),
+                                    name="TINY"),
+                 1, False, (0, "-0x1.58028974fe6afp+55", 119), id="outside-the-band"),
+    pytest.param(lambda: TimeSeries(trading_dates(17), np.arange(17.0), name="E"), 0, False,
+                 (0, "nan", 16), id="exact-fit"),
+    pytest.param(_near_tie, 13, True, (12, "-0x1.168522a969586p-1", 17), id="near-tie"),
+])
+def test_each_decline_runs_the_exact_search_with_its_bits(monkeypatch, make, max_lag, margin,
+                                                           want):
+    s = make()
+    dep, cols, names, e = unit_root._adf_columns(s, max_lag)
+    assert unit_root._gram_lag(dep, cols, e) is None
+    # Only a near-tie forms every bound and is declined by the margin.
+    assert (ols._gram_ssrs(dep, cols, 2) is not None) == margin
+    searched = _count_calls(monkeypatch, "_qr_lag", (unit_root,))
+    assert _chosen_or_error(s, max_lag) == want
+    assert len(searched) == 1
+
+
+def test_the_margin_alone_declines_the_near_tie(monkeypatch):
+    s = _near_tie()
+    dep, cols, names, e = unit_root._adf_columns(s, 13)
+    exact = unit_root._qr_lag(dep, cols, names, e)
+    assert unit_root._gram_lag(dep, cols, e) is None
+    monkeypatch.setattr(unit_root, "_SIC_SAFETY", 0.0)
+    assert unit_root._gram_lag(dep, cols, e) == exact == 12
+
+
+def test_the_decline_reasons_differ(monkeypatch):
+    # The band, the Cholesky factorization and the bound on ||L_k^-1||
+    # each decline one of the fixtures above.
+    def gram(values, max_lag):
+        dep, cols = unit_root._adf_columns(TimeSeries(trading_dates(len(values)), values,
+                                                      name="G"), max_lag)[:2]
+        a = np.array([*cols, dep])
+        return a @ a.T
+
+    tiny = gram(np.concatenate([[1.0], 1e-160 * _walk_120()[:-1]]), 1)
+    assert np.diagonal(tiny).min() < 2.0**-512
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram(np.arange(17.0), 0))
+    g = gram(1.0 + 1e-9 * _walk_120(), 3)
+    d = np.sqrt(np.diagonal(g))
+    low = np.linalg.cholesky(g / np.multiply.outer(d, d))
+    assert np.square(np.linalg.inv(low[:-1, :-1])).sum() > 1e15
+
+
+def _sweep_series(seed, days, noise, kind, which):
+    """One of the series analyze tests: a level, its difference or an Engle-Granger residual."""
+    days_ = gen_market_days(seed=seed, n_days=days, noise_scale=noise)
+    raw = days_.series()
+    u = [u_series(days_, variant) for variant in UVariant]
+    if kind == "resid":
+        big = (raw["U_BIG_VOL"], raw["U_BIG_DEP"])[which % 2]
+        try:
+            return ols.fit(u[which % 2], (big, raw["R"], raw["I"])).residual_series
+        except SingularMatrixError:
+            reject()
+    level = [*u, *raw.values()][which]
+    return diff(level) if kind == "diff" else level
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6),
+       days=st.one_of(st.integers(30, 100), st.integers(101, 2550)),
+       noise=st.one_of(st.sampled_from([0.0, 0.05]), st.floats(0.0, 3.0)),
+       kind=st.sampled_from(["level", "diff", "resid"]),
+       which=st.integers(0, 5),
+       max_lag=st.integers(0, 40),
+       exp=st.one_of(st.just(0), st.integers(-600, 600)))
+def test_a_certified_lag_is_the_exact_searchs(seed, days, noise, kind, which, max_lag, exp):
+    """Where the Gram route picks a lag, the exact QR search, called alone, picks it too."""
+    s = _sweep_series(seed, days, noise, kind, which)
+    if exp:
+        values = np.ldexp(s.values, exp)
+        assume(np.isfinite(values).all())
+        s = TimeSeries(s.dates, values, s.name)
+    max_lag = max_lag if days <= 100 else max_lag % 9
+    try:
+        dep, cols, names, e = unit_root._adf_columns(s, max_lag)
+    except InsufficientDataError:
+        reject()
+    certified = unit_root._gram_lag(dep, cols, e)
+    event("declined" if certified is None else "certified")
+    if certified is not None:
+        assert certified == unit_root._qr_lag(dep, cols, names, e)
 
 
 @pytest.mark.parametrize("values, t_stat", [
