@@ -382,7 +382,8 @@ def _gram_ssrs(y: np.ndarray, columns: Sequence[np.ndarray],
         inv = np.linalg.inv(low[:k, :k])
         kappa = float(np.add.reduce(np.square(inv), axis=None))
     eps_g = _gamma(n + 5) + _gamma(k + 3)
-    qr = _gamma(_QR_C * k * (32 + n.bit_length() + 3) + 1)
+    depth = 32 + n.bit_length()  # of numpy's pairwise sum of n terms, generously
+    qr = _gamma(_QR_C * k * (depth + 3) + 1)
     eps_q = 2.0 * qr + qr * qr
     eta = (k + 1) * (eps_g + eps_q)
     if not kappa * eta <= 0.25:  # an inf or nan kappa fails too
@@ -390,13 +391,13 @@ def _gram_ssrs(y: np.ndarray, columns: Sequence[np.ndarray],
     betas = np.cumsum(inv * low[k, :k, None], axis=0)[first - 1 :]  # row p-1: b_p, zero-padded
     w1 = 1.0 + np.add.reduce(np.abs(betas), axis=1)
     w2 = np.sqrt(1.0 + np.add.reduce(np.square(betas), axis=1))
-    wide = (max(eps_g, eps_q) * np.square(w1 + 4.0 * kappa * eta * math.sqrt(k) * w2)).tolist()
+    shifts = (max(eps_g, eps_q) * np.square(w1 + 4.0 * kappa * eta * math.sqrt(k) * w2)).tolist()
     rhos = np.cumsum(np.square(low[k, first:])[::-1])[::-1].tolist()
     sums = _gamma(k + 5)
     deltas = []
-    for rho, err in zip(rhos, wide):
-        floor = rho * (1.0 - sums) - err
-        if not floor > 0.0 or (delta := (err + sums * rho) / floor) > 0.5:
+    for rho, shift in zip(rhos, shifts):
+        floor = rho * (1.0 - sums) - shift
+        if not floor > 0.0 or (delta := (shift + sums * rho) / floor) > 0.5:
             return None
         deltas.append(delta)
     yy = listed[k]
