@@ -433,30 +433,54 @@ def _sweep_series(seed, days, noise, kind, which):
     return diff(level) if kind == "diff" else level
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 10**6),
-       days=st.one_of(st.integers(30, 100), st.integers(101, 2550)),
-       noise=st.one_of(st.sampled_from([0.0, 0.05]), st.floats(0.0, 3.0)),
-       kind=st.sampled_from(["level", "diff", "resid"]),
-       which=st.integers(0, 5),
-       max_lag=st.integers(0, 40),
-       exp=st.one_of(st.just(0), st.integers(-600, 600)))
-def test_a_certified_lag_is_the_exact_searchs(seed, days, noise, kind, which, max_lag, exp):
-    """Where the Gram route picks a lag, the exact QR search, called alone, picks it too."""
+def _sweep_design(seed, days, noise, kind, which, max_lag, exp):
+    """The max_lag design of a sweep series scaled by 2^exp: (dep, columns, names, e)."""
     s = _sweep_series(seed, days, noise, kind, which)
     if exp:
         values = np.ldexp(s.values, exp)
         assume(np.isfinite(values).all())
         s = TimeSeries(s.dates, values, s.name)
-    max_lag = max_lag if days <= 100 else max_lag % 9
     try:
-        dep, cols, names, e = unit_root._adf_columns(s, max_lag)
+        return unit_root._adf_columns(s, max_lag if days <= 100 else max_lag % 9)
     except InsufficientDataError:
         reject()
+
+
+# Synth seeds at 30 to 2,550 days and noise 0 to 3; levels, differences and
+# Engle-Granger residuals, scaled by 2^-600..2^600; max_lag 0..8, or up to
+# 40 on series of 100 days or fewer.
+_SWEEP = dict(seed=st.integers(0, 10**6),
+              days=st.one_of(st.integers(30, 100), st.integers(101, 2550)),
+              noise=st.one_of(st.sampled_from([0.0, 0.05]), st.floats(0.0, 3.0)),
+              kind=st.sampled_from(["level", "diff", "resid"]),
+              which=st.integers(0, 5),
+              max_lag=st.integers(0, 40),
+              exp=st.one_of(st.just(0), st.integers(-600, 600)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(**_SWEEP)
+def test_a_certified_lag_is_the_exact_searchs(**case):
+    """Where the Gram route picks a lag, the exact QR search, called alone, picks it too."""
+    dep, cols, names, e = _sweep_design(**case)
     certified = unit_root._gram_lag(dep, cols, e)
     event("declined" if certified is None else "certified")
     if certified is not None:
         assert certified == unit_root._qr_lag(dep, cols, names, e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**_SWEEP)
+def test_the_gram_bound_covers_both_routes(**case):
+    """Where the Gram route forms its bounds, the QR factors without an error, and
+    each SSR of the two routes lies within delta of the exact one, so of each other."""
+    dep, cols, names, _ = _sweep_design(**case)
+    gram = ols._gram_ssrs(dep, cols, 2)
+    assume(gram is not None)
+    z = ols._factor(dep, cols, names)[1][2:]
+    for lag, (ssr, delta) in enumerate(zip(*gram)):
+        exact = float(np.add.reduce((z * z)[lag:]))
+        assert abs(ssr - exact) <= 2.0 * delta / (1.0 - delta) * exact
 
 
 @pytest.mark.parametrize("values, t_stat", [
