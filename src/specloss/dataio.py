@@ -18,26 +18,27 @@ numbers use "." as the decimal separator regardless of locale;
 normalization of locale-specific source data belongs outside, at this
 boundary's callers.
 
-The reader has two paths and one behaviour.  After the header is checked
-the body is first parsed in C by one ``np.loadtxt`` call, a record of
-the date's 11 bytes and the value floats per row.  That result stands
-only when the row-by-row reader would return the same: the body is not
-blank and holds no empty cell, no NUL, none of the separators
-U+001C..U+001F and no line over the ``csv`` field size limit, every row
-has the header's width (``loadtxt`` enforces it), every date text has
-the shape YYYY-MM-DD in ASCII digits and is a date from year 1 on, no
-date repeats, and no value is NaN.  numpy's date parser reads the dates
-that have the shape; of the dates the row reader rejects, it takes only
-those of year 0000.  numpy parses a number as ``float()`` does, but
-rejects underscores and non-ASCII digits.  Rows out of date order are
-sorted on either path.  In every other case (numpy raises, blank or
-quoted cells, a ``#`` line, a header-only file, any bad input) the file
-is read row by row, and that reader alone decides every error message.
-Either path hands back the dates as one ``datetime64[D]`` array, checked
-and frozen, so the data types built on it do not walk the dates again.
-The writer formats them a block of rows at a time.  A byte-order mark
-before the header is dropped, and a byte that is not UTF-8 is a parse
-error naming its line.
+The reader has two paths and one behaviour.  The header is read, its
+text reader closed, and then checked; the body is first parsed in C by
+one ``np.loadtxt`` call, a record of the date's 11 bytes and the value
+floats per row.  That result stands only when the row-by-row reader
+would return the same: the body is not blank and holds no empty cell, no
+NUL, none of the separators U+001C..U+001F and no line over the ``csv``
+field size limit, every row has the header's width (``loadtxt`` enforces
+it), every date text has the shape YYYY-MM-DD in ASCII digits and is a
+date from year 1 on, no date repeats, and no value is NaN.  numpy's date
+parser reads the dates that have the shape; of the dates the row reader
+rejects, it takes only those of year 0000.  numpy parses a number as
+``float()`` does, but rejects underscores and non-ASCII digits.  Rows
+out of date order are sorted on either path.  In every other case (numpy
+raises, blank or quoted cells, a ``#`` line, a header-only file, any bad
+input) the file is opened again and read row by row past the header, and
+that reader alone decides every error message, naming the line each row
+starts on.  Either path hands back the dates as one ``datetime64[D]``
+array, checked and frozen, so the data types built on it do not walk the
+dates again.  The writer formats them a block of rows at a time.  A
+byte-order mark before the header is dropped, and a byte that is not
+UTF-8 is a parse error naming its line.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ MARKET_PRICE_COLUMN = "mean_price_rub"
 # Rows per write call of write_market_csv.  The whole file in one string
 # would hold every cell's text at once (a 17.9 MB peak at 25,500 days).
 _WRITE_ROWS = 1024
+# How the row-by-row reader opens a file, for the header and for the body.
+_CSV_TEXT = {"newline": "", "encoding": "utf-8-sig", "errors": "surrogateescape"}
 
 
 def _reject_undecodable(text: str, where: str, line_no: int) -> None:
@@ -251,36 +254,45 @@ def _read_table(
     ``header_problem`` sees the stripped header before any row is read and
     returns what is wrong with it, if anything.  The first column holds
     ISO dates; every other cell parses alike, an empty one as NaN.  A
-    one-line header lets :func:`_read_body_fast` try the body first.
-    Otherwise, or when it declines, each row's numbers go straight into
-    one flat float64 buffer as the row is read, so no cell text outlives
-    its row.
+    one-line header lets :func:`_read_body_fast` try the body first, once
+    the header's reader is closed.  Otherwise, or when it declines, the
+    file is opened again and each row's numbers go straight into one flat
+    float64 buffer as the row is read, so no cell text outlives its row.
     """
     # A byte that is not UTF-8 reads as a surrogate, so that the row that
     # holds it fails with its own line number; a strict decoder would fail
     # in the read-ahead, on no particular line.  A byte-order mark at the
     # start is dropped; it sits in the header line, which the fast path skips.
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+    with open(path, **_CSV_TEXT) as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvSchemaError(f"{path}: file is empty, header row required") from None
-        for name in header:
-            _reject_undecodable(name, "the header", 1)
-        problem = header_problem(header)
-        if problem is not None:
-            raise CsvSchemaError(f"{path}: {problem}")
-        if reader.line_num == 1:
-            fast = _read_body_fast(path, len(header))
-            if fast is not None:
-                return header, *fast
-        names = header[1:]
-        dates: list[datetime.date] = []
-        lines = array.array("q")
-        values = array.array("d")
+        header_lines = reader.line_num
+    del handle, reader  # with their decoded text, before the body is parsed
+    for name in header:
+        _reject_undecodable(name, "the header", 1)
+    problem = header_problem(header)
+    if problem is not None:
+        raise CsvSchemaError(f"{path}: {problem}")
+    if header_lines == 1:
+        fast = _read_body_fast(path, len(header))
+        if fast is not None:
+            return header, *fast
+    names = header[1:]
+    dates: list[datetime.date] = []
+    lines = array.array("q")
+    values = array.array("d")
+    with open(path, **_CSV_TEXT) as handle:
+        reader = csv.reader(handle)
+        next(reader, None)  # the header, checked above
+        end = reader.line_num
         try:
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
+                # A row starts on the line after the last one read; a quoted
+                # line break makes that differ from its count of rows.
+                line_no, end = end + 1, reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != len(header):

@@ -143,6 +143,28 @@ def test_market_parse_errors_carry_line_numbers(tmp_path):
     assert exc_info.value.line == 2
 
 
+# A quoted cell or header name holding a line break makes a row start on a
+# later line than its row number says; each message names the line it starts on.
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param(HEADER + '\n2012-01-03,1,"2\n",3,4\n2012-01-04,1,2,3,abc\n', 4,
+                 "column 'u_big_dep' has non-numeric value 'abc'", id="cell"),
+    pytest.param('date,"i_mrub\n",r_pct,u_big_vol,u_big_dep\n2012-01-03,1,2,3,x\n', 3,
+                 "column 'u_big_dep' has non-numeric value 'x'", id="header"),
+    pytest.param(HEADER + '\n2012-01-03,1,"2\n",3,4\n2012-01-03,1,2,3,4\n', None,
+                 "duplicate date 2012-01-03 on line 4 (first seen on line 2)", id="duplicate"),
+    pytest.param(HEADER + '\n2012-01-03,1,"2\n",3,4\n2012-01-04,1,2\n', 4,
+                 "expected 5 fields, got 3", id="width"),
+    pytest.param('date,"i_mrub\n",r_pct,u_big_vol,u_big_dep\nJan 3,1,2,3,4\n', 3,
+                 "column 'date' has invalid ISO date 'Jan 3'", id="date"),
+])
+def test_errors_name_the_line_a_row_starts_on(tmp_path, text, line, message):
+    path = write_text(tmp_path / "m.csv", text)
+    for load in (load_market_csv, load_series_csv):
+        with pytest.raises((CsvParseError, CsvValidationError)) as exc_info:
+            load(path)
+        assert (getattr(exc_info.value, "line", None), str(exc_info.value)) == (line, message)
+
+
 def test_market_validation_errors_carry_dates(tmp_path):
     dup = write_text(
         tmp_path / "dup.csv",

@@ -267,10 +267,12 @@ def market_25500(tmp_path_factory):
 
 
 def test_analysis_heap_at_25500_days_stays_under_4_4_mb(market_25500):
-    # 4.17 MB: the peak is RESID2's lag search, its 1.63 MB work array,
-    # one 0.20 MB row of scratch and the 0.20 MB of Δy, beside the 1.22 MB
-    # table, both u series and both residual series (0.41 MB a pair).  Its
-    # lag-5 refit solves from that QR and builds no second work array.
+    # 4.17 MB: the peak is RESID2's lag-5 refit, its own 1.63 MB work
+    # array, one 0.20 MB row of scratch and the 0.20 MB of Δy, beside the
+    # 1.22 MB table, both u series and both residual series (0.41 MB a
+    # pair).  Its lag search scores the lags from the Gram matrix of a
+    # stacked copy of the design and peaks at 3.91 MB; that copy is gone
+    # before the refit builds its work array.
     # The calendar is one datetime64[D] array, no finished ADF fit keeps
     # its residuals, and the QR reflects one row at a time, so its scratch
     # is one row, not a second design.
@@ -285,6 +287,18 @@ def test_loading_25500_days_stays_under_2_7_mb(market_25500):
     # block at a time; reading them whole put the peak at 3.03 MB.
     peak = _peak_bytes(lambda: load_market_csv(market_25500))
     assert peak <= 2.7e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_loading_255_days_stays_under_0_08_mb(tmp_path):
+    # 0.070 MB: the scan of the body's bytes before the C parse, which
+    # holds the file's 26 KB, a mask of them and each comma's index.  The
+    # header's text reader, its csv reader and their decoded buffers
+    # (about 0.03 MB) are dropped before the body is scanned; held through
+    # the scan and the parse, they put the peak at 0.100 MB.
+    path = tmp_path / "market.csv"
+    _synth("synth --seed 42", path)
+    peak = _peak_bytes(lambda: load_market_csv(str(path)))
+    assert peak <= 0.08e6, f"peak {peak / 1e6:.3f} MB"
 
 
 def test_generating_25500_days_stays_under_2_0_mb():
