@@ -7,7 +7,11 @@ regressors differ by many orders of magnitude, as volumes in pieces and
 rates in fractions do.  Reductions call the ``np.add.reduce`` ufunc, or
 ``np.einsum`` for the column norms of a design of two columns or more, on
 elementwise products, not BLAS, so results are bit-stable on a platform,
-which ``tests/test_ols.py`` checks against column loops.
+which ``tests/test_ols.py`` checks against column loops.  The k x k steps
+(back-substitution, the diagonal of (X'X)^-1, the scaling back by the
+column norms and the rank test) run on Python floats, each sum in
+``np.add.reduce``'s order: the same bits, without numpy's call overhead
+on arrays of a few entries.
 This module alone builds and factors a work array: one private function
 copies the design's columns and y into a fresh one, for :func:`fit`,
 :func:`fit_arrays` and the ADF regressions alike, and factors it in
@@ -36,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -173,6 +179,35 @@ def _scaled_back(value: float, e: int, field: str = "") -> float | None:
     return math.ldexp(value, e)
 
 
+def _add_reduce(terms: list[float]) -> float:
+    """The sum of Python floats with the bits of ``np.add.reduce`` of them as a 1-D array.
+
+    numpy adds a pairwise sum to its identity +0.0, so ``[-0.0]`` sums to
+    0.0.  Each step is one float addition in numpy's order, as the order
+    of summation decides the rounding (Higham 2002, ch. 4); the builtin
+    ``sum`` is compensated from Python 3.12 on, so it is not used.
+    """
+    n = len(terms)  # below 8 terms, the common case, without a call
+    return 0.0 + (reduce(add, terms, -0.0) if n < 8 else _pairwise(terms, 0, n))
+
+
+def _pairwise(terms: list[float], lo: int, n: int) -> float:
+    """numpy's pairwise sum of terms[lo:lo+n]: left to right from -0.0 below 8 terms;
+    up to 128, eight strided running sums combined in pairs, then the rest left to
+    right; beyond, the halves split at a multiple of 8."""
+    if n < 8:
+        return reduce(add, terms[lo : lo + n], -0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = terms[lo : lo + 8]
+        for i in range(lo + 8, end, 8):
+            r = list(map(add, r, terms[i : i + 8]))
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, terms[end : lo + n], total)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(terms, lo, half) + _pairwise(terms, lo + half, n - half)
+
+
 def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> tuple:
     """Euclidean norms of the columns of the (n, k) design ``x``, and their exponents.
 
@@ -180,27 +215,32 @@ def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> t
     of a work array gives the bits of the C-ordered design: the squares
     go into ``scratch`` C-ordered, a block of as many rows as it holds,
     and the running sums are added into each later block's first row
-    (squares are never -0.0, so that changes no bit).  ``np.einsum``
-    folds a block with one running sum per column down the strided rows,
-    the bits of ``np.add.reduce(axis=0)`` at a quarter of its time at
-    25,500 rows.  A single column is summed pairwise by ``np.add.reduce``
-    like an (n, 1) design.  The range rule: a column whose squares sum
-    outside [2^-2B, 2n 4^B], B the band, is scaled in place as
-    :func:`_scaled` says, its exponent kept, and the design folded again;
-    over its norm it keeps its bits.  A zero column is singular.
+    (squares are never -0.0, so that changes no bit); where one block
+    holds every row, it is the whole scratch and nothing is carried.
+    ``np.einsum`` folds a block with one running sum per column down the
+    strided rows, the bits of ``np.add.reduce(axis=0)`` at a quarter of
+    its time at 25,500 rows.  A single column is summed pairwise by
+    ``np.add.reduce`` like an (n, 1) design.  The range rule: a column
+    whose squares sum outside [2^-2B, 2n 4^B], B the band, is scaled in
+    place as :func:`_scaled` says, its exponent kept, and the design
+    folded again; over its norm it keeps its bits.  A zero column is
+    singular.
     """
     n, k = x.shape
     rows = scratch.size // k
-    squares = scratch.reshape(-1)[: rows * k].reshape(rows, k)
     lo, hi, exps = 2.0 ** (-2 * _BAND), n * 2.0 ** (2 * _BAND + 1), [0] * k
     while True:  # at most twice: a scaled column's squares sum to [1/4, n]
         with np.errstate(over="ignore"):
-            for top in range(0, n, rows):
-                block = x[top : top + rows]
-                sq = np.square(block, out=squares[: len(block)])
-                if top:
-                    sq[0] += sums
-                sums = np.einsum("ij->j", sq) if k > 1 else np.add.reduce(sq, axis=0)
+            if rows >= n:  # one block, the whole scratch, holds every row
+                sums = _fold(np.square(x, out=scratch.reshape(n, k)))
+            else:
+                squares = scratch.reshape(-1)[: rows * k].reshape(rows, k)
+                for top in range(0, n, rows):
+                    block = x[top : top + rows]
+                    sq = np.square(block, out=squares[: len(block)])
+                    if top:
+                        sq[0] += sums
+                    sums = _fold(sq)
         listed = sums.tolist()
         if lo <= min(listed) and max(listed) <= hi:
             return np.sqrt(sums), exps
@@ -208,6 +248,11 @@ def _column_norms(x: np.ndarray, scratch: np.ndarray, names: Sequence[str]) -> t
             x[:, j], exps[j] = _scaled(x[:, j])
             if not exps[j]:
                 raise SingularMatrixError(f"regressor '{names[j]}' is identically zero", column=j)
+
+
+def _fold(sq: np.ndarray) -> np.ndarray:
+    """Column sums of the C-ordered (rows, k) ``sq``, each one fold down its column."""
+    return np.einsum("ij->j", sq) if sq.shape[1] > 1 else np.add.reduce(sq, axis=0)
 
 
 # A read-only column of ones as long as any float64 array, holding one float.
@@ -243,7 +288,7 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
         sq = np.multiply(v, v, out=scratch[0, j:])
         norm = math.sqrt(float(np.add.reduce(sq)))
         if norm == 0.0:
-            _check_rank(np.abs(np.diagonal(a)[:j]))
+            _check_rank(np.diagonal(a)[:j].tolist())
             raise SingularMatrixError(
                 f"design matrix column {j} is numerically zero after reduction",
                 column=j,
@@ -262,41 +307,45 @@ def _householder_qr(a: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np
             block -= np.multiply(w, v, out=prod)
         v[0] = alpha
         v[1 : k - j] = 0.0
-    _check_rank(np.abs(np.diagonal(a)[:k]))
+    _check_rank(np.diagonal(a)[:k].tolist())
     return a[:k, :k].T, norms, exps
 
 
-def _check_rank(diag: np.ndarray) -> None:
+def _check_rank(diag: list[float]) -> None:
     """Name the first column whose |R_jj| is below the tolerance, if one is."""
-    if float(diag.min()) < (tol := _RANK_RTOL * float(diag.max())):
-        bad = int(np.argmax(diag < tol))
-        raise SingularMatrixError(
-            f"design matrix is rank deficient at column {bad} "
-            f"(|R[{bad},{bad}]| = {diag[bad]:.3e})",
-            column=bad,
-        )
+    diag = [abs(d) for d in diag]
+    tol = _RANK_RTOL * max(diag)
+    for bad, d in enumerate(diag):
+        if d < tol:
+            raise SingularMatrixError(
+                f"design matrix is rank deficient at column {bad} "
+                f"(|R[{bad},{bad}]| = {d:.3e})",
+                column=bad,
+            )
 
 
-def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Back-substitute R b = (Q'y)[:k]; returns (b, diag of (X'X)^-1).
+def _solve_triangular(r: np.ndarray, z: np.ndarray) -> tuple[list[float], list[float]]:
+    """Back-substitute R b = z[:k]; returns (b, diag of (X'X)^-1).
 
-    Superdiagonal d of R^-1 needs only lower ones: a contiguous (k-d, d)
-    array of terms, each row summed like a 1-D ``np.add.reduce``.  diag
-    (X'X)^-1 is the row sums of R^-1 * R^-1; the off-diagonal entries are
-    never formed.
+    The k x k steps run on Python floats, each sum in ``np.add.reduce``'s
+    order (:func:`_add_reduce`), so they keep the bits of numpy's.  R^-1
+    is formed a column at a time, bottom up; diag (X'X)^-1 is the row
+    sums of R^-1 * R^-1, zeros below the diagonal included, and the
+    off-diagonal entries of (X'X)^-1 are never formed.
     """
     k = r.shape[0]
-    beta = np.zeros(k)
+    rows, z = r.tolist(), z[:k].tolist()
+    beta = [0.0] * k
     for j in range(k - 1, -1, -1):
-        beta[j] = (z[j] - float(np.add.reduce(r[j, j + 1 :] * beta[j + 1 :]))) / r[j, j]
-    dr, idx = np.diagonal(r), np.arange(k)
-    rinv = np.diag(1.0 / dr)
-    for d in range(1, k):
-        i, j = idx[: k - d], idx[d:]  # entry (i, j) sums over columns i + 1 .. j
-        cols = i[:, None] + idx[1 : d + 1]
-        terms = r[i[:, None], cols] * rinv[cols, j[:, None]]
-        rinv[i, j] = -np.add.reduce(terms, axis=1) / dr[: k - d]
-    return beta, np.add.reduce(rinv * rinv, axis=1)
+        terms = [a * b for a, b in zip(rows[j][j + 1 :], beta[j + 1 :])]
+        beta[j] = (z[j] - _add_reduce(terms)) / rows[j][j]
+    rinv = [[0.0] * k for _ in range(k)]  # rinv[j] is column j of R^-1
+    for j, col in enumerate(rinv):
+        col[j] = 1.0 / rows[j][j]
+        for i in range(j - 1, -1, -1):
+            terms = [a * b for a, b in zip(rows[i][i + 1 : j + 1], col[i + 1 : j + 1])]
+            col[i] = -_add_reduce(terms) / rows[i][i]
+    return beta, [_add_reduce([col[i] * col[i] for col in rinv]) for i in range(k)]
 
 
 def _residuals(y: np.ndarray, columns: Sequence[np.ndarray], beta) -> np.ndarray:
@@ -405,18 +454,19 @@ def _gram_ssrs(y: np.ndarray, columns: Sequence[np.ndarray],
 
 
 def _solve(y: np.ndarray, columns: Sequence[np.ndarray],
-           names: Sequence[str]) -> tuple[np.ndarray, list[float], float, np.ndarray, list]:
+           names: Sequence[str]) -> tuple[list[float], list[float], float, np.ndarray, list]:
     """Fit y on the columns scaled by 2^-exps: (beta, standard errors, SSR, residuals, exps)."""
     r, qy, norms, exps = _factor(y, columns, names)
     beta_s, var_s = _solve_triangular(r, qy)
     del r, qy  # the work array goes before the residuals are formed
-    beta = beta_s / norms
+    norms = norms.tolist()
+    beta = [b / norm for b, norm in zip(beta_s, norms)]
     if any(exps):
         columns = [np.ldexp(c, -e) if e else c for c, e in zip(columns, exps)]
     resid = _residuals(y, columns, beta)
     ssr = float(np.add.reduce(resid * resid))
     s2 = ssr / (len(y) - len(columns))
-    se = [math.sqrt(s2 * v) for v in (var_s / (norms * norms)).tolist()]
+    se = [math.sqrt(s2 * (v / (norm * norm))) for v, norm in zip(var_s, norms)]
     return beta, se, ssr, resid, exps
 
 
@@ -491,7 +541,7 @@ def _fit(y: np.ndarray, columns: Sequence[np.ndarray], dep_name: str,
     loglik = log_likelihood_from_ssr(ssr_back, n)
 
     rows = []
-    for name, b, s, e in zip(reg_names, beta.tolist(), se, exps):
+    for name, b, s, e in zip(reg_names, beta, se, exps):
         t = _t_ratio(b, s)
         p = 2.0 * student_t_sf(abs(t), df)  # nan for a nan t, 0 for an infinite one
         b, s = (_scaled_back(v, d - e, f"{its} {field} on {name}")

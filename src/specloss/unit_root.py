@@ -314,7 +314,7 @@ def adf_test(y: TimeSeries, max_lag: int = 5) -> AdfResult:
     dep, cols, names, _ = _adf_columns(y, lag)
     beta, se = _solve(dep, cols, names)[:2]  # both scaled alike: t keeps its bits
     t_eff = len(dep)
-    t_stat = _t_ratio(float(beta[1]), se[1])
+    t_stat = _t_ratio(beta[1], se[1])
     cvs = {
         level: mackinnon_critical_values(level, t_eff) for level in LEVELS
     }

@@ -3,6 +3,7 @@
 import dataclasses
 import datetime
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,8 @@ from specloss.errors import (
 from specloss import ols
 from specloss.market import UVariant, u_series
 from specloss.ols import (
+    _RANK_RTOL,
+    _add_reduce,
     _factor,
     _householder_qr,
     _residuals,
@@ -37,7 +40,7 @@ from specloss.ols import (
 )
 from specloss.series import TimeSeries, align, diff, trading_dates
 from specloss.synth import gen_market_days
-from specloss.unit_root import _adf_columns, select_lag
+from specloss.unit_root import _adf_columns, adf_test, select_lag
 
 
 def close(a, b, rtol=1e-8, atol=1e-12):
@@ -445,9 +448,11 @@ def _assert_same_bits_as_reference(x, y):
 
 
 def test_factorization_bits_match_column_loop_on_wild_scales():
+    # Up to the 42 columns of a --maxlag 40 design, so the k x k sums of
+    # eight terms or more take numpy's eight running sums.
     rng = np.random.default_rng(42)
-    for trial in range(400):
-        k = 1 + trial % 12
+    for trial in range(420):
+        k = 1 + trial % 42
         n = int(rng.integers(k + 2, 300)) if trial % 40 else 25_500
         x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6.0, 8.0, size=k)
         if trial % 3 == 0:
@@ -508,6 +513,115 @@ def test_norm_fold_bits_at_the_analyze_shapes():
         if k > 1:
             x[:, 0] = 1.0
         _assert_same_bits_as_reference(x, rng.standard_normal(n))
+
+
+def _sum_bits(value):
+    """A float's bits; every nan reads alike, since which nan's sign and
+    payload an addition keeps depends on the operand order the compiled
+    loop happens to use, not on the order of summation."""
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def test_python_sums_keep_numpys_reduce_order():
+    # The k x k steps sum Python floats with the bits of np.add.reduce: a
+    # numpy that reorders its 1-D sum fails here by name.  Wild-scale
+    # signed terms with +-0.0, +-inf and nan, at every length through
+    # three pairwise splits; each sum starts from numpy's identity +0.0,
+    # so an all -0.0 array sums to 0.0, as a loop from -0.0 would not.
+    rng = np.random.default_rng(48)
+    for n in [*range(301), 1_000, 5_000]:
+        for trial in range(4):
+            terms = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, size=n)
+            pick = rng.random(n)
+            terms[pick < 0.05] = 0.0
+            terms[(0.05 <= pick) & (pick < 0.1)] = -0.0
+            if trial == 1:
+                terms[pick > 0.99] = math.inf
+                terms[pick < 0.01] = -math.inf
+            if trial == 2:
+                terms[(0.5 <= pick) & (pick < 0.505)] = math.nan
+            if trial == 3:
+                terms[:] = -0.0
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = float(np.add.reduce(terms))
+            assert _sum_bits(_add_reduce(terms.tolist())) == _sum_bits(want), (n, trial)
+    assert struct.pack("<d", _add_reduce([-0.0])) == struct.pack("<d", 0.0)
+
+
+def test_a_fit_of_many_columns_keeps_its_pinned_bits():
+    # ADF designs of 9 and 12 columns on 255 synth days (--maxlag 7 and
+    # 10), whose k x k sums of eight terms or more take numpy's eight
+    # running sums.  The hex values are those the numpy k x k solve gave.
+    series = gen_market_days(seed=0).series()
+    cases = {
+        ("I", 7): (
+            ["0x1.15e4b6cf6542ep+9", "-0x1.ceea8c1022a1fp-6", "0x1.949cb74fea2f5p-5",
+             "-0x1.8dbd465592cf1p-5", "-0x1.541c784cad433p-6", "0x1.8c3501b75ad5fp-5",
+             "0x1.47c1a87595452p-5", "-0x1.3247fa1fd6dc9p-6", "0x1.cf7c386e31f33p-4"],
+            ["0x1.e03a6b41ebbe6p+7", "0x1.8f327dcf643a3p-7", "0x1.046543e90c501p-4",
+             "0x1.0259cc1ab9800p-4", "0x1.0291823518745p-4", "0x1.02c6d474727c0p-4",
+             "0x1.02ff3156d79f7p-4", "0x1.01f5a0959e4b5p-4", "0x1.01a24c003a453p-4"],
+            "0x1.3d8a6d883f207p+17"),
+        ("U_BIG_DEP", 10): (
+            ["0x1.26a03c1fa2372p+20", "-0x1.42a2e3321544ep-6", "-0x1.3f52b8a47ac0fp-3",
+             "-0x1.ba96434abb5f5p-7", "0x1.314a4e783decep-5", "-0x1.4cedee10b1d19p-4",
+             "0x1.1c31f627d6121p-7", "0x1.68400d173b06ap-3", "-0x1.6cf5b9d2cdb93p-6",
+             "0x1.405a2da343f89p-8", "-0x1.4fd21a1cb2bf0p-4", "0x1.d3e288fdb2cb4p-5"],
+            ["0x1.d4796c24726c3p+19", "0x1.001448de00092p-6", "0x1.0f606e1c5d70ep-4",
+             "0x1.114f4eb50b5d1p-4", "0x1.11392393afcd6p-4", "0x1.114e87af2d161p-4",
+             "0x1.0eec5dbd7ee86p-4", "0x1.0c63cd1fcaa1bp-4", "0x1.0f55c58980a63p-4",
+             "0x1.0f26949dac77bp-4", "0x1.0f9d52e1be25dp-4", "0x1.0c0c97df4e4eap-4"],
+            "0x1.f5464f5f9659cp+42"),
+    }
+    for (name, lag), (coef, std_err, ssr) in cases.items():
+        dep, cols, names, _ = _adf_columns(series[name], lag)
+        got = fit_arrays(dep, np.column_stack(cols), reg_names=names)
+        assert [row.coef.hex() for row in got.coef_rows] == coef, name
+        assert [row.std_err.hex() for row in got.coef_rows] == std_err, name
+        assert got.ssr.hex() == ssr, name
+
+
+@pytest.mark.filterwarnings("error")
+def test_designs_at_the_rank_tolerance_and_band_edges_fail_only_by_name():
+    # A Python float division by zero raises ZeroDivisionError where numpy
+    # gave inf with a warning.  At the rank tolerance and at the edges of
+    # the range rule's band, a fit either succeeds or raises a named
+    # error; any other exception or warning fails the test.
+    rng = np.random.default_rng(49)
+    n = 60
+    z, w, y = rng.standard_normal((3, n))
+    outcomes = []
+
+    def attempt(call, *args):
+        try:
+            call(*args)
+        except (SingularMatrixError, InvalidArgumentError) as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(None)
+
+    # A second column eps away from the first: |R_11| crosses the tolerance.
+    for eps in [0.0, *(_RANK_RTOL * 2.0 ** (e / 4) for e in range(-24, 25))]:
+        attempt(fit_arrays, y, np.column_stack([np.ones(n), 1.0 + eps * z, w]))
+        # A series eps from a constant: y(-1) nears the constant column.
+        walk = TimeSeries(trading_dates(n), 1.0 + eps * np.cumsum(z), name="NEAR")
+        attempt(adf_test, walk, 2)
+    assert SingularMatrixError in outcomes and None in outcomes
+    # The band's edges, an ulp either side: a column's squares sum to
+    # [2^-512, 2n 2^512], a dependent's or a series' largest magnitude is
+    # in [2^-256, 2^256).  Inside or scaled by the range rule, each fits.
+    outcomes.clear()
+    walk = np.cumsum(z)
+    for edge in (2.0**-256, 2.0**256, math.sqrt(2 * n) * 2.0**256):
+        for side in (1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52):
+            column = z / math.sqrt(float(np.add.reduce(z * z))) * (edge * side)
+            attempt(fit_arrays, y, np.column_stack([np.ones(n), column, w]))
+            attempt(fit_arrays, y, np.column_stack([column, w / edge]))
+            attempt(fit_arrays, z / float(np.abs(z).max()) * (edge * side),
+                    np.column_stack([np.ones(n), w]))
+            series = walk / float(np.abs(walk).max()) * (edge * side)
+            attempt(adf_test, TimeSeries(trading_dates(n), series, name="EDGE"), 3)
+    assert outcomes == [None] * 36
 
 
 def _ladder_series(days):
