@@ -187,16 +187,14 @@ def _add_reduce(terms: list[float]) -> float:
     of summation decides the rounding (Higham 2002, ch. 4); the builtin
     ``sum`` is compensated from Python 3.12 on, so it is not used.
     """
-    n = len(terms)  # below 8 terms, the common case, without a call
+    n = len(terms)  # below 8 terms, the common case: left to right from -0.0
     return 0.0 + (reduce(add, terms, -0.0) if n < 8 else _pairwise(terms, 0, n))
 
 
 def _pairwise(terms: list[float], lo: int, n: int) -> float:
-    """numpy's pairwise sum of terms[lo:lo+n]: left to right from -0.0 below 8 terms;
-    up to 128, eight strided running sums combined in pairs, then the rest left to
-    right; beyond, the halves split at a multiple of 8."""
-    if n < 8:
-        return reduce(add, terms[lo : lo + n], -0.0)
+    """numpy's pairwise sum of terms[lo:lo+n], n >= 8: up to 128 terms, eight strided
+    running sums combined in pairs, then the rest left to right; beyond, the halves
+    split at a multiple of 8, each at least 64 terms."""
     if n <= 128:
         end = lo + n - n % 8
         r = terms[lo : lo + 8]
