@@ -102,6 +102,18 @@ def test_analyze_csv_passes_the_independent_checks(tmp_path, capsys, monkeypatch
         assert check.check_analysis(path, report) == [], max_lag
 
 
+def test_every_benchmark_probe_finds_its_function(monkeypatch):
+    # The benchmark reports a probe whose function was renamed or moved as
+    # absent and reads its metrics as 0, so a rename must fail here.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    instrument = importlib.import_module("instrument")
+    inst = instrument.install(importlib.import_module("spans").SpanRecorder())
+    try:
+        assert inst.absent == []
+    finally:
+        inst.restore()
+
+
 def test_analyze_skips_break_outside_sample(tmp_path, capsys):
     # 60 synthetic days end in March 2012, all before the default break
     # date 2012-05-10: the break means are skipped, the rest still runs.

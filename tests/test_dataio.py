@@ -1,8 +1,12 @@
 """Tests for CSV ingestion, writing, and config files."""
 
+import contextlib
 import csv
 import datetime
+import hashlib
+import io
 import math
+import pathlib
 import warnings
 from unittest import mock
 
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from generators import gen_random_walk, write_series_csv
 from specloss import dataio
+from specloss.cli import main
 from specloss.dataio import (
     load_market_csv,
     load_series_csv,
@@ -31,6 +36,7 @@ from specloss.series import TimeSeries, _Frozen, trading_dates
 from specloss.synth import gen_market_days
 
 
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 HEADER = "date,i_mrub,r_pct,u_big_vol,u_big_dep"
 
 
@@ -269,13 +275,27 @@ def test_parse_config_file_drops_a_leading_byte_order_mark(tmp_path):
 
 
 def test_data_csv_may_start_with_a_byte_order_mark_and_keeps_the_fast_path(tmp_path):
-    days = gen_market_days(seed=4, n_days=300)
-    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    # The file of `synth --seed 42 --days 255`, whose analyze CSV is pinned.
+    days = gen_market_days(seed=42)
+    plain, marked, quoted = (tmp_path / name for name in ("plain.csv", "bom.csv", "quoted.csv"))
     write_market_csv(days, str(plain))
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     # The C parser reads the body: no row goes through the row reader.
     with mock.patch.object(dataio, "_parse_date", side_effect=AssertionError("streamed")):
         assert load_market_csv(str(marked)) == days == load_market_csv(str(plain))
+    # A header over two lines ("i_mrub" holds a quoted line break) is never
+    # given to the C parser: the file is opened again and read row by row.
+    quoted.write_bytes(plain.read_bytes().replace(b"i_mrub", b'"i_mrub\n"', 1))
+    with mock.patch.object(dataio, "_read_body_fast", side_effect=AssertionError("C parser")):
+        assert load_market_csv(str(quoted)) == days
+    pinned = (DATA_DIR / "analyze_csv_sha256.txt").read_text(encoding="utf-8").splitlines()
+    digest = next(line.split()[0] for line in pinned
+                  if line.endswith("  synth --seed 42 --days 255"))
+    for path in (marked, quoted):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", "--input", str(path), "--format", "csv"]) == 0
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest, path.name
     # The row reader takes a marked file too, and so does the series loader.
     assert _streaming(load_market_csv, str(marked)) == days
     series = [TimeSeries(days.dates, days.rate_r, name="R")]

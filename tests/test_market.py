@@ -279,6 +279,8 @@ def test_coverage_ratios_errors():
     assert type(exc_info.value) is InvalidArgumentError
     with pytest.raises(InvalidArgumentError):
         coverage_ratios(make_days([]))
+    with pytest.raises(InvalidArgumentError, match="^coverage_ratios needs at least one day$"):
+        coverage_ratios(make_days([], price=5.0))
     zero_dep = make_days([(1.0, 1.0, 0.0, 0.0)], price=5.0)
     with pytest.raises(DivisionDomainError, match=str(zero_dep.dates[0])):
         coverage_ratios(zero_dep)

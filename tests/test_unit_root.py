@@ -377,6 +377,8 @@ def _chosen_or_error(s, max_lag):
     pytest.param(lambda: TimeSeries(trading_dates(17), np.arange(17.0), name="E"), 0, False,
                  (0, "nan", 16), id="exact-fit"),
     pytest.param(_near_tie, 13, True, (12, "-0x1.168522a969586p-1", 17), id="near-tie"),
+    pytest.param(lambda: TimeSeries(trading_dates(40), (np.arange(40.0) + 3) ** 2, name="Q"),
+                 1, False, (1, "-0x1.3d4a68bc862e2p+0", 38), id="delta-outside"),
 ])
 def test_each_decline_runs_the_exact_search_with_its_bits(monkeypatch, make, max_lag, margin,
                                                            want):
@@ -400,22 +402,29 @@ def test_the_margin_alone_declines_the_near_tie(monkeypatch):
 
 
 def test_the_decline_reasons_differ(monkeypatch):
-    # The band, the Cholesky factorization and the bound on ||L_k^-1||
-    # each decline one of the fixtures above.
+    # The band, the Cholesky factorization, the bound on ||L_k^-1|| and
+    # the range of each delta each decline one of the fixtures above.
     def gram(values, max_lag):
         dep, cols = unit_root._adf_columns(TimeSeries(trading_dates(len(values)), values,
                                                       name="G"), max_lag)[:2]
         a = np.array([*cols, dep])
         return a @ a.T
 
+    def unit_cholesky(g):
+        d = np.sqrt(np.diagonal(g))
+        return np.linalg.cholesky(g / np.multiply.outer(d, d))
+
     tiny = gram(np.concatenate([[1.0], 1e-160 * _walk_120()[:-1]]), 1)
     assert np.diagonal(tiny).min() < 2.0**-512
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(gram(np.arange(17.0), 0))
-    g = gram(1.0 + 1e-9 * _walk_120(), 3)
-    d = np.sqrt(np.diagonal(g))
-    low = np.linalg.cholesky(g / np.multiply.outer(d, d))
+    low = unit_cholesky(gram(1.0 + 1e-9 * _walk_120(), 3))
     assert np.square(np.linalg.inv(low[:-1, :-1])).sum() > 1e15
+    # A quadratic's differences grow by exactly 2, so its lag-1 fit is exact
+    # but for rounding, and no delta in (0, 1/2] bounds an SSR that small.
+    low = unit_cholesky(gram((np.arange(40.0) + 3) ** 2, 1))
+    assert np.square(np.linalg.inv(low[:-1, :-1])).sum() < 1e3
+    assert low[-1, -1] ** 2 < 2.0**-50
 
 
 def _sweep_series(seed, days, noise, kind, which):
